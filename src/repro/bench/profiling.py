@@ -4,7 +4,11 @@
 :mod:`cProfile` and prints
 
 * the top-N hot functions (sorted by ``tottime`` — where the interpreter
-  actually spends its cycles), and
+  actually spends its cycles),
+* the cyclic collector's bill for the run (time, collections per generation,
+  objects freed): the collector runs in C between bytecodes, so its cost is
+  smeared over whatever allocated last and no hot-function row shows it — an
+  allocation regression on the event path is visible here first, and
 * the run's core-speed number (simulator events per wall second), the same
   metric ``scripts/bench_smoke.py`` gates in CI.
 
@@ -22,6 +26,7 @@ The hot-path inventory and before/after numbers live in docs/PERFORMANCE.md.
 from __future__ import annotations
 
 import cProfile
+import gc
 import os
 import pstats
 import time
@@ -75,6 +80,18 @@ PROFILE_TARGETS: dict[str, tuple[str, ExperimentConfig]] = {
 
 
 @dataclass
+class GcStats:
+    """What the cyclic collector did during one profiled call."""
+
+    seconds: float = 0.0
+    #: Collections run, indexed by generation (0, 1, 2).
+    collections: list[int] = field(default_factory=lambda: [0, 0, 0])
+    #: Objects the collector freed; refcounting frees everything else, so a
+    #: large ``seconds`` next to a small ``freed`` is pure traversal cost.
+    freed: int = 0
+
+
+@dataclass
 class ProfileReport:
     """One profiled run: wall-clock, core speed, and the hot-function table."""
 
@@ -83,6 +100,7 @@ class ProfileReport:
     sim_events: int
     metrics: RunMetrics
     hot: list[dict[str, Any]] = field(default_factory=list)
+    gc: GcStats = field(default_factory=GcStats)
     #: Per-hop simulated-time decomposition (only when traced).
     hop_stages: list[dict[str, Any]] = field(default_factory=list)
 
@@ -92,15 +110,31 @@ class ProfileReport:
 
 
 def profile_call(fn: Callable, *args: Any, **kwargs: Any):
-    """Run ``fn`` under cProfile; returns ``(value, profiler, wall_s)``."""
+    """Run ``fn`` under cProfile with a ``gc.callbacks`` hook around it;
+    returns ``(value, profiler, wall_s, gc_stats)``."""
+    stats = GcStats()
+    began = 0.0
+
+    def on_gc(phase: str, info: dict) -> None:
+        nonlocal began
+        if phase == "start":
+            began = time.perf_counter()
+        else:
+            stats.seconds += time.perf_counter() - began
+            stats.collections[info["generation"]] += 1
+            stats.freed += info["collected"]
+
     profiler = cProfile.Profile()
+    gc.callbacks.append(on_gc)
     start = time.perf_counter()
     profiler.enable()
     try:
         value = fn(*args, **kwargs)
     finally:
         profiler.disable()
-    return value, profiler, time.perf_counter() - start
+        wall = time.perf_counter() - start
+        gc.callbacks.remove(on_gc)
+    return value, profiler, wall, stats
 
 
 def _where(filename: str, lineno: int, name: str) -> str:
@@ -150,7 +184,7 @@ def profile_experiment(
         from ..obs import Tracer
 
         tracer = Tracer()
-    metrics, profiler, wall = profile_call(
+    metrics, profiler, wall, gc_stats = profile_call(
         _simulate, config, max_events=max_events, tracer=tracer
     )
     report = ProfileReport(
@@ -159,6 +193,7 @@ def profile_experiment(
         sim_events=metrics.sim_events,
         metrics=metrics,
         hot=hot_functions(profiler, top=top),
+        gc=gc_stats,
     )
     if tracer is not None:
         from .trace_report import hop_stage_table
@@ -185,6 +220,22 @@ def format_profile_report(report: ProfileReport) -> str:
             "not move under optimization)",
         ),
         format_table(report.hot, f"Hot functions (top {len(report.hot)} by own time)"),
+        format_table(
+            [
+                {
+                    "gc_s": round(report.gc.seconds, 3),
+                    "gc_share": round(report.gc.seconds / report.wall_s, 3)
+                    if report.wall_s > 0
+                    else 0.0,
+                    "gen0": report.gc.collections[0],
+                    "gen1": report.gc.collections[1],
+                    "gen2": report.gc.collections[2],
+                    "objects_freed": report.gc.freed,
+                }
+            ],
+            "Cyclic collector during the run (its time hides inside whichever rows "
+            "were allocating; few objects freed = pure traversal of live containers)",
+        ),
     ]
     if report.hop_stages:
         sections.append(

@@ -531,7 +531,11 @@ class VertexRbc:
         state = self.instances.get((msg.origin, msg.round))
         if state is None:
             state = self.instance(msg.origin, msg.round)
-        supporters = state.echoes.setdefault(msg.vertex_digest, set())
+        # get-then-create: setdefault would build and discard a set on every
+        # one of the n³ ECHOes; only the first of an instance needs one.
+        supporters = state.echoes.get(msg.vertex_digest)
+        if supporters is None:
+            supporters = state.echoes[msg.vertex_digest] = set()
         if src in supporters:
             return
         supporters.add(src)
@@ -540,7 +544,10 @@ class VertexRbc:
                 state.clan_echo_counts.get(msg.vertex_digest, 0) + 1
             )
         if self.mode == "two-round":
-            state.echo_sigs.setdefault(msg.vertex_digest, {})[src] = msg.signature
+            sigs = state.echo_sigs.get(msg.vertex_digest)
+            if sigs is None:
+                sigs = state.echo_sigs[msg.vertex_digest] = {}
+            sigs[src] = msg.signature
             if state.cert_sent:
                 return  # tally maintained, but the quorum already acted
         elif self._optimistic and not state.pessimistic:
@@ -646,7 +653,9 @@ class VertexRbc:
             if state.ctx is not None and self.tracer.verbose:
                 ready.trace_ctx = state.ctx
             self.network.broadcast(self.node_id, ready)
-        supporters = state.readies.setdefault(msg.vertex_digest, set())
+        supporters = state.readies.get(msg.vertex_digest)
+        if supporters is None:
+            supporters = state.readies[msg.vertex_digest] = set()
         if src in supporters:
             return
         supporters.add(src)

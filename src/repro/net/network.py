@@ -133,8 +133,8 @@ class Network:
         # when none of them is configured: _deliver_fast fuses _deliver and
         # _handle into one callback frame.
         self._plain = cpu is None and self._freeze is None
-        # Delivery events can be appended straight into the simulator's
-        # calendar buckets — skipping the `post` call per delivery — when the
+        # Delivery events can be put straight into the simulator's calendar
+        # slots — skipping the `post` call per delivery — when the
         # arrival time is provably never in the past (built-in non-negative
         # latency models, no adversarial extra delay) and the tie-order
         # auditor doesn't need to observe insertions.
@@ -268,8 +268,8 @@ class Network:
         # per-destination stats increments are batched into one update at the
         # end, the latency model's delay expression is inlined (identical
         # float math and RNG draw order — see LatencyModel.jitter_params),
-        # and delivery events are appended directly into the simulator's
-        # calendar buckets instead of going through `sim.post`.
+        # and each delivery is one flat record put directly into the
+        # simulator's calendar instead of going through `sim.post`.
         if self._crashed[src]:
             return
         if self._freeze is not None:
@@ -309,48 +309,40 @@ class Network:
         delay = self.latency.delay
         deliver = self._deliver_fast if self._plain else self._deliver
         inline = self._inline
+        extra_delay = None if self._null_adversary else self.adversary.extra_delay
         if inline:
             buckets = sim._buckets
             times = sim._times
             push = heapq.heappush
         else:
             post = sim.post
-            extra_delay = None if self._null_adversary else self.adversary.extra_delay
         nic_free = self._nic_free_at[src]
         clock = now if now > nic_free else nic_free
         count = 0
         for dst in dsts:
-            if dst == src:
-                # Loopback: no NIC or propagation cost (and no wire faults),
-                # but still event-driven so ordering semantics match remote
-                # deliveries.
-                count += 1
-                payload = (src, dst, msg, size)
-                if inline:
-                    bucket = buckets.get(now)
-                    if bucket is None:
-                        buckets[now] = [(deliver, payload)]
-                        push(times, now)
-                    else:
-                        bucket.append((deliver, payload))
-                else:
-                    post(now, deliver, payload)
-                continue
-            if dst < 0 or dst >= n:
-                raise NetworkError(f"destination {dst} out of range (n={n})")
+            copies = 1
+            if dst != src:
+                if dst < 0 or dst >= n:
+                    raise NetworkError(f"destination {dst} out of range (n={n})")
+                if per_byte is not None:
+                    # The NIC serializes the copy whether or not the wire then
+                    # loses it — loss happens in the network, not at the sender.
+                    clock += size / per_byte
+                if faults is not None:
+                    copies = faults.copies(src, dst, msg, now)
+                    if copies > 1:
+                        stats.messages_duplicated += copies - 1
+                    elif copies == 0:
+                        stats.messages_dropped += 1
             count += 1
-            if per_byte is not None:
-                # The NIC serializes the copy whether or not the wire then
-                # loses it — loss happens in the network, not at the sender.
-                clock += size / per_byte
-            if faults is not None:
-                copies = faults.copies(src, dst, msg, now)
-                if copies == 0:
-                    stats.messages_dropped += 1
-                    continue
-                if copies > 1:
-                    stats.messages_duplicated += copies - 1
-                for _ in range(copies):
+            while copies:
+                copies -= 1
+                if dst == src:
+                    # Loopback: no NIC or propagation cost (and no wire
+                    # faults), but still event-driven so ordering semantics
+                    # match remote deliveries.
+                    arrive = now
+                else:
                     if crow is not None:
                         arrive = clock + crow[dst]
                     elif jrow is not None:
@@ -359,40 +351,22 @@ class Network:
                         arrive = clock + jadd + rand() * jit
                     else:
                         arrive = clock + delay(src, dst)
-                    payload = (src, dst, msg, size)
-                    if inline:
-                        bucket = buckets.get(arrive)
-                        if bucket is None:
-                            buckets[arrive] = [(deliver, payload)]
-                            push(times, arrive)
-                        else:
-                            bucket.append((deliver, payload))
-                    else:
-                        if extra_delay is not None:
-                            arrive += extra_delay(src, dst, msg, now)
-                        post(arrive, deliver, payload)
-                continue
-            # Fault-free single copy: the common case, kept branch-light.
-            if crow is not None:
-                arrive = clock + crow[dst]
-            elif jrow is not None:
-                arrive = clock + jrow[dst] * (1.0 + rand() * jit)
-            elif jadd is not None:
-                arrive = clock + jadd + rand() * jit
-            else:
-                arrive = clock + delay(src, dst)
-            payload = (src, dst, msg, size)
-            if inline:
-                bucket = buckets.get(arrive)
-                if bucket is None:
-                    buckets[arrive] = [(deliver, payload)]
+                    if extra_delay is not None:
+                        arrive += extra_delay(src, dst, msg, now)
+                if not inline:
+                    post(arrive, deliver, (src, dst, msg, size))
+                    continue
+                # One flat record per in-flight delivery, held by the calendar
+                # slot itself while it is alone at its instant: Simulator.post
+                # without the call.
+                slot = buckets.get(arrive)
+                if slot is None:
+                    buckets[arrive] = (deliver, src, dst, msg, size)
                     push(times, arrive)
+                elif slot.__class__ is list:
+                    slot.append((deliver, src, dst, msg, size))
                 else:
-                    bucket.append((deliver, payload))
-            else:
-                if extra_delay is not None:
-                    arrive += extra_delay(src, dst, msg, now)
-                post(arrive, deliver, payload)
+                    buckets[arrive] = [slot, (deliver, src, dst, msg, size)]
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count

@@ -142,7 +142,9 @@ class TribeBrachaRbc(RbcProtocol):
 
     def _on_echo(self, src: NodeId, msg: EchoMsg) -> None:
         state = self.instance(msg.origin, msg.round)
-        supporters = state.echoes.setdefault(msg.digest, set())
+        supporters = state.echoes.get(msg.digest)
+        if supporters is None:
+            supporters = state.echoes[msg.digest] = set()
         if src in supporters:
             return
         supporters.add(src)
@@ -186,7 +188,9 @@ class TribeBrachaRbc(RbcProtocol):
 
     def _on_ready(self, src: NodeId, msg: ReadyMsg) -> None:
         state = self.instance(msg.origin, msg.round)
-        supporters = state.readies.setdefault(msg.digest, set())
+        supporters = state.readies.get(msg.digest)
+        if supporters is None:
+            supporters = state.readies[msg.digest] = set()
         if src in supporters:
             return
         supporters.add(src)

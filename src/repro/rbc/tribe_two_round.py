@@ -155,11 +155,15 @@ class TribeTwoRoundRbc(RbcProtocol):
         if not self.pki.verify(msg.signature):
             return
         state = self.instance(msg.origin, msg.round)
-        sigs = state.echo_sigs.setdefault(msg.digest, {})
+        sigs = state.echo_sigs.get(msg.digest)
+        if sigs is None:
+            sigs = state.echo_sigs[msg.digest] = {}
         if src in sigs:
             return
         sigs[src] = msg.signature
-        supporters = state.echoes.setdefault(msg.digest, set())
+        supporters = state.echoes.get(msg.digest)
+        if supporters is None:
+            supporters = state.echoes[msg.digest] = set()
         supporters.add(src)
         self._check_echo_quorum(msg.origin, msg.round, msg.digest, state)
 

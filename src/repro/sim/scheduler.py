@@ -1,29 +1,38 @@
-"""Deterministic discrete-event scheduler (calendar-bucket queue).
+"""Deterministic discrete-event scheduler (calendar queue, one object per event).
 
-Events live in per-timestamp *buckets*: a dict maps each distinct simulated
-time to the list of events scheduled for that instant, and a binary heap of
-plain floats orders the timestamps themselves.  Two effects make this faster
-than the classic one-entry-per-heap-item design:
+A dict maps each distinct simulated time to its *slot* and a binary heap of
+plain floats orders the timestamps themselves, so the heap compares raw
+floats instead of ``[time, seq, ...]`` lists.  An event is a single object:
 
-* the heap compares raw floats instead of ``[time, seq, ...]`` lists, which
-  is several times cheaper per sift step in CPython, and
-* all events sharing a timestamp are dispatched in one batch — a single
-  heap pop + dict pop — so multicast bursts that land together (loopback
-  deliveries, jitter-free links) bypass the heap entirely.
+* ``post`` (and the network's inline producer) queues one flat tuple
+  ``(fn, *args)``, invoked as ``ev[0](*ev[1:])`` — no handle, no cancellation;
+* ``schedule_at`` queues the :class:`EventHandle` it returns, which carries
+  ``fn``/``args`` itself; ``cancel()`` clears them in place.
 
-Determinism is preserved without a sequence counter: within a bucket events
+A slot holds the event itself while it is alone at its timestamp (jittered
+links make nearly every timestamp unique) and is promoted to a plain ``list``
+of events on the second insertion at that instant; a list is dispatched as one
+batch — a single heap pop + dict pop — so multicast bursts that land together
+(loopback deliveries, jitter-free links) bypass the heap.  The cyclic collector
+traces every queued container on each pass it survives, and an event lives
+~100k events before it fires; one tracked object per in-flight event instead of
+three (slot list, entry, argument tuple) is what keeps the collector off the
+hot path — see docs/PERFORMANCE.md.
+
+Determinism is preserved without a sequence counter: within a slot events
 run in insertion order, which is exactly the order the old monotonically
-increasing tie-breaker produced.  Events scheduled *at the current instant*
-from inside a callback go into a fresh bucket that is drained immediately
-after the active one — again matching the old heap's behaviour, where such
-events carried higher sequence numbers than everything already queued.
+increasing tie-breaker produced (promotion puts the first event first).
+Events scheduled *at the current instant* from inside a callback go into a
+fresh slot that is drained immediately after the active one — again matching
+the old heap's behaviour, where such events carried higher sequence numbers
+than everything already queued.
 
 The hot path (``post`` + ``run``) is deliberately lean — benchmark runs push
 millions of message-delivery events through it.  Tracing adds no per-event
 work: the run loop is wrapped (not instrumented inside), and the per-run
 ``sim.run`` span carries event counts and wall-clock per simulated second.
 
-Cancelled events stay in their bucket (O(1) cancellation) but are *compacted*
+Cancelled events stay in their slot (O(1) cancellation) but are *compacted*
 away once they dominate: timer-heavy workloads (one leader timer per node per
 round, almost always cancelled) would otherwise pay a per-dead-entry skip in
 the run loop and hold the dead args alive.
@@ -40,19 +49,30 @@ from ..errors import SimulationError
 from ..obs.tracer import NULL_TRACER
 
 
-class EventHandle:
-    """Handle to a scheduled event; allows cancellation.
+_INF = float("inf")
 
-    Cancellation is O(1): the entry stays in its bucket but its callback is
+
+def _is_live(event) -> bool:
+    """Flat tuples cannot be cancelled; a handle is dead once ``fn`` is cleared."""
+    return event.__class__ is tuple or event.fn is not None
+
+
+class EventHandle:
+    """A cancellable scheduled event; the handle *is* the queued entry.
+
+    Cancellation is O(1): the handle stays in its slot but its callback is
     cleared, and the run loop skips it.  The owning simulator counts
     cancellations so it can compact the calendar when dead entries dominate.
     """
 
-    __slots__ = ("_when", "_entry", "_sim")
+    __slots__ = ("_when", "fn", "args", "_sim")
 
-    def __init__(self, when: float, entry: list, sim: "Simulator | None" = None) -> None:
+    def __init__(
+        self, when: float, fn: Callable[..., Any], args: tuple, sim: "Simulator | None" = None
+    ) -> None:
         self._when = when
-        self._entry = entry
+        self.fn = fn
+        self.args = args
         self._sim = sim
 
     @property
@@ -62,14 +82,14 @@ class EventHandle:
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[0] is None
+        return self.fn is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if self._entry[0] is None:
+        if self.fn is None:
             return
-        self._entry[0] = None
-        self._entry[1] = ()
+        self.fn = None
+        self.args = ()
         if self._sim is not None:
             self._sim._note_cancelled()
 
@@ -83,7 +103,7 @@ class Simulator:
             wall-clock attribution.  Disabled cost: one attribute check per
             ``run()`` call (never per event).
         compact_threshold: once at least this many cancelled entries are
-            pending *and* they make up half the calendar, the buckets are
+            pending *and* they make up half the calendar, the slots are
             rebuilt without them.
 
     >>> sim = Simulator()
@@ -113,19 +133,20 @@ class Simulator:
 
     def __init__(self, tracer=None, compact_threshold: int = 1024) -> None:
         self._now = 0.0
-        #: Min-heap of distinct timestamps; exactly one heap entry per bucket.
+        #: Min-heap of distinct timestamps; exactly one heap entry per slot.
         self._times: list[float] = []
-        #: timestamp -> list of events at that instant, in insertion order.
-        #: ``schedule_at`` inserts cancellable ``[fn, args]`` lists; ``post``
-        #: inserts bare ``(fn, args)`` tuples (no handle, no cancellation).
-        self._buckets: dict[float, list] = {}
+        #: timestamp -> slot: the event itself while it is alone at that
+        #: instant, else a ``list`` of events in insertion order.  An event is
+        #: a flat ``(fn, *args)`` tuple (``post``, network deliveries) or a
+        #: cancellable :class:`EventHandle` (``schedule_at``).
+        self._buckets: dict[float, Any] = {}
         self._stopped = False
         self._processed = 0
         self._cancelled = 0
         self._compact_threshold = compact_threshold
         # Next _cancelled value at which the compaction heuristic re-checks;
         # doubled on every failed check so counting pending entries (an
-        # O(buckets) sum — there is deliberately no per-insert counter on the
+        # O(slots) sum — there is deliberately no per-insert counter on the
         # hot path) stays amortized O(1) per cancellation.
         self._compact_check = compact_threshold
         self._compactions = 0
@@ -165,11 +186,13 @@ class Simulator:
         Computed on demand: the insertion path deliberately maintains no
         counter (millions of inserts per run, rare reads of this property).
         """
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(
+            len(slot) if slot.__class__ is list else 1 for slot in self._buckets.values()
+        )
 
     @property
     def cancelled_pending(self) -> int:
-        """Cancelled entries still occupying their buckets."""
+        """Cancelled entries still occupying their slots."""
         return self._cancelled
 
     @property
@@ -189,34 +212,37 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
-        entry = [fn, args]
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [entry]
+        event = EventHandle(when, fn, args, self)
+        slot = self._buckets.get(when)
+        if slot is None:
+            self._buckets[when] = event
             heapq.heappush(self._times, when)
+        elif slot.__class__ is list:
+            slot.append(event)
         else:
-            bucket.append(entry)
+            self._buckets[when] = [slot, event]
         if self._audit is not None:
             self._audit.note(when, fn)
-        return EventHandle(when, entry, self)
+        return event
 
     def post(self, when: float, fn: Callable[..., Any], args: tuple) -> None:
         """Hot-path variant of :meth:`schedule_at`: no handle, no cancellation.
 
-        Used by the network for message deliveries (millions per run); the
-        EventHandle and entry-list allocations of :meth:`schedule_at` are
-        measurable there.
+        Used by the network for message deliveries (millions per run): the
+        queued event is the one flat tuple ``(fn, *args)``.
         """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [(fn, args)]
+        slot = self._buckets.get(when)
+        if slot is None:
+            self._buckets[when] = (fn, *args)
             heapq.heappush(self._times, when)
+        elif slot.__class__ is list:
+            slot.append((fn, *args))
         else:
-            bucket.append((fn, args))
+            self._buckets[when] = [slot, (fn, *args)]
         if self._audit is not None:
             self._audit.note(when, fn)
 
@@ -231,32 +257,35 @@ class Simulator:
             return
         # Compact once dead entries make up at least half the calendar;
         # otherwise double the re-check point so the pending count (an
-        # O(buckets) sum) is amortized O(1) per cancellation.
+        # O(slots) sum) is amortized O(1) per cancellation.
         if self._cancelled * 2 >= self.pending_events:
             self._compact()
         else:
             self._compact_check = self._cancelled * 2
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every queued bucket (O(live) instead
+        """Drop cancelled entries from every queued slot (O(live) instead
         of O(dead) skips in the run loop).
 
         Mutates ``_times`` in place (slice assignment) on purpose: the run
         loop holds a local alias, and cancellations — hence compactions —
         can happen inside an event callback while the loop is mid-iteration.
-        The bucket currently being drained is *not* in the dict (the loop
+        The slot currently being drained is *not* in the dict (the loop
         pops it first), so it is never touched here; its dead entries are
         skipped by the loop itself.
         """
         buckets = self._buckets
         emptied = []
-        for when, bucket in buckets.items():
-            live = [entry for entry in bucket if entry[0] is not None]
-            if len(live) != len(bucket):
-                if live:
-                    bucket[:] = live
-                else:
-                    emptied.append(when)
+        for when, slot in buckets.items():
+            if slot.__class__ is list:
+                live = [event for event in slot if _is_live(event)]
+                if len(live) != len(slot):
+                    if live:
+                        slot[:] = live
+                    else:
+                        emptied.append(when)
+            elif not _is_live(slot):
+                emptied.append(when)
         for when in emptied:
             del buckets[when]
         if emptied:
@@ -301,126 +330,85 @@ class Simulator:
             )
 
     def _requeue(self, when: float, rest: list) -> None:
-        """Return the unexecuted tail of the active bucket to the calendar.
+        """Return the unexecuted tail of the active slot to the calendar.
 
         Called when :meth:`stop` or the ``max_events`` valve interrupts a
-        bucket mid-drain.  Events the callbacks scheduled at ``when`` while
-        the bucket was being drained live in a *newer* bucket (the active one
-        was popped from the dict first); the tail is prepended so the overall
-        order — old entries before new — survives the interruption.
+        slot mid-drain.  Events the callbacks scheduled at ``when`` while
+        the slot was being drained live in a *newer* slot (the active one
+        was popped from the dict first); the tail goes in front of them so
+        the overall order — old entries before new — survives the
+        interruption.
         """
         if not rest:
             return
         newer = self._buckets.get(when)
         if newer is None:
-            self._buckets[when] = rest
             heapq.heappush(self._times, when)
+        elif newer.__class__ is list:
+            rest += newer
         else:
-            self._buckets[when] = rest + newer
+            rest.append(newer)
+        self._buckets[when] = rest
 
     def _run_loop(self, until: float | None, max_events: int | None) -> None:
-        # The loop bodies below are deliberately duplicated per (until,
-        # max_events) combination: benchmark runs execute millions of events,
-        # and hoisting the two `is not None` checks out of the loop is a
-        # measurable fraction of per-event overhead.  Entries are indexed
-        # rather than unpacked so cancelled entries (timer-heavy workloads)
-        # skip without touching their dead args.  The active bucket is popped
-        # from the dict before draining, so same-instant events scheduled by
-        # its callbacks land in a fresh bucket drained right after — keeping
+        # One loop body serves every (until, max_events) combination: absent
+        # limits become +inf, which costs two compares per event — nothing
+        # next to the call itself.  A slot is dispatched on its exact class:
+        # a tuple or a handle is the lone event at its instant (jittered
+        # links spread arrivals, so that is nearly every slot), a list is
+        # several in insertion order.  The active slot is popped from the
+        # dict before draining, so same-instant events scheduled by its
+        # callbacks land in a fresh slot drained right after — keeping
         # insertion order global.
         self._stopped = False
         times = self._times
         buckets = self._buckets
         pop = heapq.heappop
+        limit = _INF if until is None else until
+        cap = _INF if max_events is None else max_events
         executed = 0
         try:
-            if until is None and max_events is None:
-                while times:
-                    when = pop(times)
-                    bucket = buckets.pop(when)
-                    self._now = when
-                    if len(bucket) == 1:
-                        # Most timestamps hold a single event (jittered links
-                        # spread arrivals); skip the iterator machinery.
-                        entry = bucket[0]
-                        fn = entry[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn(*entry[1])
+            while times:
+                when = times[0]
+                if when > limit:
+                    self._now = until
+                    return
+                pop(times)
+                slot = buckets.pop(when)
+                self._now = when
+                cls = slot.__class__
+                if cls is tuple:
+                    slot[0](*slot[1:])
+                    executed += 1
+                elif cls is list:
+                    tail = iter(slot)
+                    for event in tail:
+                        if event.__class__ is tuple:
+                            event[0](*event[1:])
+                        else:
+                            fn = event.fn
+                            if fn is None:
+                                if self._cancelled > 0:
+                                    self._cancelled -= 1
+                                continue
+                            fn(*event.args)
                         executed += 1
-                        if self._stopped:
-                            return
+                        if self._stopped or executed > cap:
+                            self._requeue(when, list(tail))
+                            break
+                else:
+                    fn = slot.fn
+                    if fn is None:
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
                         continue
-                    tail = iter(bucket)
-                    for entry in tail:
-                        fn = entry[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn(*entry[1])
-                        executed += 1
-                        if self._stopped:
-                            self._requeue(when, list(tail))
-                            return
-            elif max_events is None:
-                while times:
-                    when = times[0]
-                    if when > until:
-                        self._now = until
-                        return
-                    pop(times)
-                    bucket = buckets.pop(when)
-                    self._now = when
-                    if len(bucket) == 1:
-                        entry = bucket[0]
-                        fn = entry[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn(*entry[1])
-                        executed += 1
-                        if self._stopped:
-                            return
-                        continue
-                    tail = iter(bucket)
-                    for entry in tail:
-                        fn = entry[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn(*entry[1])
-                        executed += 1
-                        if self._stopped:
-                            self._requeue(when, list(tail))
-                            return
-            else:
-                while times:
-                    when = times[0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return
-                    pop(times)
-                    tail = iter(buckets.pop(when))
-                    self._now = when
-                    for entry in tail:
-                        fn = entry[0]
-                        if fn is None:
-                            if self._cancelled > 0:
-                                self._cancelled -= 1
-                            continue
-                        fn(*entry[1])
-                        executed += 1
-                        if self._stopped or executed > max_events:
-                            self._requeue(when, list(tail))
-                            if self._stopped:
-                                return
-                            raise SimulationError(f"exceeded max_events={max_events}")
-            if until is not None and not self._stopped and self._now < until:
+                    fn(*slot.args)
+                    executed += 1
+                if self._stopped:
+                    return
+                if executed > cap:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             # Batched: per-event `self._processed += 1` is measurable, and no

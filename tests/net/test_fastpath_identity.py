@@ -1,25 +1,32 @@
 """The network/scheduler fast paths must be pure optimizations.
 
 The hot delivery pipeline has four layered shortcuts — fused delivery
-(``_deliver_fast``), per-class dispatch tables, inline calendar-bucket
+(``_deliver_fast``), per-class dispatch tables, inline calendar-slot
 insertion, and the message arena — each gated by eligibility flags computed
-in ``Network.__init__``.  These tests force every shortcut OFF and assert the
+in ``Network.__init__``.  These tests switch the shortcuts off, all at once
+and through each configuration that disables them for real, and assert the
 resulting :class:`RunMetrics` are **bit-identical** to the default run: the
 fast paths may change how events are scheduled and objects allocated, never
-what the simulation computes.
+what the simulation computes.  Every producer of calendar events
+(``_transmit`` inline, ``_transmit`` via ``post``, ``_transmit_traced``,
+``_deliver`` → ``_handle``) is on one side of some comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import lru_cache
 
 import pytest
 
 import repro.net.network as netmod
 from repro.bench.runner import ExperimentConfig, _simulate
+from repro.net.adversary import DelayAdversary
+from repro.obs import Tracer
 
-#: Jittered geo latency (RNG draw per delivery), plus a lossy/duplicating
-#: point so the fault-copies branch is exercised on both paths.
+#: Jittered geo latency (RNG draw per delivery), a lossy/duplicating point so
+#: the fault-copies branch is exercised on both paths, and baseline Sailfish
+#: with sparse edges (the n³ ECHO fan-out the flat delivery records serve).
 CONFIGS = [
     ExperimentConfig(
         protocol="sailfish", n=7, txns_per_proposal=50, duration=1.5,
@@ -30,26 +37,65 @@ CONFIGS = [
         duration=1.5, warmup=0.5, seed=12, drop_rate=0.05,
         duplicate_rate=0.02, reliable=True,
     ),
+    ExperimentConfig(
+        protocol="sailfish", n=10, txns_per_proposal=20, duration=1.2,
+        warmup=0.4, seed=13, edge_mode="sparse",
+    ),
 ]
 
 
-def test_fast_vs_slow_metrics_identical():
-    """Explicit A/B: default (fast) run vs all-shortcuts-off run."""
-    for config in CONFIGS:
-        fast = asdict(_simulate(config))
-        real_init = netmod.Network.__init__
+class _ZeroDelayAdversary(DelayAdversary):
+    """Adds 0.0 s, but not being the base class it forces every delivery
+    through ``extra_delay`` and ``Simulator.post``."""
 
-        def no_fastpath_init(self, *args, _real=real_init, **kwargs):
-            _real(self, *args, **kwargs)
-            self._plain = False
-            self._inline = False
-            self.arena = None
-            self._retire = None
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netmod.Network, "__init__", no_fastpath_init)
-            slow = asdict(_simulate(config))
-        assert fast == slow, f"fast-path divergence for {config.protocol}"
+def _patched_network(mp: pytest.MonkeyPatch, before=None, after=None) -> None:
+    real_init = netmod.Network.__init__
+
+    def init(self, *args, **kwargs):
+        if before is not None:
+            before(kwargs)
+        real_init(self, *args, **kwargs)
+        if after is not None:
+            after(self)
+
+    mp.setattr(netmod.Network, "__init__", init)
+
+
+def _all_shortcuts_off(net) -> None:
+    net._plain = False
+    net._inline = False
+    net.arena = None
+    net._retire = None
+
+
+@lru_cache(maxsize=None)
+def _inline_run(index: int) -> dict:
+    return asdict(_simulate(CONFIGS[index]))
+
+
+@pytest.mark.parametrize("index", range(len(CONFIGS)))
+@pytest.mark.parametrize("variant", ["all-off", "tie-audit", "adversary", "traced"])
+def test_non_inline_producers_match_inline_run(index, variant):
+    """Explicit A/B: the default (inline) run vs one slow-path variant."""
+    config = CONFIGS[index]
+    fast = _inline_run(index)
+    tracer = None
+    with pytest.MonkeyPatch.context() as mp:
+        if variant == "all-off":
+            _patched_network(mp, after=_all_shortcuts_off)
+        elif variant == "tie-audit":
+            # Sanitizers on: every insertion goes through `post` (the tie
+            # auditor observes it) and deliveries through _deliver/_handle.
+            mp.setenv("REPRO_SANITIZE", "1")
+        elif variant == "adversary":
+            _patched_network(
+                mp, before=lambda kw: kw.update(adversary=_ZeroDelayAdversary())
+            )
+        else:
+            tracer = Tracer(sample=1.0)  # every message via _transmit_traced
+        slow = asdict(_simulate(config, tracer=tracer))
+    assert fast == slow, f"{variant} diverged from the inline run ({config.protocol})"
 
 
 def test_arena_disabled_under_sanitizers(monkeypatch):

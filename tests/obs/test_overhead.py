@@ -29,42 +29,45 @@ class _SeedSimulator:
     def post(self, when, fn, args):
         if when < self._now:
             raise ValueError(f"cannot schedule at t={when} before t={self._now}")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [(fn, args)]
+        slot = self._buckets.get(when)
+        if slot is None:
+            self._buckets[when] = (fn, *args)
             heapq.heappush(self._times, when)
+        elif slot.__class__ is list:
+            slot.append((fn, *args))
         else:
-            bucket.append((fn, args))
+            self._buckets[when] = [slot, (fn, *args)]
 
     def run(self, until=None, max_events=None):
         self._stopped = False
         times = self._times
         buckets = self._buckets
         pop = heapq.heappop
+        limit = float("inf") if until is None else until
+        cap = float("inf") if max_events is None else max_events
         executed = 0
         try:
             while times:
-                when = pop(times)
-                bucket = buckets.pop(when)
+                when = times[0]
+                if when > limit:
+                    self._now = until
+                    return
+                pop(times)
+                slot = buckets.pop(when)
                 self._now = when
-                if len(bucket) == 1:
-                    entry = bucket[0]
-                    fn = entry[0]
-                    if fn is None:
-                        continue
-                    fn(*entry[1])
+                if slot.__class__ is tuple:
+                    slot[0](*slot[1:])
                     executed += 1
-                    if self._stopped:
-                        return
-                    continue
-                for entry in bucket:
-                    fn = entry[0]
-                    if fn is None:
-                        continue
-                    fn(*entry[1])
-                    executed += 1
-                    if self._stopped:
-                        return
+                else:
+                    for event in slot:
+                        event[0](*event[1:])
+                        executed += 1
+                        if self._stopped or executed > cap:
+                            break
+                if self._stopped:
+                    return
+                if executed > cap:
+                    raise ValueError(f"exceeded max_events={max_events}")
         finally:
             self._processed += executed
 

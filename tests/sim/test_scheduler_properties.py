@@ -1,8 +1,11 @@
 """Property tests for the scheduler: ordering, determinism, cancellation."""
 
-from hypothesis import given, settings
+import heapq
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
@@ -91,3 +94,242 @@ def test_cascading_schedules_deterministic(seed):
         return trace
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# Model test: the calendar (singleton slots, list promotion, handles as
+# entries) against a classic (time, seq) heap.
+#
+# A *program* is a list of top-level ops plus a table of callback scripts.
+# Every event gets a fresh id at creation and logs (id, now) when it fires;
+# its script may insert more events (only scripts with a higher index, so
+# programs terminate), cancel handles, stop the run or compact the calendar.
+# Both backends run the same program; everything observable must agree.
+# ---------------------------------------------------------------------------
+
+_DELAYS = (0.0, 0.0, 0.5, 1.0, 1.5)  # few distinct instants: slots collide
+_KINDS = ("post", "sched", "inline")
+
+_insert = st.tuples(
+    st.sampled_from(_KINDS), st.sampled_from(_DELAYS), st.integers(0, 7)
+)
+_cancel = st.tuples(st.just("cancel"), st.integers(0, 63))
+_compact = st.tuples(st.just("compact"))
+_action = st.one_of(_insert, _insert, _cancel, st.tuples(st.just("stop")), _compact)
+_run = st.tuples(
+    st.just("run"),
+    st.sampled_from((None, 0.0, 0.5, 1.0, 5.0)),
+    st.sampled_from((None, None, 0, 1, 3)),
+)
+_op = st.one_of(_insert, _insert, _insert, _cancel, _compact, _run)
+
+
+class _HeapModel:
+    """Reference: one ``[time, seq, fn, args]`` heap entry per event.
+
+    All entries of the earliest instant are popped as one batch, as the
+    calendar pops a slot: same-instant events scheduled by the batch's own
+    callbacks carry higher seqs and form the next batch, an interrupted
+    batch's tail goes back on the heap, and compaction (which also zeroes
+    the dead-entry count) cannot see the batch being drained.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.seq = 0
+        self.processed = 0
+        self.cancelled = 0
+        self.stopped = False
+
+    @property
+    def pending(self):
+        return len(self.heap)
+
+    def insert(self, kind, when, fn, args):
+        entry = [when, self.seq, fn, args]
+        self.seq += 1
+        heapq.heappush(self.heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry[2] is not None:
+            entry[2] = None
+            self.cancelled += 1
+
+    def stop(self):
+        self.stopped = True
+
+    def compact(self):
+        self.heap = [entry for entry in self.heap if entry[2] is not None]
+        heapq.heapify(self.heap)
+        self.cancelled = 0
+
+    def run(self, until, max_events):
+        self.stopped = False
+        executed = 0
+        try:
+            while self.heap:
+                when = self.heap[0][0]
+                if until is not None and when > until:
+                    self.now = until
+                    return
+                batch = []
+                while self.heap and self.heap[0][0] == when:
+                    batch.append(heapq.heappop(self.heap))
+                self.now = when
+                for done, entry in enumerate(batch, 1):
+                    if entry[2] is None:
+                        self.cancelled = max(0, self.cancelled - 1)
+                        continue
+                    entry[2](*entry[3])
+                    executed += 1
+                    if self.stopped or (max_events is not None and executed > max_events):
+                        for left in batch[done:]:
+                            heapq.heappush(self.heap, left)
+                        if self.stopped:
+                            return
+                        raise SimulationError("exceeded max_events")
+            if until is not None and self.now < until:
+                self.now = until
+        finally:
+            self.processed += executed
+
+
+class _Calendar:
+    """The real :class:`Simulator` behind the model's interface."""
+
+    def __init__(self):
+        # Compaction only when the program asks: the automatic heuristic is
+        # test_compaction.py's subject.
+        self.sim = Simulator(compact_threshold=10**9)
+
+    now = property(lambda self: self.sim.now)
+    processed = property(lambda self: self.sim.processed_events)
+    pending = property(lambda self: self.sim.pending_events)
+    cancelled = property(lambda self: self.sim.cancelled_pending)
+
+    def insert(self, kind, when, fn, args):
+        sim = self.sim
+        if kind == "sched":
+            return sim.schedule_at(when, fn, *args)
+        if kind == "post":
+            sim.post(when, fn, args)
+            return None
+        # Network._transmit's inline producer, verbatim.
+        buckets = sim._buckets
+        slot = buckets.get(when)
+        if slot is None:
+            buckets[when] = (fn, *args)
+            heapq.heappush(sim._times, when)
+        elif slot.__class__ is list:
+            slot.append((fn, *args))
+        else:
+            buckets[when] = [slot, (fn, *args)]
+        return None
+
+    def cancel(self, handle):
+        handle.cancel()
+
+    def stop(self):
+        self.sim.stop()
+
+    def compact(self):
+        self.sim._compact()
+
+    def run(self, until, max_events):
+        self.sim.run(until=until, max_events=max_events)
+
+
+def _execute(backend, ops, scripts):
+    """Run a program; returns the firing log and the state after each op."""
+    log = []
+    handles = []  # (event id, backend handle) of every "sched" insertion
+    fired = set()
+    next_id = [0]
+
+    def insert(kind, delay, script):
+        eid = next_id[0]
+        next_id[0] += 1
+        handle = backend.insert(kind, backend.now + delay, fire, (eid, script))
+        if kind == "sched":
+            handles.append((eid, handle))
+
+    def apply(action, base):
+        if action[0] in _KINDS:
+            insert(action[0], action[1], base + action[2])
+        elif action[0] == "cancel":
+            # cancel() of a handle that already fired is legal but counts as
+            # a pending dead entry until the next compaction; not modelled.
+            live = [h for eid, h in handles if eid not in fired]
+            if live:
+                backend.cancel(live[action[1] % len(live)])
+        elif action[0] == "stop":
+            backend.stop()
+        elif action[0] == "compact":
+            backend.compact()
+
+    def fire(eid, script):
+        fired.add(eid)
+        log.append((eid, backend.now))
+        if script < len(scripts):
+            for action in scripts[script]:
+                apply(action, script + 1)
+
+    states = []
+    for op in ops:
+        if op[0] == "run":
+            try:
+                backend.run(None if op[1] is None else backend.now + op[1], op[2])
+                outcome = "ok"
+            except SimulationError:
+                outcome = "max_events"
+        else:
+            apply(op, 0)
+            outcome = None
+        states.append(
+            (outcome, backend.now, backend.processed, backend.pending, backend.cancelled)
+        )
+    return log, states
+
+
+_DRAIN = ("run", None, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(_op, min_size=1, max_size=25),
+    scripts=st.lists(st.lists(_action, max_size=4), min_size=1, max_size=8),
+)
+# singleton -> list promotion through each producer, fired in insertion order
+@example(ops=[("inline", 1.0, 9), ("sched", 1.0, 9), ("post", 1.0, 9), _DRAIN], scripts=[[]])
+# promotion of the fresh same-instant slot while its instant is being drained
+@example(
+    ops=[("post", 1.0, 0), ("post", 1.0, 1), _DRAIN],
+    scripts=[[("inline", 0.0, 9), ("sched", 0.0, 9)], [("post", 0.0, 9)]],
+)
+# cancelled singleton: skipped by the loop, and dropped by _compact
+@example(ops=[("sched", 1.0, 9), ("cancel", 0), _DRAIN], scripts=[[]])
+@example(
+    ops=[("sched", 1.0, 9), ("post", 0.5, 9), ("cancel", 0), ("compact",), _DRAIN],
+    scripts=[[]],
+)
+# stop() mid-slot: the tail is requeued in front of a newer singleton
+@example(
+    ops=[("post", 1.0, 0), ("post", 1.0, 9), ("sched", 1.0, 9), _DRAIN, _DRAIN],
+    scripts=[[("inline", 0.0, 9), ("stop",)]],
+)
+# max_events mid-slot, tail requeued onto a newer list, one of them cancelled
+@example(
+    ops=[("post", 0.5, 0), ("sched", 0.5, 9), ("post", 0.5, 9), ("run", None, 0), _DRAIN],
+    scripts=[[("post", 0.0, 9), ("post", 0.0, 9), ("cancel", 0)]],
+)
+# _compact from inside a callback: the slot being drained is out of its reach
+@example(
+    ops=[("post", 1.0, 0), ("sched", 1.0, 9), ("sched", 2.0, 9), _DRAIN],
+    scripts=[[("cancel", 0), ("cancel", 0), ("compact",), ("stop",)]],
+)
+def test_calendar_matches_heap_model(ops, scripts):
+    expected = _execute(_HeapModel(), ops, scripts)
+    actual = _execute(_Calendar(), ops, scripts)
+    assert actual == expected
