@@ -19,7 +19,7 @@ from repro.consensus import Deployment, ProtocolParams
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.tribe_bracha import TribeBrachaRbc
+from repro.rbc.bracha import TribeBrachaRbc
 from repro.sim import Simulator
 from repro.smr.mempool import SyntheticWorkload
 

@@ -18,8 +18,8 @@ from repro.crypto.signatures import Pki
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.tribe_bracha import TribeBrachaRbc
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc
+from repro.rbc.bracha import TribeBrachaRbc
+from repro.rbc.two_round import TribeTwoRoundRbc
 from repro.sim import Simulator
 from repro.smr.mempool import SyntheticWorkload
 

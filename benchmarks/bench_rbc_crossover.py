@@ -4,8 +4,8 @@ The optimistic protocol bets on the good case: when all n parties ECHO the
 same digest it delivers in 2δ (VAL+ECHO), one message delay ahead of the
 3δ READY path — but every bet it loses costs a fallback timeout.  This bench
 measures where the bet stops paying: a loss-rate × Byzantine sweep of mean
-honest delivery latency for :class:`~repro.rbc.optimistic.OptimisticRbc`
-against :class:`~repro.rbc.tribe_bracha.TribeBrachaRbc` on identical
+honest delivery latency for :class:`~repro.rbc.bracha.OptimisticRbc`
+against :class:`~repro.rbc.bracha.TribeBrachaRbc` on identical
 networks (reliable transport over seeded lossy links).
 
 A second lane runs the ``slow-proposer-prefix`` chaos scenario end to end:
@@ -20,8 +20,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.transport import ReliableTransport
 from repro.rbc.base import Membership
-from repro.rbc.optimistic import OptimisticRbc
-from repro.rbc.tribe_bracha import TribeBrachaRbc
+from repro.rbc.bracha import OptimisticRbc, TribeBrachaRbc
 from repro.sim import Simulator
 
 from .conftest import emit, run_once

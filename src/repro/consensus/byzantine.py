@@ -9,6 +9,7 @@ honest majority is unaffected.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..dag.block import Block
@@ -82,37 +83,20 @@ class EquivocatingProposer(ByzantineBehavior):
     def install(self, node: "SailfishNode", deployment: "Deployment") -> None:
         rbc = node.rbc
         network = deployment.network
-        cfg = node.cfg
+        n = node.cfg.n
 
         def equivocating_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from .messages import VertexValMsg, vertex_val_statement
-
             # Reversing the edge tuple changes the vertex digest while keeping
             # the vertex structurally valid — a minimal equivocation.
-            twin = Vertex(
-                round=vertex.round,
-                source=vertex.source,
-                block_digest=vertex.block_digest,
-                strong_edges=tuple(reversed(vertex.strong_edges)),
-                weak_edges=vertex.weak_edges,
-                nvc=vertex.nvc,
-            )
-            for variant, parties in (
-                (vertex, [p for p in range(cfg.n) if p % 2 == 0]),
-                (twin, [p for p in range(cfg.n) if p % 2 == 1]),
-            ):
-                signature = None
-                if rbc.mode == "two-round":
-                    signature = rbc._key.sign(
-                        vertex_val_statement(
-                            node.node_id, variant.round, variant.vertex_digest()
-                        )
-                    )
+            twin = replace(vertex, strong_edges=tuple(reversed(vertex.strong_edges)))
+            for parity, variant in enumerate((vertex, twin)):
                 # Both variants advertise (and carry) the same block — the
                 # equivocation is in the vertex content, so recipients of
                 # either variant can ECHO and the split is maximal.
                 network.multicast(
-                    node.node_id, parties, VertexValMsg(variant, block, signature)
+                    node.node_id,
+                    [p for p in range(n) if p % 2 == parity],
+                    rbc.val_parts(variant, block).full,
                 )
 
         rbc.broadcast = equivocating_broadcast  # type: ignore[assignment]
@@ -129,53 +113,20 @@ class WithholdingProposer(ByzantineBehavior):
     def install(self, node: "SailfishNode", deployment: "Deployment") -> None:
         rbc = node.rbc
         network = deployment.network
-        cfg = node.cfg
         keep = self.receive_full
 
         def withholding_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from .messages import VertexValMsg, vertex_val_statement
-
-            signature = None
-            if rbc.mode == "two-round":
-                signature = rbc._key.sign(
-                    vertex_val_statement(
-                        node.node_id, vertex.round, vertex.vertex_digest()
-                    )
-                )
+            parts = rbc.val_parts(vertex, block)
             if block is None:
-                network.broadcast(node.node_id, VertexValMsg(vertex, None, signature))
+                rbc.send_val_parts(parts)
                 return
-            clan = sorted(cfg.clan(cfg.block_clan_of(node.node_id)))
-            lucky = set(clan[:keep])
-            for party in range(cfg.n):
-                body = block if party in lucky else None
-                network.send(node.node_id, party, VertexValMsg(vertex, body, signature))
+            lucky = set(parts.holders[:keep])
+            for party in range(node.cfg.n):
+                network.send(
+                    node.node_id, party, parts.full if party in lucky else parts.bare
+                )
 
         rbc.broadcast = withholding_broadcast  # type: ignore[assignment]
-
-
-def _prefix_broadcast_parts(rbc, vertex: Vertex, block: Block):
-    """The pieces an honest prefix-mode broadcast would send.
-
-    Returns (manifest, chunks, signature, in_clan, outside) so Byzantine
-    proposers can replay the honest dissemination with perturbed timing or
-    coverage.  Raises if the node is not in prefix mode."""
-    from ..rbc.prefix import split_block
-    from .messages import vertex_val_statement
-
-    if not rbc._prefix:
-        raise ConsensusError("prefix dissemination requires rbc_mode='prefix'")
-    signature = None
-    if rbc.mode == "two-round":  # pragma: no cover - prefix is never two-round
-        signature = rbc._key.sign(
-            vertex_val_statement(rbc.node_id, vertex.round, vertex.vertex_digest())
-        )
-    cfg = rbc.schedule.cfg_at(vertex.round)
-    clan = cfg.clan(cfg.block_clan_of(rbc.node_id))
-    in_clan = [p for p in range(rbc.cfg.n) if p in clan]
-    outside = [p for p in range(rbc.cfg.n) if p not in clan]
-    manifest, chunks = split_block(block, vertex.block_chunks)
-    return manifest, chunks, signature, in_clan, outside
 
 
 class SlowProposer(ByzantineBehavior):
@@ -199,54 +150,24 @@ class SlowProposer(ByzantineBehavior):
         delay = self.delay
 
         def slow_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from ..rbc.prefix import BlockChunkMsg
-            from .messages import VertexValMsg, vertex_val_statement
-
-            if block is None or not rbc._prefix:
-                signature = None
-                if rbc.mode == "two-round":
-                    signature = rbc._key.sign(
-                        vertex_val_statement(
-                            node.node_id, vertex.round, vertex.vertex_digest()
-                        )
-                    )
-                if block is None:
-                    network.broadcast(
-                        node.node_id, VertexValMsg(vertex, None, signature)
-                    )
-                    return
-                # Non-prefix fallback: vertex on time, block only after the
-                # delay (everyone else pulls or waits).
-                cfg = rbc.schedule.cfg_at(vertex.round)
-                clan = cfg.clan(cfg.block_clan_of(node.node_id))
-                in_clan = [p for p in range(rbc.cfg.n) if p in clan]
-                outside = [p for p in range(rbc.cfg.n) if p not in clan]
-                network.multicast(
-                    node.node_id, outside, VertexValMsg(vertex, None, signature)
-                )
+            parts = rbc.val_parts(vertex, block)
+            if block is None:
+                rbc.send_val_parts(parts)
+            elif not parts.chunks:
+                # Unchunked: vertex on time, block only after the delay
+                # (everyone else pulls or waits).
+                if parts.others:
+                    network.multicast(node.node_id, parts.others, parts.bare)
                 sim.schedule(
-                    delay, network.multicast, node.node_id, in_clan,
-                    VertexValMsg(vertex, block, signature),
+                    delay, network.multicast, node.node_id, parts.holders, parts.full
                 )
-                return
-            manifest, chunks, signature, in_clan, outside = _prefix_broadcast_parts(
-                rbc, vertex, block
-            )
-            network.multicast(
-                node.node_id, in_clan, VertexValMsg(vertex, None, signature, manifest)
-            )
-            if outside:
-                network.multicast(
-                    node.node_id, outside, VertexValMsg(vertex, None, signature)
-                )
-            for chunk in chunks:
-                msg = BlockChunkMsg(node.node_id, vertex.round, chunk)
-                if chunk.index == 0:
-                    network.multicast(node.node_id, in_clan, msg)
-                else:
+            else:
+                # VALs and the head chunk on time, the tail chunk by chunk.
+                rbc.send_val_parts(replace(parts, chunks=parts.chunks[:1]))
+                for index, msg in enumerate(parts.chunks[1:], start=1):
                     sim.schedule(
-                        chunk.index * delay, network.multicast,
-                        node.node_id, in_clan, msg,
+                        index * delay, network.multicast,
+                        node.node_id, parts.holders, msg,
                     )
 
         rbc.broadcast = slow_broadcast  # type: ignore[assignment]
@@ -267,33 +188,19 @@ class TailWithholder(ByzantineBehavior):
         self.keep_fraction = keep_fraction
 
     def install(self, node: "SailfishNode", deployment: "Deployment") -> None:
+        if node.params.rbc_mode != "prefix":
+            return
         rbc = node.rbc
-        network = deployment.network
         original = rbc.broadcast
         fraction = self.keep_fraction
 
         def withholding_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from ..rbc.prefix import BlockChunkMsg
-            from .messages import VertexValMsg
-
-            if block is None or not rbc._prefix:
+            if block is None:
                 original(vertex, block)
                 return
-            manifest, chunks, signature, in_clan, outside = _prefix_broadcast_parts(
-                rbc, vertex, block
-            )
-            keep = min(len(chunks), max(1, math.ceil(len(chunks) * fraction)))
-            network.multicast(
-                node.node_id, in_clan, VertexValMsg(vertex, None, signature, manifest)
-            )
-            if outside:
-                network.multicast(
-                    node.node_id, outside, VertexValMsg(vertex, None, signature)
-                )
-            for chunk in chunks[:keep]:
-                network.multicast(
-                    node.node_id, in_clan,
-                    BlockChunkMsg(node.node_id, vertex.round, chunk),
-                )
+            parts = rbc.val_parts(vertex, block)
+            count = len(parts.chunks)
+            keep = min(count, max(1, math.ceil(count * fraction)))
+            rbc.send_val_parts(replace(parts, chunks=parts.chunks[:keep]))
 
         rbc.broadcast = withholding_broadcast  # type: ignore[assignment]

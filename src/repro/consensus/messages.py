@@ -4,7 +4,9 @@ The merged RBC (§5, "Efficiently propagating the vertex and the block") sends
 one VAL per recipient: clan members of the proposer's clan receive vertex AND
 block; everyone else receives the vertex alone (which embeds the block
 digest).  ECHO/READY/CERT all refer to the *vertex digest*, which covers the
-block digest, so one instance certifies both.
+block digest, so one instance certifies both: they are the
+:mod:`repro.rbc.messages` classes under their own names, because ``kind()``
+keys the per-kind traffic statistics.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..dag.block import Block
 from ..dag.vertex import Vertex
 from ..net import sizes
 from ..net.message import Message
+from ..rbc.messages import CertMsg, EchoMsg, ReadyMsg
 from ..types import NodeId, Round
 
 if TYPE_CHECKING:
@@ -83,52 +86,22 @@ class VertexValMsg(Message):
         return size
 
 
-@dataclass(slots=True)
-class VertexEchoMsg(Message):
-    """ECHO over the vertex digest (signed in two-round mode)."""
+class VertexEchoMsg(EchoMsg):
+    """ECHO over the vertex digest (signed under the two-round completion)."""
 
-    origin: NodeId
-    round: Round
-    vertex_digest: bytes
-    signature: Signature | None = None
-
-    @property
-    def signed(self) -> bool:
-        return self.signature is not None
-
-    def wire_size(self) -> int:
-        size = sizes.HEADER_SIZE + sizes.HASH_SIZE
-        if self.signature is not None:
-            size += sizes.SIGNATURE_SIZE
-        return size
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class VertexReadyMsg(Message):
-    """READY over the vertex digest (bracha mode only)."""
+class VertexReadyMsg(ReadyMsg):
+    """READY over the vertex digest (bracha/optimistic completions)."""
 
-    origin: NodeId
-    round: Round
-    vertex_digest: bytes
-
-    def wire_size(self) -> int:
-        return sizes.HEADER_SIZE + sizes.HASH_SIZE
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class VertexCertMsg(Message):
-    """EC_r certificate over the vertex digest (two-round mode only)."""
+class VertexCertMsg(CertMsg):
+    """EC_r certificate over the vertex digest (two-round completion)."""
 
-    origin: NodeId
-    round: Round
-    vertex_digest: bytes
-    cert: QuorumCertificate
-    n: int
-
-    signed = True
-
-    def wire_size(self) -> int:
-        return sizes.HEADER_SIZE + sizes.HASH_SIZE + self.cert.wire_size(self.n)
+    __slots__ = ()
 
 
 @dataclass(slots=True)
@@ -159,24 +132,3 @@ class NoVoteCertificate:
     def wire_size(self) -> int:
         # Bitmap sized for a "large" committee; refined by the caller if needed.
         return sizes.HASH_SIZE + sizes.BLS_SIGNATURE_SIZE + 32
-
-
-@dataclass(slots=True)
-class VertexRequestMsg(Message):
-    """Pull request for a missing vertex (off the consensus critical path)."""
-
-    origin: NodeId
-    round: Round
-
-    def wire_size(self) -> int:
-        return sizes.HEADER_SIZE
-
-
-@dataclass(slots=True)
-class VertexResponseMsg(Message):
-    """Pull response carrying the full vertex."""
-
-    vertex: Vertex
-
-    def wire_size(self) -> int:
-        return self.vertex.wire_size() + sizes.HEADER_SIZE

@@ -112,7 +112,6 @@ class SailfishNode:
             fallback_timeout=params.fallback_timeout,
             schedule=clan_schedule,
             tracer=self.tracer,
-            edge_mode=params.edge_mode,
         )
 
         # Prefix mode (Raptr-style certified-prefix commits): chunked
@@ -737,7 +736,7 @@ class SailfishNode:
         chunks from attesters who claimed to hold at least k."""
         if self.on_commit_block is None:
             return
-        if not self.rbc._serves_block(vertex.source, vertex.round):
+        if not self.rbc.serves_block(vertex.source, vertex.round):
             return
         manifest, chunks = self.rbc.prefix_parts(vertex.source, vertex.round)
         if manifest is not None and all(i in chunks for i in range(k)):

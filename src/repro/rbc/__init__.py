@@ -1,40 +1,40 @@
-"""Reliable broadcast protocols.
+"""Reliable broadcast.
 
-Four protocols, all multiplexing instances keyed by ``(origin, round)`` over
-the simulated network:
+One instance state machine (:mod:`repro.rbc.core`) multiplexes instances
+keyed by ``(origin, round)`` over the simulated network; a completion rule
+(two-round certificate, Bracha READY, optimistic fast path) and a payload
+policy configure it.  This package holds the plain policy
+(:mod:`repro.rbc.plain`) and its public configurations:
 
-* :class:`~repro.rbc.bracha.BrachaRbc` — classic 3-round Bracha RBC
-  (payload to everyone); the primitive existing DAG BFT builds on.
-* :class:`~repro.rbc.two_round.TwoRoundRbc` — Abraham et al.'s good-case
-  2-round RBC with signed ECHOs and certificates (payload to everyone).
-* :class:`~repro.rbc.tribe_bracha.TribeBrachaRbc` — the paper's Fig. 2:
-  signature-free tribe-assisted RBC; payload only to the clan, digest to the
-  rest, READY requires 2f+1 ECHOs with ≥ f_c+1 from the clan.
-* :class:`~repro.rbc.tribe_two_round.TribeTwoRoundRbc` — the paper's Fig. 3:
-  2-round tribe-assisted RBC with signed ECHOs and an ``EC_r(m)`` certificate.
-* :class:`~repro.rbc.optimistic.OptimisticRbc` — signature-free optimistic
-  fast path: delivers after VAL+ECHO (2δ) when all n parties echo one digest,
-  falling back to the Bracha READY path on conflict, timeout, or any READY.
+* :mod:`repro.rbc.bracha` — READY completions: :class:`TribeBrachaRbc` (the
+  paper's Fig. 2: payload only to the clan, digest to the rest),
+  :class:`BrachaRbc` (classic Bracha, payload to everyone) and
+  :class:`OptimisticRbc` (2δ fast path on all-n ECHO agreement).
+* :mod:`repro.rbc.two_round` — certificate completion:
+  :class:`TribeTwoRoundRbc` (the paper's Fig. 3) and :class:`TwoRoundRbc`
+  (Abraham et al., payload to everyone).
 
-:mod:`repro.rbc.prefix` adds Raptr-style chunked dissemination (manifests,
-chunk splitting/reassembly) used by the consensus layer's prefix commits.
+The merged vertex+block RBC of §5 (:mod:`repro.consensus.vertex_rbc`) is the
+same core under the clan-only block and chunked-prefix policies;
+:mod:`repro.rbc.prefix` holds the Raptr-style chunk vocabulary (manifests,
+chunk splitting/reassembly) the latter uses.
 
 Clan members that reach delivery without the payload pull it from clan
 members known to hold it (:mod:`repro.rbc.retrieval`), exactly as §3 allows.
 """
 
-from .base import Delivery, Membership, RbcProtocol
-from .bracha import BrachaRbc
-from .optimistic import OptimisticRbc
+from .base import Delivery, Membership
+from .bracha import BrachaRbc, OptimisticRbc, TribeBrachaRbc
+from .core import RbcCore
+from .plain import PlainRbc
 from .prefix import BlockChunk, ChunkManifest, assemble_prefix, split_block
-from .tribe_bracha import TribeBrachaRbc
-from .tribe_two_round import TribeTwoRoundRbc
-from .two_round import TwoRoundRbc
+from .two_round import TribeTwoRoundRbc, TwoRoundRbc
 
 __all__ = [
     "Delivery",
     "Membership",
-    "RbcProtocol",
+    "RbcCore",
+    "PlainRbc",
     "BrachaRbc",
     "TribeBrachaRbc",
     "TwoRoundRbc",

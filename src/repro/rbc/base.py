@@ -1,22 +1,21 @@
-"""Shared machinery for the reliable-broadcast family.
+"""Shared vocabulary of the reliable-broadcast family.
 
 * :class:`Membership` — tribe/clan thresholds used by every protocol.
 * payload helpers — any payload is either ``bytes`` or an object exposing
   ``wire_size()`` and ``payload_digest()`` (e.g. :class:`repro.dag.block.Block`).
-* :class:`RbcProtocol` — the per-node module: multiplexes instances keyed by
-  ``(origin, round)``, owns the network registration, and invokes the
-  delivery callback at most once per instance (Integrity).
+* :class:`Delivery` — the output of ``r_deliver``.
+
+The instance state machine itself lives in :mod:`repro.rbc.core`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..committees.config import ClanConfig
 from ..crypto.hashing import digest
 from ..errors import BroadcastError
-from ..net.network import Network
 from ..types import NodeId, Round, clan_max_faults, max_faults, quorum_size
 
 #: Delivery callback: (origin, round, payload-or-None, digest, full).
@@ -113,125 +112,3 @@ class Delivery:
     payload: Any | None
     digest: bytes
     full: bool
-
-
-@dataclass
-class InstanceState:
-    """Common per-(origin, round) instance state.
-
-    ECHO/READY tallies are per-digest: an equivocating sender may split the
-    network across digests, and quorum checks must never mix them.
-    """
-
-    val_digest: bytes | None = None
-    delivered: bool = False
-    delivered_digest: bytes | None = None
-    payload: Any | None = None
-    echoed: bool = False
-    ready_digest: bytes | None = None
-    cert_sent: bool = False
-    echoes: dict[bytes, set[NodeId]] = field(default_factory=dict)
-    readies: dict[bytes, set[NodeId]] = field(default_factory=dict)
-    #: Full payloads received (via VAL or pull), keyed by digest.
-    payloads: dict[bytes, Any] = field(default_factory=dict)
-    #: Signatures collected on ECHO statements, keyed by digest (signed modes).
-    echo_sigs: dict[bytes, dict[NodeId, Any]] = field(default_factory=dict)
-    # Equivocation bookkeeping: extra digests seen in conflicting VALs (tests
-    # and slashing logic read this; the protocol itself honours only the first).
-    conflicting: set[bytes] = field(default_factory=set)
-    # Phase timestamps, populated only when tracing is enabled: first VAL
-    # seen, own ECHO sent, own READY (or certificate) sent.
-    val_at: float | None = None
-    echo_at: float | None = None
-    ready_at: float | None = None
-
-
-class RbcProtocol:
-    """Base per-node RBC module.
-
-    Subclasses implement :meth:`broadcast` and the message handlers, and share
-    instance management, delivery-once semantics, and statistics.
-    """
-
-    def __init__(
-        self,
-        node_id: NodeId,
-        membership: Membership,
-        network: Network,
-        on_deliver: DeliverFn,
-        register: bool = True,
-        tracer=None,
-    ) -> None:
-        self.node_id = node_id
-        self.membership = membership
-        self.network = network
-        self.on_deliver = on_deliver
-        #: Defaults to the network's tracer so RBC spans and net.hop records
-        #: land in the same trace without extra wiring.
-        self.tracer = tracer if tracer is not None else network.tracer
-        self.instances: dict[InstanceKey, InstanceState] = {}
-        self.deliveries: list[Delivery] = []
-        if register:
-            network.register(node_id, self.on_message)
-
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def in_clan(self) -> bool:
-        return self.node_id in self.membership.clan
-
-    def instance(self, origin: NodeId, round_: Round) -> InstanceState:
-        key = (origin, round_)
-        state = self.instances.get(key)
-        if state is None:
-            state = self.instances[key] = InstanceState()
-        return state
-
-    def broadcast(self, payload: Any, round_: Round) -> None:
-        """``r_bcast``: disseminate ``payload`` as this node, in ``round_``."""
-        raise NotImplementedError
-
-    def on_message(self, src: NodeId, msg: Any) -> None:
-        """Network entry point; subclasses dispatch on message type."""
-        raise NotImplementedError
-
-    def _deliver(
-        self, origin: NodeId, round_: Round, state: InstanceState, digest_: bytes
-    ) -> None:
-        """Invoke r_deliver exactly once (Integrity)."""
-        if state.delivered:
-            return
-        state.delivered = True
-        state.delivered_digest = digest_
-        payload = state.payloads.get(digest_)
-        delivery = Delivery(origin, round_, payload, digest_, payload is not None)
-        self.deliveries.append(delivery)
-        if self.tracer.enabled:
-            self._trace_delivery(origin, round_, state)
-        self.on_deliver(delivery)
-
-    def _trace_delivery(
-        self, origin: NodeId, round_: Round, state: InstanceState
-    ) -> None:
-        """Emit the tail phase span(s) for a completed instance.
-
-        Bracha-style instances produce ``rbc.ready_to_deliver``; two-round
-        instances (no READY phase) produce ``rbc.echo_to_deliver``.  Every
-        instance produces ``rbc.e2e`` from the first VAL (or from delivery
-        itself when the local node never saw a VAL, e.g. pull-completed).
-        """
-        now = self.tracer.now()
-        tr = self.tracer
-        if state.ready_at is not None:
-            tr.span("rbc.ready_to_deliver", start=state.ready_at, end=now,
-                    node=self.node_id, origin=origin, round=round_)
-        elif state.echo_at is not None:
-            tr.span("rbc.echo_to_deliver", start=state.echo_at, end=now,
-                    node=self.node_id, origin=origin, round=round_)
-        start = state.val_at if state.val_at is not None else now
-        tr.span("rbc.e2e", start=start, end=now,
-                node=self.node_id, origin=origin, round=round_)
-
-    def delivered(self, origin: NodeId, round_: Round) -> bool:
-        state = self.instances.get((origin, round_))
-        return bool(state and state.delivered)

@@ -1,8 +1,9 @@
 """Adversarial RBC senders for fault-injection tests and benchmarks.
 
-These helpers craft raw protocol messages directly on the network, modelling
-senders that equivocate or withhold payloads.  They never touch honest-party
-state, so they compose with any of the RBC modules.
+These helpers perturb what an honest sender of the plain policy would
+transmit (:func:`repro.rbc.plain.val_parts`) and put it directly on the
+network, modelling senders that equivocate or withhold payloads.  They never
+touch honest-party state, so they compose with any of the RBC modules.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from ..crypto.signatures import Pki
 from ..errors import BroadcastError
 from ..net.network import Network
 from ..types import NodeId, Round
-from .base import Membership, RbcProtocol, payload_digest
-from .messages import ValMsg
-from .tribe_two_round import val_statement
+from .base import Membership
+from .core import RbcCore
+from .plain import val_parts
 
 
-def silence(module: RbcProtocol) -> None:
+def silence(module: RbcCore) -> None:
     """Turn an RBC module into a silent (Byzantine-mute) party.
 
     The party stays on the membership roll but never echoes, readies, or
@@ -50,13 +51,11 @@ def send_equivocating_vals(
     """
     if not assignments:
         raise BroadcastError("equivocation needs at least one recipient")
+    key = pki.key(origin) if pki is not None else None
     for recipient, payload in assignments.items():
-        digest_ = payload_digest(payload)
-        signature = None
-        if pki is not None:
-            signature = pki.key(origin).sign(val_statement(origin, round_, digest_))
-        body = payload if recipient in membership.clan else None
-        network.send(origin, recipient, ValMsg(origin, round_, digest_, body, signature))
+        parts = val_parts(origin, round_, payload, membership, key)
+        val = parts.full if recipient in membership.clan else parts.bare
+        network.send(origin, recipient, val)
 
 
 def send_withholding_vals(
@@ -73,14 +72,11 @@ def send_withholding_vals(
     Models a Byzantine sender that starves most of the clan so they must use
     the pull path (§3's download-from-the-clan mechanism).
     """
-    digest_ = payload_digest(payload)
-    signature = None
-    if pki is not None:
-        signature = pki.key(origin).sign(val_statement(origin, round_, digest_))
     full = set(receive_full)
     unknown = full - set(membership.clan)
     if unknown:
         raise BroadcastError(f"receive_full parties {sorted(unknown)} not in clan")
+    key = pki.key(origin) if pki is not None else None
+    parts = val_parts(origin, round_, payload, membership, key)
     for recipient in membership.all_parties:
-        body = payload if recipient in full else None
-        network.send(origin, recipient, ValMsg(origin, round_, digest_, body, signature))
+        network.send(origin, recipient, parts.full if recipient in full else parts.bare)

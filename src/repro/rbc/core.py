@@ -1,0 +1,637 @@
+"""The reliable-broadcast instance state machine, written once.
+
+Every RBC in this repository is this voting core under one of three
+*completion rules*, specialised by a *payload policy*:
+
+==============  ==========================================================
+completion      a digest is certified when ...
+==============  ==========================================================
+``two-round``   2f+1 *signed* ECHOes (≥ f_c+1 from the instance's clan)
+                form the certificate EC_r(m), which is multicast once and
+                forwarded once by every party that first sees it (Fig. 3;
+                Abraham et al.'s good-case 2-round RBC).
+``bracha``      the same ECHO quorum, unsigned, triggers READY; f+1 READYs
+                amplify; 2f+1 READYs certify (Fig. 2).
+``optimistic``  *all n* parties ECHO one digest — 2δ, no READY — else the
+                instance falls back to the ``bracha`` rule (Shrestha, Losa
+                and Yu's optimistic fast path).
+==============  ==========================================================
+
+An optimistic instance falls back when the all-to-all agreement is no
+longer attainable or timely: **conflict** (a second digest shows up in a
+VAL or an ECHO), **timeout** (the per-instance timer, armed on the first
+VAL or ECHO, fires first) or **ready** (any READY arrives: someone else
+already fell back, so join its quorum at network speed).  Safety of the
+fast path: delivering d on all-n ECHOes means every honest party echoed d,
+and parties echo at most once, so no conflicting digest can ever gather an
+ECHO (hence READY) quorum — fast and fallback deliveries cannot diverge.
+Totality: parties that miss the all-n condition fall back by timer, the
+2f+1 honest ECHOes they already share restart the READY path, and every
+fast-path deliverer answers an incoming READY with its own.
+
+The completion is resolved to two booleans at construction; handlers
+branch on those, never on the mode string.  Everything that differs between
+the tribe-assisted primitives of Fig. 2/3 and the merged vertex RBC of §5
+is the payload policy, a subclass that supplies
+
+* the message classes and signed statements (class attributes below);
+* ``_clan_of`` — which clan's ECHOes gate an instance;
+* ``_on_val`` — what a VAL carries, and when this node holds enough to
+  vouch for it (it then asks the core to :meth:`RbcCore._vote`);
+* ``_holder_certified`` — the ECHO quorum proves an honest clan member
+  holds the payload, so a pull may start early (§5);
+* ``_certified`` — the digest is certified: deliver, or pull from whom.
+
+The policies are :class:`repro.rbc.plain.PlainRbc` (digest to the tribe,
+opaque payload to one fixed clan) and, in
+:mod:`repro.consensus.vertex_rbc`, the clan-only block and chunked-prefix
+policies of the merged RBC.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
+from ..crypto.certificates import QuorumCertificate, build_certificate, verify_certificate
+from ..crypto.signatures import Pki, Signature
+from ..errors import BroadcastError
+from ..net.message import Message
+from ..net.network import Network
+from ..sim.scheduler import EventHandle, Simulator
+from ..types import NodeId, Round, clan_response_quorum
+from .base import InstanceKey
+from .messages import CertMsg, EchoMsg, PayloadRequest, PayloadResponse, ReadyMsg
+from .retrieval import Responder, Retriever
+
+COMPLETIONS = ("two-round", "bracha", "optimistic")
+
+
+@dataclass(slots=True)
+class Instance:
+    """Voting state of one ``(origin, round)`` instance.
+
+    ECHO/READY tallies are per digest: an equivocating sender may split the
+    network across digests, and quorum checks must never mix them.  Policies
+    subclass this with the payload they hold.
+    """
+
+    #: Digest of the first VAL seen — the only one this node ever vouches for.
+    val_digest: bytes | None = None
+    echoed: bool = False
+    ready_digest: bytes | None = None
+    cert_sent: bool = False
+    #: The digest the completion rule certified (None until it did).
+    quorum_digest: bytes | None = None
+    #: The policy delivered the certified value (Integrity: at most once).
+    delivered: bool = False
+    #: The clan whose ECHOes gate this instance (None: no clan condition),
+    #: and the f_c+1 of them the echo-quorum rule requires.
+    clan: frozenset[NodeId] | None = None
+    clan_quorum: int = 0
+    echoes: dict[bytes, set[NodeId]] = field(default_factory=dict)
+    #: Incremental clan-supporter tallies per digest (hot-path counter).
+    clan_echo_counts: dict[bytes, int] = field(default_factory=dict)
+    #: Signatures on ECHO statements, per digest (two-round completion).
+    echo_sigs: dict[bytes, dict[NodeId, Signature]] = field(default_factory=dict)
+    readies: dict[bytes, set[NodeId]] = field(default_factory=dict)
+    #: Other digests seen in conflicting VALs (tests and forensics read this;
+    #: the protocol itself honours only the first).
+    conflicting: set[bytes] = field(default_factory=set)
+    # Optimistic completion: has this instance abandoned the fast path, and
+    # its armed fallback timer.
+    pessimistic: bool = False
+    fallback_timer: EventHandle | None = None
+    # Phase timestamps, populated only when tracing is enabled: first VAL
+    # seen, own ECHO sent, own READY sent.
+    val_at: float | None = None
+    echo_at: float | None = None
+    ready_at: float | None = None
+    #: Causal trace context of this instance (None when unsampled or tracing
+    #: is off); inherited from the VAL and stamped onto what this node sends.
+    ctx: Any | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class ValParts:
+    """What an honest sender transmits for one instance, in send order.
+
+    A policy's ``val_parts`` builds it and its ``broadcast`` sends exactly
+    this through :meth:`RbcCore.send_val_parts`; Byzantine senders perturb
+    it instead of rebuilding VALs by hand.
+    """
+
+    signature: Signature | None
+    #: Parties sent ``full`` (the clan-only payload rides along) ...
+    holders: list[NodeId]
+    #: ... and parties sent ``bare`` (the tribe-wide part alone).
+    others: list[NodeId]
+    full: Message
+    bare: Message
+    #: Chunked prefix only: the block, as chunk messages for ``holders``.
+    chunks: tuple[Message, ...] = ()
+
+
+class RbcCore:
+    """Per-node RBC module: instance table, tallies and completion rules."""
+
+    # -- payload-policy surface ------------------------------------------------
+
+    _instance_cls: type[Instance] = Instance
+    _echo_cls: type[EchoMsg]
+    _ready_cls: type[ReadyMsg]
+    _cert_cls: type[CertMsg]
+    #: ``(origin, round, digest) -> bytes`` statements the signatures cover.
+    _val_statement: Callable[[NodeId, Round, bytes], bytes]
+    _echo_statement: Callable[[NodeId, Round, bytes], bytes]
+
+    def _clan_of(self, origin: NodeId, round_: Round) -> frozenset[NodeId] | None:
+        raise NotImplementedError
+
+    def _holder_certified(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
+    ) -> None:
+        raise NotImplementedError
+
+    def _certified(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance,
+        cert: QuorumCertificate | None,
+    ) -> None:
+        raise NotImplementedError
+
+    def dispatch_table(self) -> dict:
+        """Exact-class ``{message class: handler}`` table of this module."""
+        raise NotImplementedError
+
+    # -- construction ----------------------------------------------------------
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        committee,
+        network: Network,
+        sim: Simulator,
+        pki: Pki | None,
+        completion: str,
+        verify_signatures: bool = True,
+        fallback_timeout: float = 0.5,
+        tracer=None,
+    ) -> None:
+        """``committee`` supplies ``n``, ``quorum`` and ``ready_amplify``
+        (a :class:`~repro.rbc.base.Membership` or a ``ClanConfig``)."""
+        if completion not in COMPLETIONS:
+            raise BroadcastError(f"unknown RBC completion {completion!r}")
+        self.node_id = node_id
+        self.n = committee.n
+        self.network = network
+        self.sim = sim
+        #: Defaults to the network's tracer so RBC spans and net.hop records
+        #: land in the same trace without extra wiring.
+        self.tracer = tracer if tracer is not None else network.tracer
+        self.pki = pki
+        self._signed = completion == "two-round"
+        self._optimistic = completion == "optimistic"
+        self._key = pki.key(node_id) if pki is not None else None
+        self.verify = verify_signatures
+        #: How long an optimistic instance waits for the all-to-all ECHO
+        #: agreement before switching to the READY path.  Pick it above one
+        #: retransmission round-trip of the underlying transport so transient
+        #: loss the reliable channel can mask does not force a fallback.
+        self.fallback_timeout = fallback_timeout
+        self._quorum = committee.quorum
+        self._amplify = committee.ready_amplify
+        self.instances: dict[InstanceKey, Instance] = {}
+        # Optimistic-completion statistics: deliveries through each path and
+        # fallback-trigger counts by reason ("conflict"/"timeout"/"ready").
+        self.fast_deliveries = 0
+        self.fallback_deliveries = 0
+        self.fallbacks: dict[str, int] = {}
+        #: Forensics hook fired when a conflicting digest for an (origin,
+        #: round) instance is first observed: (origin, round, n_conflicting).
+        self.on_equivocation: Callable[[NodeId, Round, int], None] | None = None
+        #: Pull planes by channel: (client, server), in creation order.
+        self._pulls: dict[str, tuple[Retriever, Responder]] = {}
+        # ECHO/READY are the n²-per-round fan-out messages and the handlers
+        # below retain only field values (signer sets, signatures, digests),
+        # never the message object — so both classes satisfy the arena's
+        # pooling contract.  CERT does not: _on_cert rebroadcasts the object.
+        self._arena = getattr(network, "arena", None)
+        if self._arena is not None:
+            self._arena.register(self._echo_cls)
+            self._arena.register(self._ready_cls)
+        self._dispatch = self.dispatch_table()
+
+    # -- plumbing ----------------------------------------------------------------
+
+    def instance(self, origin: NodeId, round_: Round) -> Instance:
+        key = (origin, round_)
+        state = self.instances.get(key)
+        if state is None:
+            state = self.instances[key] = self._instance_cls()
+            clan = self._clan_of(origin, round_)
+            if clan is not None:
+                state.clan = clan
+                state.clan_quorum = clan_response_quorum(len(clan))  # f_c + 1
+        return state
+
+    def on_message(self, src: NodeId, msg: object) -> bool:
+        """Dispatch a network message; returns False if it isn't ours."""
+        handler = self._dispatch.get(msg.__class__)
+        if handler is None:
+            return False
+        handler(src, msg)
+        return True
+
+    def _pull_plane(
+        self,
+        channel: str,
+        on_payload: Callable[[NodeId, Round, Any], None],
+        lookup: Callable[[NodeId, Round], Any | None],
+        retry_timeout: float,
+    ) -> Retriever:
+        """Open a pull plane (§3: download a missing value from its holders)."""
+        retriever = Retriever(
+            self.node_id, self.network, self.sim, on_payload, retry_timeout, channel
+        )
+        responder = Responder(self.node_id, self.network, lookup, channel=channel)
+        self._pulls[channel] = (retriever, responder)
+        return retriever
+
+    def _on_payload_request(self, src: NodeId, msg: PayloadRequest) -> None:
+        plane = self._pulls.get(msg.channel)
+        if plane is not None:
+            plane[1].on_request(src, msg)
+
+    def _on_payload_response(self, src: NodeId, msg: PayloadResponse) -> None:
+        plane = self._pulls.get(msg.channel)
+        if plane is not None:
+            plane[0].on_response(src, msg)
+
+    def send_val_parts(self, parts: ValParts) -> None:
+        """Transmit an honest sender's VALs (and chunks) in protocol order."""
+        net = self.network
+        if parts.holders:
+            net.multicast(self.node_id, parts.holders, parts.full)
+        if parts.others:
+            net.multicast(self.node_id, parts.others, parts.bare)
+        for chunk in parts.chunks:
+            net.multicast(self.node_id, parts.holders, chunk)
+
+    # -- VAL: admission and the vote ----------------------------------------------
+
+    def _admit_val(
+        self, origin: NodeId, round_: Round, digest_: bytes, msg: Message
+    ) -> Instance | None:
+        """Common VAL admission: sender signature, instance, timers.
+
+        The policy has already checked ``src == origin`` (authenticated
+        channels) and its own well-formedness rules.  Returns the instance,
+        or None when the VAL must be ignored.
+        """
+        if self._signed:
+            signature = msg.signature
+            if signature is None:
+                return None
+            if self.verify:
+                if signature.signer != origin or not self.pki.verify(signature):
+                    return None
+                if signature.message_digest != self._val_statement(origin, round_, digest_):
+                    return None
+        state = self.instances.get((origin, round_))
+        if state is None:
+            state = self.instance(origin, round_)
+        if self.tracer.enabled:
+            if state.val_at is None:
+                state.val_at = self.sim.now
+            if state.ctx is None:
+                state.ctx = getattr(msg, "trace_ctx", None)
+        if self._optimistic and not state.pessimistic and not state.delivered:
+            self._arm_fallback(origin, round_, state)
+        return state
+
+    def _conflict(
+        self, origin: NodeId, round_: Round, state: Instance, digest_: bytes
+    ) -> None:
+        """A VAL for a second digest: record it, never follow it."""
+        state.conflicting.add(digest_)
+        if self.on_equivocation is not None:
+            self.on_equivocation(origin, round_, len(state.conflicting))
+        if self._optimistic and not state.pessimistic:
+            self._fall_back(origin, round_, state, "conflict")
+
+    def _vote(self, origin: NodeId, round_: Round, state: Instance) -> None:
+        """Multicast this node's one ECHO for ``state.val_digest``."""
+        state.echoed = True
+        tracer = self.tracer
+        if tracer.enabled:
+            now = state.echo_at = self.sim.now
+            start = state.val_at if state.val_at is not None else now
+            self._phase_span("rbc.val_to_echo", start, origin, round_, state)
+        digest_ = state.val_digest
+        signature = None
+        if self._signed:
+            signature = self._key.sign(self._echo_statement(origin, round_, digest_))
+        echo = self._arena.acquire(self._echo_cls) if self._arena is not None else None
+        if echo is None:
+            echo = self._echo_cls(origin, round_, digest_, signature)
+        else:
+            echo.origin = origin
+            echo.round = round_
+            echo.digest = digest_
+            echo.signature = signature
+        # Quorum-phase broadcasts are stamped only at sample=1.0: in sampled
+        # mode each stamp would route an n-wide broadcast down the traced
+        # slow path per sampled instance, and the causal tree is already
+        # complete via the VAL/chunk propagation plus local phase spans.
+        if state.ctx is not None and tracer.verbose:
+            echo.trace_ctx = state.ctx
+        self.network.broadcast(self.node_id, echo)
+
+    # -- ECHO: tally and the echo-quorum rule ---------------------------------------
+
+    def _on_echo(self, src: NodeId, msg: EchoMsg) -> None:
+        digest_ = msg.digest
+        if self._signed:
+            signature = msg.signature
+            if signature is None or signature.signer != src:
+                return
+            if self.verify:
+                expected = self._echo_statement(msg.origin, msg.round, digest_)
+                if signature.message_digest != expected:
+                    return
+                if not self.pki.verify(signature):
+                    return
+        # Inlined instance() hit path: ECHOes are the n²-per-round traffic,
+        # and after the first one the instance always exists.
+        state = self.instances.get((msg.origin, msg.round))
+        if state is None:
+            state = self.instance(msg.origin, msg.round)
+        # get-then-create: setdefault would build and discard a set on every
+        # one of the n³ ECHOes; only the first of an instance needs one.
+        supporters = state.echoes.get(digest_)
+        if supporters is None:
+            supporters = state.echoes[digest_] = set()
+        if src in supporters:
+            return
+        supporters.add(src)
+        if state.clan is not None and src in state.clan:
+            state.clan_echo_counts[digest_] = state.clan_echo_counts.get(digest_, 0) + 1
+        if self._signed:
+            sigs = state.echo_sigs.get(digest_)
+            if sigs is None:
+                sigs = state.echo_sigs[digest_] = {}
+            sigs[src] = signature
+            if state.cert_sent:
+                return  # tally maintained, but the quorum already acted
+        elif self._optimistic and not state.pessimistic:
+            if not state.delivered and state.fallback_timer is None:
+                self._arm_fallback(msg.origin, msg.round, state)
+            if len(state.echoes) > 1 or state.conflicting:
+                # _fall_back replays the quorum rule per digest.
+                self._fall_back(msg.origin, msg.round, state, "conflict")
+            elif len(supporters) == self.n and not state.delivered:
+                # Fast path: all n parties echoed one digest.  Every clan
+                # member echoed only after holding the payload, and the all-n
+                # set includes this node, so delivery needs no pull.
+                self._complete(msg.origin, msg.round, digest_, state)
+            return
+        self._check_echo_quorum(msg.origin, msg.round, digest_, state)
+
+    def _check_echo_quorum(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
+    ) -> None:
+        """The echo-quorum rule: 2f+1 ECHOes, ≥ f_c+1 of them from the clan
+        — so an honest clan member provably holds the payload."""
+        if len(state.echoes[digest_]) < self._quorum:
+            return
+        if state.clan is not None and (
+            state.clan_echo_counts.get(digest_, 0) < state.clan_quorum
+        ):
+            return
+        if self._signed:
+            if state.cert_sent:
+                return
+            state.cert_sent = True
+            cert = build_certificate(list(state.echo_sigs[digest_].values()))
+            cert_msg = self._cert_cls(origin, round_, digest_, cert, self.n)
+            if state.ctx is not None and self.tracer.verbose:
+                cert_msg.trace_ctx = state.ctx
+            self.network.broadcast(self.node_id, cert_msg)
+            self._complete(origin, round_, digest_, state, cert)
+        else:
+            if state.ready_digest is None:
+                self._send_ready(origin, round_, digest_, state)
+            self._holder_certified(origin, round_, digest_, state)
+
+    # -- CERT and READY -----------------------------------------------------------
+
+    def _on_cert(self, src: NodeId, msg: CertMsg) -> None:
+        if not self._signed:
+            return
+        state = self.instances.get((msg.origin, msg.round))
+        if state is None:
+            state = self.instance(msg.origin, msg.round)
+        if state.quorum_digest is not None:
+            return
+        if self.verify:
+            if not verify_certificate(
+                self.pki, msg.cert, self._quorum, state.clan, state.clan_quorum
+            ):
+                return
+            expected = self._echo_statement(msg.origin, msg.round, msg.digest)
+            if msg.cert.message_digest != expected:
+                return
+        # Forward the certificate once so every honest party eventually holds
+        # it even if the original quorum-former was the only honest multicaster.
+        if not state.cert_sent:
+            state.cert_sent = True
+            self.network.broadcast(self.node_id, msg)
+        self._complete(msg.origin, msg.round, msg.digest, state, msg.cert)
+
+    def _send_ready(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
+    ) -> None:
+        """Multicast this node's one READY."""
+        state.ready_digest = digest_
+        tracer = self.tracer
+        if tracer.enabled and not state.delivered:
+            now = state.ready_at = self.sim.now
+            start = state.echo_at
+            if start is None:
+                start = state.val_at if state.val_at is not None else now
+            self._phase_span("rbc.echo_to_ready", start, origin, round_, state)
+        ready = self._arena.acquire(self._ready_cls) if self._arena is not None else None
+        if ready is None:
+            ready = self._ready_cls(origin, round_, digest_)
+        else:
+            ready.origin = origin
+            ready.round = round_
+            ready.digest = digest_
+        if state.ctx is not None and tracer.verbose:
+            ready.trace_ctx = state.ctx
+        self.network.broadcast(self.node_id, ready)
+
+    def _on_ready(self, src: NodeId, msg: ReadyMsg) -> None:
+        if self._signed:
+            return
+        state = self.instances.get((msg.origin, msg.round))
+        if state is None:
+            state = self.instance(msg.origin, msg.round)
+        if self._optimistic:
+            if not state.pessimistic and not state.delivered:
+                # Someone already fell back; join its pessimistic quorum now
+                # instead of waiting out the local fallback timer.
+                self._fall_back(msg.origin, msg.round, state, "ready")
+            if (
+                state.delivered
+                and state.ready_digest is None
+                and state.quorum_digest is not None
+            ):
+                # Totality: this node delivered on the fast path (no READY
+                # phase) but a peer fell back and needs 2f+1 READYs.  Answer
+                # with the delivered digest — every fast-path deliverer does,
+                # so the laggard completes even if it was the only one to
+                # fall back.
+                self._send_ready(msg.origin, msg.round, state.quorum_digest, state)
+        supporters = state.readies.get(msg.digest)
+        if supporters is None:
+            supporters = state.readies[msg.digest] = set()
+        if src in supporters:
+            return
+        supporters.add(src)
+        count = len(supporters)
+        if count >= self._amplify and state.ready_digest is None:
+            self._send_ready(msg.origin, msg.round, msg.digest, state)
+        if count >= self._quorum:
+            self._complete(msg.origin, msg.round, msg.digest, state)
+
+    # -- completion ---------------------------------------------------------------
+
+    def _complete(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance,
+        cert: QuorumCertificate | None = None,
+    ) -> None:
+        """The completion rule certified ``digest_``; the policy takes over."""
+        if state.quorum_digest is None:
+            state.quorum_digest = digest_
+        self._certified(origin, round_, digest_, state, cert)
+
+    def _mark_delivered(self, origin: NodeId, round_: Round, state: Instance):
+        """The policy is delivering: close the instance's timers and spans.
+
+        Returns the trace context of the ``rbc.e2e`` span (None when the
+        instance is unsampled), for downstream stages to parent under.
+        """
+        state.delivered = True
+        if self._optimistic:
+            self._cancel_fallback(state)
+            if state.pessimistic:
+                self.fallback_deliveries += 1
+            else:
+                self.fast_deliveries += 1
+        if not self.tracer.enabled:
+            return None
+        # READY completions close with ready→deliver, certificate and
+        # fast-path completions with echo→deliver; rbc.e2e spans the first
+        # VAL (or delivery itself when this node never saw one) to delivery.
+        now = self.sim.now
+        e2e_start = state.val_at if state.val_at is not None else now
+        if state.ready_at is not None:
+            tail, start = "rbc.ready_to_deliver", state.ready_at
+        else:
+            tail = "rbc.echo_to_deliver"
+            start = state.echo_at if state.echo_at is not None else e2e_start
+        self._phase_span(tail, start, origin, round_, state)
+        return self._phase_span("rbc.e2e", e2e_start, origin, round_, state)
+
+    def _phase_span(
+        self, name: str, start: float, origin: NodeId, round_: Round, state: Instance
+    ):
+        """Emit one phase span ending now: under the instance's trace context
+        when it is sampled, flat at sample=1.0, not at all otherwise.  Returns
+        the span's context (None unless sampled)."""
+        tracer = self.tracer
+        if state.ctx is not None:
+            return tracer.ctx_span(
+                name, start=start, ctx=state.ctx, end=self.sim.now,
+                node=self.node_id, origin=origin, round=round_,
+            )
+        if tracer.verbose:
+            tracer.span(name, start=start, end=self.sim.now,
+                        node=self.node_id, origin=origin, round=round_)
+        return None
+
+    # -- optimistic fallback ----------------------------------------------------------
+
+    def _arm_fallback(self, origin: NodeId, round_: Round, state: Instance) -> None:
+        if state.fallback_timer is None:
+            state.fallback_timer = self.sim.schedule(
+                self.fallback_timeout, self._on_fallback_timeout, origin, round_
+            )
+
+    def _cancel_fallback(self, state: Instance) -> None:
+        handle = state.fallback_timer
+        if handle is not None:
+            handle.cancel()
+            state.fallback_timer = None
+
+    def _on_fallback_timeout(self, origin: NodeId, round_: Round) -> None:
+        state = self.instances.get((origin, round_))
+        if state is None:
+            return
+        state.fallback_timer = None
+        self._fall_back(origin, round_, state, "timeout")
+
+    def _fall_back(
+        self, origin: NodeId, round_: Round, state: Instance, reason: str
+    ) -> None:
+        """Abandon the fast path for one instance; finish via READY quorum."""
+        if state.pessimistic or state.delivered:
+            return
+        state.pessimistic = True
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+        self._cancel_fallback(state)
+        if self.tracer.enabled:
+            self.tracer.counter(
+                "rbc.fallback", node=self.node_id, origin=origin,
+                round=round_, reason=reason, time=self.sim.now,
+            )
+        # Replay the quorum rule per digest: 2f+1 may long be met while the
+        # fast path was holding out for all n.
+        for digest_ in sorted(state.echoes):
+            self._check_echo_quorum(origin, round_, digest_, state)
+
+    # -- housekeeping ---------------------------------------------------------------
+
+    def gc_below(self, round_: Round) -> None:
+        """Garbage-collect retrieval state for instances with round < ``round_``.
+
+        Called as the owner's commit frontier advances; pull-client entries
+        (with their retry timers) and pull-server rate-limit records for
+        long-committed rounds would otherwise accumulate forever."""
+        for retriever, responder in self._pulls.values():
+            retriever.gc_below(round_)
+            responder.gc_below(round_)
+
+    def suspend_timers(self) -> None:
+        """Crash: stop all local timers (no requests from the grave)."""
+        for retriever, _ in self._pulls.values():
+            retriever.suspend()
+        if self._optimistic:
+            for state in self.instances.values():
+                self._cancel_fallback(state)
+
+    def resume_timers(self) -> None:
+        """Recovery: restart suspended pulls."""
+        for retriever, _ in self._pulls.values():
+            retriever.resume()
+        if self._optimistic:
+            # A recovering node has no idea how long it was down; give up on
+            # the fast path for every instance that was in flight.
+            for origin, round_ in sorted(self.instances):
+                state = self.instances[(origin, round_)]
+                if state.val_digest is not None or state.echoes:
+                    self._fall_back(origin, round_, state, "timeout")
+
+
+__all__ = ["COMPLETIONS", "Instance", "RbcCore", "ValParts"]

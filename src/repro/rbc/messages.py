@@ -12,11 +12,22 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..crypto.certificates import QuorumCertificate
+from ..crypto.hashing import digest as compute_digest
 from ..crypto.signatures import Signature
 from ..net import sizes
 from ..net.message import Message
 from ..types import NodeId, Round
 from .base import payload_wire_size
+
+
+def val_statement(origin: NodeId, round_: Round, digest_: bytes) -> bytes:
+    """The statement the sender's VAL signature covers."""
+    return compute_digest(b"VAL", origin, round_, digest_)
+
+
+def echo_statement(origin: NodeId, round_: Round, digest_: bytes) -> bytes:
+    """The statement an ECHO signature covers."""
+    return compute_digest(b"ECHO", origin, round_, digest_)
 
 
 @dataclass(slots=True)

@@ -73,12 +73,6 @@ class Retriever:
         self._pending[key] = state
         self._request(key)
 
-    def add_holder(self, origin: NodeId, round_: Round, holder: NodeId) -> None:
-        """Tell an in-flight fetch about another party that holds the payload."""
-        state = self._pending.get((origin, round_))
-        if state is not None and holder not in state["holders"]:
-            state["holders"].append(holder)
-
     @property
     def pending(self) -> set[InstanceKey]:
         return set(self._pending)

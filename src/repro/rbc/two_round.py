@@ -1,9 +1,13 @@
-"""Round-optimal (two-round) reliable broadcast of Abraham et al.
+"""The plain payload policy under the two-round (certificate) completion.
 
-The special case of the Fig. 3 tribe-assisted protocol where the clan is the
-whole tribe: every party receives the full payload and the certificate needs
-only the plain 2f+1 signed ECHOs.  This is the RBC the paper's Sailfish
-implementation uses for vertex propagation.
+* :class:`TribeTwoRoundRbc` — the paper's Fig. 3: good-case optimal, two
+  message delays from sender to delivery.  Signed VALs, signed ECHOes, and
+  the certificate EC_r(m) of 2f+1 ECHO signatures with at least f_c+1 from
+  the clan; clan members missing m pull it from a clan signer of the
+  certificate.
+* :class:`TwoRoundRbc` — Abraham et al.'s round-optimal RBC, the special case
+  where the clan is the whole tribe.  This is the RBC the paper's Sailfish
+  implementation uses for vertex propagation.
 """
 
 from __future__ import annotations
@@ -13,7 +17,27 @@ from ..net.network import Network
 from ..sim.scheduler import Simulator
 from ..types import NodeId
 from .base import DeliverFn, Membership
-from .tribe_two_round import TribeTwoRoundRbc
+from .plain import PlainRbc
+
+
+class TribeTwoRoundRbc(PlainRbc):
+    """Per-node module for the Fig. 3 protocol."""
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        membership: Membership,
+        network: Network,
+        sim: Simulator,
+        pki: Pki,
+        on_deliver: DeliverFn,
+        retry_timeout: float = 0.5,
+        tracer=None,
+    ) -> None:
+        super().__init__(
+            node_id, membership, network, sim, pki, on_deliver, "two-round",
+            retry_timeout, tracer=tracer,
+        )
 
 
 class TwoRoundRbc(TribeTwoRoundRbc):
@@ -27,16 +51,9 @@ class TwoRoundRbc(TribeTwoRoundRbc):
         sim: Simulator,
         pki: Pki,
         on_deliver: DeliverFn,
-        register: bool = True,
         tracer=None,
     ) -> None:
         super().__init__(
-            node_id,
-            Membership.whole_tribe(n),
-            network,
-            sim,
-            pki,
-            on_deliver,
-            register=register,
+            node_id, Membership.whole_tribe(n), network, sim, pki, on_deliver,
             tracer=tracer,
         )

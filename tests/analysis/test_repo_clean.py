@@ -31,13 +31,13 @@ def test_committed_baseline_is_empty():
 
 
 def test_new_rbc_message_modules_are_in_msg001_scope():
-    # The optimistic/prefix RBC modules carry new wire messages
-    # (BlockChunkMsg, ChunkRequestMsg, ChunkResponseMsg, manifest-bearing
-    # VALs); MSG001 must see them — and find nothing — with no baseline
-    # entries grandfathering them in.
+    # The RBC message modules carry the wire vocabulary (BlockChunkMsg,
+    # ChunkRequestMsg, ChunkResponseMsg, manifest-bearing VALs); MSG001 must
+    # see them — and find nothing — with no baseline entries grandfathering
+    # them in.
     analyzer = Analyzer()
     targets = [
-        "src/repro/rbc/optimistic.py",
+        "src/repro/rbc/messages.py",
         "src/repro/rbc/prefix.py",
         "src/repro/consensus/messages.py",
     ]
@@ -46,7 +46,7 @@ def test_new_rbc_message_modules_are_in_msg001_scope():
     assert [f for f in findings if f.rule == "MSG001"] == []
     baseline_path = os.path.join(REPO_ROOT, "analysis_baseline.json")
     baseline = load_baseline(baseline_path) if os.path.exists(baseline_path) else {}
-    assert not any("rbc/prefix" in path or "rbc/optimistic" in path
+    assert not any("rbc/prefix" in path or "rbc/messages" in path
                    for _, path, _ in baseline)
 
 

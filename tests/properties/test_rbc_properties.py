@@ -2,49 +2,29 @@
 
 Hypothesis drives the adversary: random clan choice, random crash sets up to
 f, random sender behaviour (honest / withholding / equivocating), random
-latencies.  The Definition 2 properties must hold in every generated world:
+latencies.  The same generated worlds run over every cell of payload policy
+× completion, and the Definition 2 properties must hold in each:
 
 * Integrity — at most one delivery per (origin, round) per party;
 * Agreement — no two honest parties deliver different digests;
-* Validity — with an honest sender and ≤ f crashes, everyone delivers.
+* Validity — with an honest sender and ≤ f crashes, everyone delivers;
+* Totality — if one live honest party delivers, all of them do by the
+  horizon (and if one live clan member delivers the clan-only payload, every
+  live clan member does).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.latency import UniformLatencyModel
-from repro.net.network import Network
-from repro.rbc.base import Membership
-from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
-from repro.rbc.tribe_bracha import TribeBrachaRbc
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc
-from repro.crypto.signatures import Pki
-from repro.sim import Simulator
 from repro.types import clan_max_faults, max_faults
-
-
-def build(n, clan, protocol, seed):
-    sim = Simulator()
-    net = Network(sim, n, latency=UniformLatencyModel(0.03, jitter=0.02, seed=seed))
-    membership = Membership(n, frozenset(clan))
-    pki = Pki(n, seed=seed)
-    deliveries = {i: [] for i in range(n)}
-    modules = []
-    for i in range(n):
-        def cb(d, i=i):
-            deliveries[i].append(d)
-        if protocol == "bracha":
-            modules.append(TribeBrachaRbc(i, membership, net, sim, cb))
-        else:
-            modules.append(TribeTwoRoundRbc(i, membership, net, sim, pki, cb))
-    return sim, net, membership, pki, deliveries, modules
-
+from tests.rbc.worlds import COMPLETIONS, POLICIES, World
 
 world = st.fixed_dictionaries(
     {
         "n": st.integers(min_value=4, max_value=13),
         "seed": st.integers(min_value=0, max_value=10_000),
-        "protocol": st.sampled_from(["bracha", "two-round"]),
         "clan_pick": st.randoms(use_true_random=False),
         "behaviour": st.sampled_from(["honest", "withhold", "equivocate"]),
         "crash_pick": st.randoms(use_true_random=False),
@@ -52,19 +32,30 @@ world = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=40, deadline=None)
+# 25 examples per cell: the six cells together cost a few seconds, about
+# what the 40 examples of plain × {bracha, two-round} alone did.
+@pytest.mark.parametrize("completion", COMPLETIONS)
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=25, deadline=None)
 @given(world=world)
-def test_rbc_properties_hold_in_random_worlds(world):
+def test_rbc_properties_hold_in_random_worlds(policy, completion, world):
     n = world["n"]
     f = max_faults(n)
     clan_size = world["clan_pick"].randint(3, n)
     clan = sorted(world["clan_pick"].sample(range(n), clan_size))
-    sim, net, membership, pki, deliveries, modules = build(
-        n, clan, world["protocol"], world["seed"]
+    seed = world["seed"]
+    w = World(
+        policy, completion, n, clan,
+        lambda: UniformLatencyModel(0.03, jitter=0.02, seed=seed), seed=seed,
     )
     sender = world["crash_pick"].randrange(n)
+    behaviour = world["behaviour"]
+    if policy != "plain" and sender not in w.clan:
+        # Only clan members propose blocks (§5): an outsider's vertex has no
+        # clan-only part to withhold, and its equivocation is over vertices.
+        behaviour = "equivocate" if behaviour == "equivocate" else "honest"
     crashes = set()
-    if f > 0 and world["behaviour"] == "honest":
+    if f > 0 and behaviour == "honest":
         # Crash up to f tribe members, but never a clan majority: the
         # tribe/clan construction assumes f_c <= ceil(n_c/2) - 1 faults per
         # clan (payload retrieval needs a live honest clan majority), so a
@@ -76,46 +67,55 @@ def test_rbc_properties_hold_in_random_worlds(world):
         for i in candidates:
             if len(crashes) == count:
                 break
-            if i in membership.clan:
+            if i in w.clan:
                 if clan_budget == 0:
                     continue
                 clan_budget -= 1
             crashes.add(i)
-    pki_arg = pki if world["protocol"] == "two-round" else None
 
-    if world["behaviour"] == "honest":
-        modules[sender].broadcast(b"payload", 1)
-    elif world["behaviour"] == "withhold":
-        lucky = clan[: max(1, len(clan) // 2)]
-        send_withholding_vals(
-            net, sender, 1, b"payload", membership, receive_full=lucky, pki=pki_arg
-        )
+    if behaviour == "honest":
+        w.broadcast(sender)
+    elif behaviour == "withhold":
+        # Anything from one lucky clan member (the instance starves) through
+        # f_c+1 (the rest must pull) to the whole clan (an honest broadcast).
+        w.withhold(sender, clan[: world["clan_pick"].randint(1, len(clan))])
     else:
-        assignments = {
-            i: (b"A" if i % 2 == 0 else b"B") for i in range(n) if i != sender
-        }
-        send_equivocating_vals(net, sender, 1, assignments, membership, pki=pki_arg)
+        w.equivocate(sender)
     for node in crashes:
-        net.crash(node)
-    sim.run(until=60.0, max_events=300_000)
+        w.net.crash(node)
+    w.run(until=60.0)
 
-    live = [i for i in range(n) if i not in crashes]
+    # A Byzantine sender is not an honest party: nothing is promised to it.
+    live = [
+        i for i in range(n)
+        if i not in crashes and (behaviour == "honest" or i != sender)
+    ]
+    live_clan = [i for i in live if i in w.clan]
     # Integrity.
     for i in live:
-        assert len(deliveries[i]) <= 1
-    # Agreement on the digest.
-    digests = {d.digest for i in live for d in deliveries[i]}
-    assert len(digests) <= 1
-    # Agreement on the payload among clan deliverers.
-    payloads = {
-        bytes(d.payload) for i in live for d in deliveries[i] if d.full
-    }
-    assert len(payloads) <= 1
-    # Clan members deliver payloads, outsiders deliver digests.
+        assert len(w.digests[i]) <= 1
+        assert len(w.payloads[i]) <= 1
+    # Agreement on the digest, and on the payload among clan deliverers.
+    assert len({d for i in live for _, d in w.digests[i]}) <= 1
+    assert len({p for i in live for _, p in w.payloads[i]}) <= 1
+    # Clan members deliver payloads, outsiders deliver digests only.
     for i in live:
-        for d in deliveries[i]:
-            assert d.full == (i in membership.clan)
+        if i not in w.clan:
+            assert w.payloads[i] == []
+        elif policy == "plain":
+            assert len(w.payloads[i]) == len(w.digests[i])
     # Validity under an honest sender.
-    if world["behaviour"] == "honest":
+    carries_payload = policy == "plain" or sender in w.clan
+    if behaviour == "honest":
         for i in live:
-            assert deliveries[i], f"honest-sender validity failed at {i}"
+            assert w.digests[i], f"honest-sender validity failed at {i}"
+        if carries_payload:
+            for i in live_clan:
+                assert w.payloads[i], f"honest-sender validity failed at {i}"
+    # Totality.
+    if any(w.digests[i] for i in live):
+        for i in live:
+            assert w.digests[i], f"totality failed at {i}"
+    if any(w.payloads[i] for i in live_clan):
+        for i in live_clan:
+            assert w.payloads[i], f"payload totality failed at {i}"

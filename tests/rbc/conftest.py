@@ -8,11 +8,8 @@ from repro.crypto.signatures import Pki
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.bracha import BrachaRbc
-from repro.rbc.optimistic import OptimisticRbc
-from repro.rbc.tribe_bracha import TribeBrachaRbc
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc
-from repro.rbc.two_round import TwoRoundRbc
+from repro.rbc.bracha import BrachaRbc, OptimisticRbc, TribeBrachaRbc
+from repro.rbc.two_round import TribeTwoRoundRbc, TwoRoundRbc
 from repro.sim import Simulator
 
 

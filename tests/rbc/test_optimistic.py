@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rbc.byzantine import send_equivocating_vals, silence
-from repro.rbc.optimistic import OptimisticRbc
-from repro.rbc.tribe_bracha import TribeBrachaRbc
+from repro.rbc.bracha import OptimisticRbc, TribeBrachaRbc
 
 DELTA = 0.05
 
@@ -61,7 +60,7 @@ class TestFallback:
             module = h.modules[node]
             assert module.fast_deliveries == 0
             assert module.fallback_deliveries == 1
-            assert module.is_pessimistic(0, 1)
+            assert module.instances[(0, 1)].pessimistic
         triggers = {reason for m in h.modules[:6] for reason in m.fallbacks}
         assert "timeout" in triggers
         # Fallback happens at the timer, not before.

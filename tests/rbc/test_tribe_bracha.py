@@ -2,8 +2,8 @@
 
 
 from repro.net.adversary import TargetedDelayAdversary
+from repro.rbc.bracha import TribeBrachaRbc
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
-from repro.rbc.tribe_bracha import TribeBrachaRbc
 
 N = 10  # f = 3, quorum = 7
 CLAN = frozenset({0, 1, 2, 3, 4})  # n_c = 5, f_c = 2, clan_quorum = 3
@@ -86,14 +86,6 @@ def test_withholding_sender_triggers_pull(make_harness):
         if i not in CLAN:
             assert len(h.deliveries[i]) == 1
             assert h.deliveries[i][0].payload is None
-
-
-def test_pull_disabled_early_fetch_still_delivers(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN, early_fetch=False)
-    send_withholding_vals(h.net, 9, 1, b"secret", h.membership, receive_full=[0, 1, 2])
-    h.run()
-    for i in CLAN:
-        assert h.deliveries[i] and h.deliveries[i][0].payload == b"secret"
 
 
 def test_equivocation_never_splits_clan(make_harness):

@@ -5,9 +5,8 @@ from repro.crypto.hashing import digest as hash_of
 from repro.crypto.signatures import Signature
 from repro.net.adversary import TargetedDelayAdversary
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
-from repro.rbc.messages import EchoMsg, ValMsg
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc, echo_statement
-from repro.rbc.two_round import TwoRoundRbc
+from repro.rbc.messages import EchoMsg, ValMsg, echo_statement
+from repro.rbc.two_round import TribeTwoRoundRbc, TwoRoundRbc
 
 N = 10
 CLAN = frozenset({0, 1, 2, 3, 4})
