@@ -23,9 +23,9 @@ over round arrays instead of a per-vertex set walk:
   edges point strictly below their source, each round is finalized the
   moment it becomes the maximum — no seen-set needed.
 
-``repro.dag.reference.ReferenceDagStore`` preserves the original adjacency
-algorithms as an executable specification; the randomized equivalence suite
-holds this implementation to it bit for bit.
+``tests/dag/reference_store.py`` (``ReferenceDagStore``) preserves the original
+adjacency algorithms as an executable specification; the randomized
+equivalence suite next to it holds this implementation to it bit for bit.
 """
 
 from __future__ import annotations

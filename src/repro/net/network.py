@@ -32,6 +32,9 @@ from .message import Message, MessageArena
 
 Handler = Callable[[NodeId, Message], None]
 
+#: ``hop`` marker of a delivery re-posted after its wait in the CPU queue.
+_QUEUED = object()
+
 
 class NetworkStats:
     """Aggregate traffic counters, per node and per message kind."""
@@ -112,10 +115,10 @@ class Network:
         self.stats = NetworkStats(n)
         self._track_kinds = track_kinds
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # At full sampling every message takes the traced path (the pre-
-        # sampling behaviour).  Below 1.0 only messages stamped with a
-        # trace_ctx do; the rest keep the untraced fast path, which is what
-        # makes 1/k head sampling affordable at benchmark event rates.
+        # At full sampling every message's hops are traced (the pre-sampling
+        # behaviour).  Below 1.0 only messages stamped with a trace_ctx are;
+        # the rest carry no trace tail and emit nothing, which is what makes
+        # 1/k head sampling affordable at benchmark event rates.
         self._trace_all = self._tracer.enabled and self._tracer.sample >= 1.0
         self._handlers: list[Handler | None] = [None] * n
         self._nic_free_at = [0.0] * n
@@ -125,14 +128,14 @@ class Network:
         self._lifecycle: dict[NodeId, list[tuple]] = defaultdict(list)
         # Freeze-after-send sanitizer (REPRO_SANITIZE=1): digests messages at
         # send, re-checks at delivery.  None (the default) costs one None
-        # check per transmit/handle.
+        # check per transmit.
         self._freeze = _sanitizers.FreezeGuard() if _sanitizers.enabled() else None
         #: Per-node {message class: handler} tables (see :meth:`set_dispatch`).
         self._dispatch: list[dict | None] = [None] * n
-        # Deliveries can skip the CPU-queue/tracing/sanitizer layers entirely
-        # when none of them is configured: _deliver_fast fuses _deliver and
-        # _handle into one callback frame.
-        self._plain = cpu is None and self._freeze is None
+        # _deliver's arrival stages (CPU queue, freeze re-check, hop span)
+        # sit behind one test; this is its precomputed half, the other being
+        # whether the record carries a trace tail.
+        self._staged = cpu is not None or self._freeze is not None
         # Delivery events can be put straight into the simulator's calendar
         # slots — skipping the `post` call per delivery — when the
         # arrival time is provably never in the past (built-in non-negative
@@ -153,7 +156,7 @@ class Network:
         self._retire: list | None = None
         self._retire_seq = 0
         self._max_delay: list[float] | None = None
-        if self._plain and self._inline:
+        if self._inline and cpu is None and self._freeze is None:
             if self._latency_table is not None:
                 self._max_delay = [max(row) + 1e-9 for row in self._latency_table]
             else:
@@ -262,29 +265,29 @@ class Network:
         self._transmit(src, range(self.n), msg)
 
     def _transmit(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
-        # The benchmark-critical loop of the whole simulator: every
-        # broadcast/multicast lands here, and every iteration schedules one
-        # delivery event.  Three layers are flattened away when possible:
-        # per-destination stats increments are batched into one update at the
-        # end, the latency model's delay expression is inlined (identical
-        # float math and RNG draw order — see LatencyModel.jitter_params),
-        # and each delivery is one flat record put directly into the
-        # simulator's calendar instead of going through `sim.post`.
+        # The benchmark-critical loop of the whole simulator, and the only
+        # place a send becomes calendar events: every broadcast/multicast
+        # lands here, and every iteration schedules one delivery event.
+        # Three layers are flattened away when possible: per-destination
+        # stats increments are batched into one update at the end, the
+        # latency model's delay expression is inlined (identical float math
+        # and RNG draw order — see LatencyModel.jitter_params), and each
+        # delivery is one flat record put directly into the simulator's
+        # calendar instead of going through `sim.post`.
         if self._crashed[src]:
             return
         if self._freeze is not None:
             self._freeze.on_send(msg)
-        if self._tracer.enabled and (
-            self._trace_all or getattr(msg, "trace_ctx", None) is not None
-        ):
-            # Arrival times are identical on both paths (same inlined delay
-            # expression, same RNG draw order, same bucket structure), so
-            # routing per-message by sampling decision cannot perturb the
-            # run — RunMetrics stays bit-identical at any sample rate.
-            self._transmit_traced(src, dsts, msg)
-            return
         sim = self.sim
         now = sim.now
+        tracer = self._tracer
+        # Hop tracing is decided once per message.  It only adds a tail to the
+        # records built below; arrival times, RNG draws and insertion order
+        # are computed by the same statements either way, so RunMetrics is
+        # bit-identical at any sample rate.
+        traced = tracer.enabled and (
+            self._trace_all or getattr(msg, "trace_ctx", None) is not None
+        )
         retire = self._retire
         if retire and retire[0][0] < now:
             # Every copy of these messages has an arrival bound strictly in
@@ -295,7 +298,9 @@ class Network:
                 release(pop(retire)[2])
         size = msg.wire_size_cached()
         stats = self.stats
+        # Serialization time of one copy; 0.0 models infinite bandwidth.
         per_byte = self._bytes_per_sec
+        tx = size / per_byte if per_byte is not None else 0.0
         faults = self.faults
         n = self.n
         crow = self._latency_table[src] if self._latency_table is not None else None
@@ -307,7 +312,7 @@ class Network:
             else:
                 jadd = jdata
         delay = self.latency.delay
-        deliver = self._deliver_fast if self._plain else self._deliver
+        deliver = self._deliver
         inline = self._inline
         extra_delay = None if self._null_adversary else self.adversary.extra_delay
         if inline:
@@ -324,16 +329,22 @@ class Network:
             if dst != src:
                 if dst < 0 or dst >= n:
                     raise NetworkError(f"destination {dst} out of range (n={n})")
-                if per_byte is not None:
-                    # The NIC serializes the copy whether or not the wire then
-                    # loses it — loss happens in the network, not at the sender.
-                    clock += size / per_byte
+                if traced:
+                    nic_wait = clock - now
+                # The NIC serializes the copy whether or not the wire then
+                # loses it — loss happens in the network, not at the sender.
+                clock += tx
                 if faults is not None:
                     copies = faults.copies(src, dst, msg, now)
                     if copies > 1:
                         stats.messages_duplicated += copies - 1
                     elif copies == 0:
                         stats.messages_dropped += 1
+                        if traced:
+                            # `traced` implies tracer.enabled.
+                            tracer.counter(  # repro: allow[OBS001]
+                                "net.drop", node=src, dst=dst, kind=msg.kind(), size=size,
+                            )
             count += 1
             while copies:
                 copies -= 1
@@ -343,30 +354,47 @@ class Network:
                     # match remote deliveries.
                     arrive = now
                 else:
+                    # The one arrival-time expression.  Its association is
+                    # part of the simulation's definition (float addition
+                    # does not re-associate): clock + prop per arm, then
+                    # + extra.  `prop` is only what the hop span reports.
                     if crow is not None:
-                        arrive = clock + crow[dst]
+                        prop = crow[dst]
+                        arrive = clock + prop
                     elif jrow is not None:
-                        arrive = clock + jrow[dst] * (1.0 + rand() * jit)
+                        prop = jrow[dst] * (1.0 + rand() * jit)
+                        arrive = clock + prop
                     elif jadd is not None:
-                        arrive = clock + jadd + rand() * jit
+                        jitter = rand() * jit
+                        arrive = clock + jadd + jitter
+                        prop = jadd + jitter
                     else:
-                        arrive = clock + delay(src, dst)
+                        prop = delay(src, dst)
+                        arrive = clock + prop
                     if extra_delay is not None:
-                        arrive += extra_delay(src, dst, msg, now)
+                        extra = extra_delay(src, dst, msg, now)
+                        arrive += extra
+                        prop += extra
+                # One flat record per in-flight delivery; a traced hop's
+                # latency decomposition rides on it as a tail.
+                if traced:
+                    hop = (now, 0.0, 0.0, 0.0) if dst == src else (now, nic_wait, tx, prop)
+                    event = (deliver, src, dst, msg, size, hop)
+                else:
+                    event = (deliver, src, dst, msg, size)
                 if not inline:
-                    post(arrive, deliver, (src, dst, msg, size))
+                    post(arrive, deliver, event[1:])
                     continue
-                # One flat record per in-flight delivery, held by the calendar
-                # slot itself while it is alone at its instant: Simulator.post
-                # without the call.
+                # Simulator.post without the call: the calendar slot holds
+                # the record itself while it is alone at its instant.
                 slot = buckets.get(arrive)
                 if slot is None:
-                    buckets[arrive] = (deliver, src, dst, msg, size)
+                    buckets[arrive] = event
                     push(times, arrive)
                 elif slot.__class__ is list:
-                    slot.append((deliver, src, dst, msg, size))
+                    slot.append(event)
                 else:
-                    buckets[arrive] = [slot, (deliver, src, dst, msg, size)]
+                    buckets[arrive] = [slot, event]
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count
@@ -384,150 +412,60 @@ class Network:
                 )
         self._nic_free_at[src] = clock
 
-    def _transmit_traced(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
-        """Tracing twin of :meth:`_transmit`.
+    def _deliver(
+        self, src: NodeId, dst: NodeId, msg: Message, size: int, hop=None
+    ) -> None:
+        """Turn an arrival into a handler call — the only place that happens.
 
-        Identical delivery semantics, but each hop carries a metadata tuple
-        ``(sent_at, nic_wait, tx, prop)`` so :meth:`_deliver` can emit the
-        full per-hop latency decomposition of the module docstring:
-        NIC-queue wait → serialization → propagation → CPU-queue wait → CPU.
-        """
-        sim = self.sim
-        now = sim.now
-        size = msg.wire_size_cached()
-        stats = self.stats
-        if self._track_kinds:
-            kind = msg.kind()
-        per_byte = self._bytes_per_sec
-        faults = self.faults
-        nic_free = self._nic_free_at[src]
-        clock = now if now > nic_free else nic_free
-        for dst in dsts:
-            if not 0 <= dst < self.n:
-                raise NetworkError(f"destination {dst} out of range (n={self.n})")
-            stats.bytes_sent[src] += size
-            stats.messages_sent[src] += 1
-            if self._track_kinds:
-                stats.bytes_by_kind[kind] += size
-                stats.messages_by_kind[kind] += 1
-            if dst == src:
-                sim.post(now, self._deliver, (src, dst, msg, size, (now, 0.0, 0.0, 0.0)))
-                continue
-            nic_wait = clock - now
-            tx = 0.0
-            if per_byte is not None:
-                tx = size / per_byte
-                clock += tx
-            copies = 1 if faults is None else faults.copies(src, dst, msg, now)
-            if copies == 0:
-                stats.messages_dropped += 1
-                self._tracer.counter(  # repro: allow[OBS001] — traced dispatch only
-                    "net.drop", node=src, dst=dst, kind=msg.kind(), size=size,
-                )
-                continue
-            if copies > 1:
-                stats.messages_duplicated += copies - 1
-            for _ in range(copies):
-                prop = self.latency.delay(src, dst)
-                prop += self.adversary.extra_delay(src, dst, msg, now)
-                arrive = clock + prop
-                sim.post(
-                    arrive, self._deliver, (src, dst, msg, size, (now, nic_wait, tx, prop))
-                )
-        self._nic_free_at[src] = clock
-
-    def _deliver_fast(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
-        """Fused :meth:`_deliver` + :meth:`_handle` for the plain path.
-
-        Used when no CPU model, no freeze sanitizer, and no tracer can
-        intervene between arrival and handling — one callback frame per
-        delivery instead of two.  Nodes that installed a dispatch table
-        (:meth:`set_dispatch`) additionally skip their catch-all handler's
-        isinstance chain.  Semantics match the slow pair exactly: crashed
-        destinations drop silently, and a node with no handler receives
-        nothing (no stats recorded).
+        ``hop`` is the record's trace tail ``(sent_at, nic_wait, tx, prop)``,
+        None on untraced records, or ``_QUEUED`` when this is the second
+        visit of a delivery that waited in the destination's CPU queue.
+        Crashed destinations drop silently, and a node with no handler
+        receives nothing (no stats recorded).  Nodes that installed a
+        dispatch table (:meth:`set_dispatch`) skip their catch-all handler's
+        isinstance chain.
         """
         if self._crashed[dst]:
             return
         table = self._dispatch[dst]
-        if table is not None:
-            fn = table.get(msg.__class__)
-            if fn is not None:
-                self.stats.bytes_received[dst] += size
-                fn(src, msg)
-                return
-        handler = self._handlers[dst]
+        handler = table.get(msg.__class__) if table is not None else None
         if handler is None:
-            return
+            handler = self._handlers[dst]
+            if handler is None:
+                return
+        if hop is not None or self._staged:
+            if hop is not _QUEUED:
+                # Arrival: module docstring's receive queue, then the span
+                # closing the hop's NIC-queue wait → serialization →
+                # propagation → CPU-queue wait → CPU decomposition.
+                cpu_wait = cost = 0.0
+                done = None
+                if self.cpu is not None:
+                    cost = self.cpu.cost(msg)
+                    if cost > 0.0:
+                        now = self.sim.now
+                        start = self._cpu_free_at[dst]
+                        if start < now:
+                            start = now
+                        cpu_wait = start - now
+                        done = start + cost
+                        self._cpu_free_at[dst] = done
+                if hop is not None:
+                    sent_at, nic_wait, tx, prop = hop
+                    span = dict(
+                        end=done if done is not None else self.sim.now,
+                        node=dst, src=src, kind=msg.kind(), size=size,
+                        nic_wait=nic_wait, tx=tx, prop=prop, cpu_wait=cpu_wait, cpu=cost,
+                    )
+                    ctx = getattr(msg, "trace_ctx", None)
+                    if ctx is not None:
+                        self._tracer.ctx_span("net.hop", sent_at, ctx, **span)
+                    else:
+                        self._tracer.span("net.hop", sent_at, **span)
+                if done is not None:
+                    self.sim.post(done, self._deliver, (src, dst, msg, size, _QUEUED))
+                    return
+            if self._freeze is not None:
+                self._freeze.on_deliver(msg)
         self.stats.bytes_received[dst] += size
         handler(src, msg)
-
-    def _deliver(
-        self, src: NodeId, dst: NodeId, msg: Message, size: int, meta: tuple | None = None
-    ) -> None:
-        if self._crashed[dst]:
-            return
-        handler = self._handlers[dst]
-        if handler is None:
-            return
-        cpu_wait = 0.0
-        cost = 0.0
-        done = None
-        if self.cpu is not None:
-            cost = self.cpu.cost(msg)
-            if cost > 0.0:
-                now = self.sim.now
-                start = self._cpu_free_at[dst]
-                if start < now:
-                    start = now
-                cpu_wait = start - now
-                done = start + cost
-                self._cpu_free_at[dst] = done
-        if meta is not None and self._tracer.enabled:
-            sent_at, nic_wait, tx, prop = meta
-            ctx = getattr(msg, "trace_ctx", None)
-            if ctx is not None:
-                self._tracer.ctx_span(
-                    "net.hop",
-                    start=sent_at,
-                    ctx=ctx,
-                    end=done if done is not None else self.sim.now,
-                    node=dst,
-                    src=src,
-                    kind=msg.kind(),
-                    size=size,
-                    nic_wait=nic_wait,
-                    tx=tx,
-                    prop=prop,
-                    cpu_wait=cpu_wait,
-                    cpu=cost,
-                )
-            else:
-                self._tracer.span(
-                    "net.hop",
-                    start=sent_at,
-                    end=done if done is not None else self.sim.now,
-                    node=dst,
-                    src=src,
-                    kind=msg.kind(),
-                    size=size,
-                    nic_wait=nic_wait,
-                    tx=tx,
-                    prop=prop,
-                    cpu_wait=cpu_wait,
-                    cpu=cost,
-                )
-        if done is not None:
-            self.sim.post(done, self._handle, (src, dst, msg, size))
-            return
-        self._handle(src, dst, msg, size)
-
-    def _handle(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
-        if self._crashed[dst]:
-            return
-        if self._freeze is not None:
-            self._freeze.on_deliver(msg)
-        self.stats.bytes_received[dst] += size
-        handler = self._handlers[dst]
-        if handler is not None:
-            handler(src, msg)

@@ -135,10 +135,10 @@ class Tracer:
         sample: head-sampling rate for causal traces, 0..1.  ``1.0`` (the
             default) traces everything — the pre-sampling behaviour; at
             ``1/k`` only txns/blocks whose identity hash lands under the rate
-            get a trace context, and un-sampled traffic stays on the
-            network's untraced fast path.  Sampling decisions are a pure
-            function of protocol identity (:func:`~repro.obs.ctx.sample_hit`),
-            never of run interleaving.
+            get a trace context, and un-sampled traffic carries no trace
+            tail through the network and emits no hop spans.  Sampling
+            decisions are a pure function of protocol identity
+            (:func:`~repro.obs.ctx.sample_hit`), never of run interleaving.
     """
 
     enabled = True

@@ -1,22 +1,22 @@
 """Reference DAG store: the original tuple-adjacency algorithms.
 
 This is the pre-bitmap implementation of :class:`~repro.dag.store.DagStore`,
-kept as an executable specification.  ``tests/dag/test_bitmap_equivalence.py``
-drives randomized DAGs (gaps, weak edges, GC frontiers) through both stores
+kept as an executable specification.  ``test_bitmap_equivalence.py`` next to
+it drives randomized DAGs (gaps, weak edges, GC frontiers) through both stores
 and asserts identical ``causal_history`` / ``strong_path_exists`` / ordering
 answers — the bitmap store in :mod:`repro.dag.store` must never diverge from
 these set/BFS/DFS semantics, only outrun them.
 
-Not used on any runtime path.
+A test oracle: it lives under ``tests/`` and no runtime path imports it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 
-from ..errors import DagError
-from ..types import GENESIS_ROUND, NodeId, Round
-from .vertex import Vertex, VertexRef, genesis_vertex
+from repro.dag.vertex import Vertex, VertexRef, genesis_vertex
+from repro.errors import DagError
+from repro.types import GENESIS_ROUND, NodeId, Round
 
 Key = tuple[Round, NodeId]
 

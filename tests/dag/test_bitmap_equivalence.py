@@ -1,7 +1,7 @@
 """Bitmap store vs. reference adjacency store: randomized equivalence.
 
 The bitmap-backed :class:`repro.dag.store.DagStore` must be observationally
-identical to :class:`repro.dag.reference.ReferenceDagStore` — the retained
+identical to :class:`tests.dag.reference_store.ReferenceDagStore` — the retained
 copy of the original set/BFS/DFS algorithms — across random layered DAGs
 with round gaps, weak edges, out-of-order insertion, pruned (stop-set)
 history walks, and GC-frontier pruning of the reachability cache.
@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dag import DagStore, OrderingEngine, Vertex, genesis_vertex
-from repro.dag.reference import ReferenceDagStore
 from repro.types import max_faults
+
+from .reference_store import ReferenceDagStore
 
 
 @st.composite

@@ -1,20 +1,23 @@
-"""The network/scheduler fast paths must be pure optimizations.
+"""The network's delivery shortcuts must be pure optimizations.
 
-The hot delivery pipeline has four layered shortcuts — fused delivery
-(``_deliver_fast``), per-class dispatch tables, inline calendar-slot
-insertion, and the message arena — each gated by eligibility flags computed
-in ``Network.__init__``.  These tests switch the shortcuts off, all at once
-and through each configuration that disables them for real, and assert the
-resulting :class:`RunMetrics` are **bit-identical** to the default run: the
-fast paths may change how events are scheduled and objects allocated, never
-what the simulation computes.  Every producer of calendar events
-(``_transmit`` inline, ``_transmit`` via ``post``, ``_transmit_traced``,
-``_deliver`` → ``_handle``) is on one side of some comparison.
+``Network`` has one pipeline — ``_transmit`` turns a send into calendar
+events, ``_deliver`` turns an arrival into a handler call — with three
+shortcuts on it, each gated by eligibility computed in ``Network.__init__``
+or installed by the node: per-class dispatch tables (``set_dispatch``),
+inline calendar-slot insertion instead of ``Simulator.post``, and the message
+arena.  These tests switch the shortcuts off, all at once and through each
+configuration that disables them for real, and assert the resulting
+:class:`RunMetrics` are **bit-identical** to the default run: a shortcut may
+change how events are scheduled and objects allocated, never what the
+simulation computes.  Both insertion producers (inline, ``post``), both
+record shapes (bare, with a trace tail — alone and interleaved) and both
+``_deliver`` visits (arrival, CPU-queue re-entry) are on one side of some
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 import pytest
@@ -63,37 +66,51 @@ def _patched_network(mp: pytest.MonkeyPatch, before=None, after=None) -> None:
 
 
 def _all_shortcuts_off(net) -> None:
-    net._plain = False
+    net.set_dispatch = None  # nodes probe for it: every message via the catch-all
     net._inline = False
     net.arena = None
     net._retire = None
 
 
+#: Receive-side cost for the ``cpu`` variant: every delivery visits
+#: ``_deliver`` twice, with the CPU queue fed by the inline producer on one
+#: side and by ``post`` on the other.
+CPU_PER_MESSAGE = 2e-5
+
+
 @lru_cache(maxsize=None)
-def _inline_run(index: int) -> dict:
-    return asdict(_simulate(CONFIGS[index]))
+def _inline_run(index: int, cpu_per_message: float = 0.0) -> dict:
+    return asdict(_simulate(replace(CONFIGS[index], cpu_per_message=cpu_per_message)))
 
 
 @pytest.mark.parametrize("index", range(len(CONFIGS)))
-@pytest.mark.parametrize("variant", ["all-off", "tie-audit", "adversary", "traced"])
+@pytest.mark.parametrize(
+    "variant", ["all-off", "tie-audit", "adversary", "traced", "sampled", "cpu"]
+)
 def test_non_inline_producers_match_inline_run(index, variant):
-    """Explicit A/B: the default (inline) run vs one slow-path variant."""
+    """Explicit A/B: the default (inline) run vs one variant."""
     config = CONFIGS[index]
-    fast = _inline_run(index)
+    if variant == "cpu":
+        config = replace(config, cpu_per_message=CPU_PER_MESSAGE)
+    fast = _inline_run(index, config.cpu_per_message)
     tracer = None
     with pytest.MonkeyPatch.context() as mp:
-        if variant == "all-off":
+        if variant in ("all-off", "cpu"):
             _patched_network(mp, after=_all_shortcuts_off)
         elif variant == "tie-audit":
             # Sanitizers on: every insertion goes through `post` (the tie
-            # auditor observes it) and deliveries through _deliver/_handle.
+            # auditor observes it) and every delivery through the freeze
+            # re-check stage.
             mp.setenv("REPRO_SANITIZE", "1")
         elif variant == "adversary":
             _patched_network(
                 mp, before=lambda kw: kw.update(adversary=_ZeroDelayAdversary())
             )
+        elif variant == "traced":
+            tracer = Tracer(sample=1.0)  # every record carries a trace tail
         else:
-            tracer = Tracer(sample=1.0)  # every message via _transmit_traced
+            # Traced and untraced records interleaved inside one loop.
+            tracer = Tracer(sample=1 / 4)
         slow = asdict(_simulate(config, tracer=tracer))
     assert fast == slow, f"{variant} diverged from the inline run ({config.protocol})"
 

@@ -8,6 +8,7 @@ from repro.net.cpu import CpuModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.latency import UniformLatencyModel
+from repro.obs import Tracer
 from repro.sim import Simulator
 
 
@@ -201,3 +202,75 @@ def test_cpu_model_signature_cost():
 def test_cpu_model_per_byte_cost():
     cpu = CpuModel(per_byte=0.001)
     assert cpu.cost(Blob(size=100)) == pytest.approx(0.1)
+
+
+# -- Network.set_dispatch: one table, consulted on every delivery path ---------
+
+
+class Other(Blob):
+    """A class the dispatch tables below do not list (keys are exact classes)."""
+
+    __slots__ = ()
+
+
+@pytest.fixture(params=["plain", "cpu", "traced", "sanitized"])
+def dispatch_net(request, monkeypatch):
+    """A 3-node network per delivery configuration: node 1 has a catch-all
+    handler plus a table for ``Blob``; calls land in ``calls``."""
+    kwargs = {}
+    if request.param == "cpu":
+        kwargs["cpu"] = CpuModel(per_message=1e-4)
+    elif request.param == "traced":
+        kwargs["tracer"] = Tracer(sample=1.0)
+    elif request.param == "sanitized":
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sim = Simulator()
+    net = Network(sim, 3, latency=UniformLatencyModel(0.05), **kwargs)
+    if request.param == "sanitized":
+        assert net.freeze_guard is not None
+    calls = []
+    net.register(1, lambda src, msg: calls.append(("catch-all", src, type(msg))))
+    net.set_dispatch(1, {Blob: lambda src, msg: calls.append(("table", src, type(msg)))})
+    return sim, net, calls
+
+
+def test_dispatch_table_handler_replaces_catch_all(dispatch_net):
+    sim, net, calls = dispatch_net
+    net.send(0, 1, Blob(size=70))
+    sim.run()
+    assert calls == [("table", 0, Blob)]
+    assert net.stats.bytes_received[1] == 70
+
+
+def test_class_missing_from_dispatch_table_falls_back(dispatch_net):
+    sim, net, calls = dispatch_net
+    net.send(0, 1, Other(size=30))  # a subclass of a listed class is not listed
+    net.send(2, 1, Blob(size=40))
+    sim.run()
+    assert sorted(calls) == [("catch-all", 0, Other), ("table", 2, Blob)]
+    assert net.stats.bytes_received[1] == 70
+
+
+def test_reregister_clears_dispatch_table(dispatch_net):
+    sim, net, calls = dispatch_net
+    net.register(1, lambda src, msg: calls.append(("second", src, type(msg))))
+    net.send(0, 1, Blob())
+    sim.run()
+    assert calls == [("second", 0, Blob)]
+
+
+def test_dispatch_to_crashed_destination_is_dropped(dispatch_net):
+    sim, net, calls = dispatch_net
+    net.send(0, 1, Blob())
+    net.send(0, 1, Other())
+    sim.schedule(0.01, net.crash, 1)  # both copies already in flight
+    sim.run()
+    assert calls == []
+    assert net.stats.bytes_received[1] == 0
+
+
+def test_set_dispatch_rejects_unknown_node():
+    _, net, _ = make_net(n=2)
+    for node_id in (-1, 2):
+        with pytest.raises(NetworkError):
+            net.set_dispatch(node_id, {})
