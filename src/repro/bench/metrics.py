@@ -39,6 +39,10 @@ class RunMetrics:
     #: Simulator events executed during the run — the deterministic
     #: denominator of the events/sec core-speed metric (scripts/bench_smoke).
     sim_events: int = 0
+    #: Calendar epochs the scheduler sorted (``Simulator.epochs_turned``);
+    #: ``sim_events / sim_epochs`` is the occupancy ``EPOCHS_PER_S`` is sized
+    #: for.  A property of the scheduler, not of the simulated system.
+    sim_epochs: int = 0
     #: Per-message-kind traffic; empty unless the run tracked kinds
     #: (``Network(track_kinds=True)`` / ``ExperimentConfig.track_kinds``).
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
@@ -127,6 +131,7 @@ def measure_run(
         total_bytes=deployment.network.stats.total_bytes,
         total_messages=deployment.network.stats.total_messages,
         sim_events=deployment.sim.processed_events,
+        sim_epochs=deployment.sim.epochs_turned,
         bytes_by_kind=bytes_by_kind,
         messages_by_kind=messages_by_kind,
     )

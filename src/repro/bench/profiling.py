@@ -212,12 +212,16 @@ def format_profile_report(report: ProfileReport) -> str:
                     "wall_s": round(report.wall_s, 3),
                     "sim_events": report.sim_events,
                     "events/sec": f"{report.events_per_sec:,.0f}",
+                    "epochs": report.metrics.sim_epochs,
+                    "events/epoch": round(
+                        report.sim_events / max(1, report.metrics.sim_epochs), 1
+                    ),
                     "throughput_ktps": round(report.metrics.throughput_tps / 1e3, 2),
                     "rounds": report.metrics.rounds,
                 }
             ],
-            "Profiled run (events/sec = host core speed; simulated metrics must "
-            "not move under optimization)",
+            "Profiled run (events/sec = host core speed; events/epoch = calendar "
+            "occupancy; simulated metrics must not move under optimization)",
         ),
         format_table(report.hot, f"Hot functions (top {len(report.hot)} by own time)"),
         format_table(

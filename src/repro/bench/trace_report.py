@@ -217,6 +217,7 @@ def sim_table(records: Iterable[Any]) -> list[dict[str, Any]]:
             {
                 "sim_window_s": round(float(row["end"]) - float(row["start"]), 3),
                 "events": attrs.get("events"),
+                "epochs": attrs.get("epochs"),
                 "wall_s": attrs.get("wall_s"),
                 "wall_per_sim_s": attrs.get("wall_per_sim_s"),
                 "events/wall_s": attrs.get("events_per_wall_s"),

@@ -136,11 +136,11 @@ class Network:
         # sit behind one test; this is its precomputed half, the other being
         # whether the record carries a trace tail.
         self._staged = cpu is not None or self._freeze is not None
-        # Delivery events can be put straight into the simulator's calendar
-        # slots — skipping the `post` call per delivery — when the
-        # arrival time is provably never in the past (built-in non-negative
-        # latency models, no adversarial extra delay) and the tie-order
-        # auditor doesn't need to observe insertions.
+        # Delivery records can be handed straight to the simulator's
+        # insertion routine — skipping `post`'s checks per delivery — when
+        # the arrival time is provably never in the past (built-in
+        # non-negative latency models, no adversarial extra delay) and the
+        # tie-order auditor doesn't need to observe insertions.
         self._inline = (
             self._null_adversary
             and sim.tie_audit is None
@@ -272,8 +272,9 @@ class Network:
         # stats increments are batched into one update at the end, the
         # latency model's delay expression is inlined (identical float math
         # and RNG draw order — see LatencyModel.jitter_params), and each
-        # delivery is one flat record put directly into the simulator's
-        # calendar instead of going through `sim.post`.
+        # delivery is one flat record `(arrive, deliver, src, dst, msg, size)`
+        # handed straight to the simulator's insertion routine instead of
+        # going through `sim.post`.
         if self._crashed[src]:
             return
         if self._freeze is not None:
@@ -313,14 +314,11 @@ class Network:
                 jadd = jdata
         delay = self.latency.delay
         deliver = self._deliver
-        inline = self._inline
         extra_delay = None if self._null_adversary else self.adversary.extra_delay
-        if inline:
-            buckets = sim._buckets
-            times = sim._times
-            push = heapq.heappush
-        else:
-            post = sim.post
+        # An inline network (see __init__) has proved that its arrivals are
+        # never in the past and that no tie auditor listens — all `post`
+        # adds to the simulator's insertion routine.
+        insert = sim._insert if self._inline else None
         nic_free = self._nic_free_at[src]
         clock = now if now > nic_free else nic_free
         count = 0
@@ -379,22 +377,13 @@ class Network:
                 # latency decomposition rides on it as a tail.
                 if traced:
                     hop = (now, 0.0, 0.0, 0.0) if dst == src else (now, nic_wait, tx, prop)
-                    event = (deliver, src, dst, msg, size, hop)
+                    event = (arrive, deliver, src, dst, msg, size, hop)
                 else:
-                    event = (deliver, src, dst, msg, size)
-                if not inline:
-                    post(arrive, deliver, event[1:])
-                    continue
-                # Simulator.post without the call: the calendar slot holds
-                # the record itself while it is alone at its instant.
-                slot = buckets.get(arrive)
-                if slot is None:
-                    buckets[arrive] = event
-                    push(times, arrive)
-                elif slot.__class__ is list:
-                    slot.append(event)
+                    event = (arrive, deliver, src, dst, msg, size)
+                if insert is not None:
+                    insert(event)
                 else:
-                    buckets[arrive] = [slot, event]
+                    sim.post(arrive, deliver, event[2:])
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count

@@ -1,39 +1,62 @@
-"""Deterministic discrete-event scheduler (calendar queue, one object per event).
+"""Deterministic discrete-event scheduler: a lazily sorted epoch calendar.
 
-A dict maps each distinct simulated time to its *slot* and a binary heap of
-plain floats orders the timestamps themselves, so the heap compares raw
-floats instead of ``[time, seq, ...]`` lists.  An event is a single object:
+**An event** is one sequence ``(when, fn, *args)`` — field 0 the instant it
+fires — run as ``ev[1](*ev[2:])``:
 
-* ``post`` (and the network's inline producer) queues one flat tuple
-  ``(fn, *args)``, invoked as ``ev[0](*ev[1:])`` — no handle, no cancellation;
-* ``schedule_at`` queues the :class:`EventHandle` it returns, which carries
-  ``fn``/``args`` itself; ``cancel()`` clears them in place.
+* ``post`` (and the network's producer) queues a flat tuple — no handle, no
+  cancellation; a traced delivery's ``hop`` tuple rides last, as the
+  callback's final argument;
+* ``schedule_at`` queues and returns an :class:`EventHandle`, a ``list`` of
+  the same shape; ``cancel()`` clears ``fn`` in place and the run loop skips
+  the entry.
 
-A slot holds the event itself while it is alone at its timestamp (jittered
-links make nearly every timestamp unique) and is promoted to a plain ``list``
-of events on the second insertion at that instant; a list is dispatched as one
-batch — a single heap pop + dict pop — so multicast bursts that land together
-(loopback deliveries, jitter-free links) bypass the heap.  The cyclic collector
-traces every queued container on each pass it survives, and an event lives
-~100k events before it fires; one tracked object per in-flight event instead of
-three (slot list, entry, argument tuple) is what keeps the collector off the
-hot path — see docs/PERFORMANCE.md.
+Either way a pending event is one GC-tracked object (docs/PERFORMANCE.md,
+"One object per in-flight event").
 
-Determinism is preserved without a sequence counter: within a slot events
-run in insertion order, which is exactly the order the old monotonically
-increasing tie-breaker produced (promotion puts the first event first).
-Events scheduled *at the current instant* from inside a callback go into a
-fresh slot that is drained immediately after the active one — again matching
-the old heap's behaviour, where such events carried higher sequence numbers
-than everything already queued.
+**The calendar** buckets events by time and orders a bucket only when the
+clock reaches it (Brown's calendar queue, CACM 1988, with one sort per
+bucket instead of one heap operation per event).  Simulated time is cut into
+epochs of ``1 / EPOCHS_PER_S`` seconds.  Inserting is ``k = int(when *
+EPOCHS_PER_S)`` and an append to the unsorted list ``_epochs[k]``; the first
+event of an epoch also pushes ``k`` on a small heap of ints.  The run loop
+takes the earliest occupied epoch, sorts it once by field 0 and walks it with
+a cursor.  An event that falls into the epoch being walked (loopback
+deliveries at ``now``, sub-millisecond links) is placed with
+``bisect.insort``.  Per event that is O(1) plus its share of one sort of a
+few hundred floats, where a heap of every pending timestamp paid a
+log-n, cache-missing sift over ~44k entries at n=40 (docs/PERFORMANCE.md,
+"Sixth round").
 
-The hot path (``post`` + ``run``) is deliberately lean — benchmark runs push
-millions of message-delivery events through it.  Tracing adds no per-event
-work: the run loop is wrapped (not instrumented inside), and the per-run
-``sim.run`` span carries event counts and wall-clock per simulated second.
+**Insertion order needs no counter.**  ``list.sort`` is stable and ``insort``
+bisects right, so two events at one instant fire in the order they were
+inserted — exactly the ``(time, seq)`` order of a textbook event heap,
+with nothing to maintain.  tests/sim/test_scheduler_properties.py holds the
+calendar equal to that heap on generated programs.
 
-Cancelled events stay in their slot (O(1) cancellation) but are *compacted*
-away once they dominate: timer-heavy workloads (one leader timer per node per
+Three rules keep it that way:
+
+1. The loop never sorts an epoch later than the one ``until`` falls in; it
+   returns with ``now = until`` instead.  So the epoch being walked is never
+   ahead of the clock, and events inserted between two ``run(until=...)``
+   calls while only a far timer is pending land in O(1) appends, not in
+   ``insort``s into that timer's sorted epoch.
+2. ``EPOCHS_PER_S`` is a module constant and a power of two: the product
+   ``when * EPOCHS_PER_S`` is then exact, so ``when -> k`` is monotone and an
+   event can never land in an epoch earlier than one holding an earlier
+   event.  Swept across 64x (docs/PERFORMANCE.md): 1024 reads best on both
+   the densest and the sparsest benchmark workload (~600 and ~20 events per
+   epoch), so no caller needs another value and it is not a constructor
+   argument.
+3. ``pending_events``, ``cancelled_pending`` and ``_compact`` are exact from
+   inside a callback: the cursor is stored before each event runs, so they
+   see precisely the entries not yet consumed.
+
+Tracing adds no per-event work: the run loop is wrapped (not instrumented
+inside), and the per-run ``sim.run`` span carries event and epoch counts and
+wall-clock per simulated second.
+
+Cancelled events stay queued (O(1) cancellation) but are *compacted* away
+once they dominate: timer-heavy workloads (one leader timer per node per
 round, almost always cancelled) would otherwise pay a per-dead-entry skip in
 the run loop and hold the dead args alive.
 """
@@ -42,6 +65,8 @@ from __future__ import annotations
 
 import heapq
 import time as _time
+from bisect import insort
+from operator import itemgetter
 from typing import Any, Callable
 
 from ..analysis import sanitizers as _sanitizers
@@ -51,47 +76,56 @@ from ..obs.tracer import NULL_TRACER
 
 _INF = float("inf")
 
+#: Epochs per simulated second (rule 2 of the module docstring).  At 1024 an
+#: epoch holds ~600 events on the n=40 benchmark workload and ~20 on n=12.
+EPOCHS_PER_S = 1024
 
-def _is_live(event) -> bool:
-    """Flat tuples cannot be cancelled; a handle is dead once ``fn`` is cleared."""
-    return event.__class__ is tuple or event.fn is not None
+_when = itemgetter(0)
 
 
-class EventHandle:
+class EventHandle(list):
     """A cancellable scheduled event; the handle *is* the queued entry.
 
-    Cancellation is O(1): the handle stays in its slot but its callback is
-    cleared, and the run loop skips it.  The owning simulator counts
-    cancellations so it can compact the calendar when dead entries dominate.
+    It is the list ``[when, fn, *args]`` — a ``list`` so that the calendar
+    reads its instant as ``entry[0]`` exactly as it does a delivery tuple's,
+    and so that a pending timer is one GC-tracked object, not a handle plus
+    the entry that reaches it (docs/PERFORMANCE.md, "Sixth round": a second
+    object per timer cost ``smr_lossy`` +0.45 s of collector time in 8 s).
+    Use only ``time``, ``cancelled`` and ``cancel()``.
+
+    Cancellation is O(1): the entry stays queued but its callback is cleared
+    and its arguments dropped, and the run loop skips it.  The owning
+    simulator counts cancellations so it can compact the calendar when dead
+    entries dominate; a handle that has fired detaches from it, so a late
+    ``cancel()`` counts nothing.
     """
 
-    __slots__ = ("_when", "fn", "args", "_sim")
+    #: The owning simulator until the event fires, then None.
+    __slots__ = ("_sim",)
 
-    def __init__(
-        self, when: float, fn: Callable[..., Any], args: tuple, sim: "Simulator | None" = None
-    ) -> None:
-        self._when = when
-        self.fn = fn
-        self.args = args
-        self._sim = sim
+    # A handle names one scheduled event: it compares and hashes by identity,
+    # like any object, not by list contents.
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def time(self) -> float:
         """Simulated time at which the event fires (or would have fired)."""
-        return self._when
+        return self[0]
 
     @property
     def cancelled(self) -> bool:
-        return self.fn is None
+        """Whether the event was cancelled before it fired."""
+        return self[1] is None
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self.fn is None:
+        """Prevent the event from firing.  Idempotent; no-op once fired."""
+        sim = self._sim
+        if sim is None or self[1] is None:
             return
-        self.fn = None
-        self.args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self[1:] = (None,)
+        sim._note_cancelled()
 
 
 class Simulator:
@@ -103,7 +137,7 @@ class Simulator:
             wall-clock attribution.  Disabled cost: one attribute check per
             ``run()`` call (never per event).
         compact_threshold: once at least this many cancelled entries are
-            pending *and* they make up half the calendar, the slots are
+            pending *and* they make up half the calendar, the epochs are
             rebuilt without them.
 
     >>> sim = Simulator()
@@ -119,8 +153,12 @@ class Simulator:
 
     __slots__ = (
         "_now",
-        "_times",
-        "_buckets",
+        "_epochs",
+        "_occupied",
+        "_run",
+        "_run_epoch",
+        "_cursor",
+        "_epochs_turned",
         "_compact_check",
         "_stopped",
         "_processed",
@@ -133,20 +171,24 @@ class Simulator:
 
     def __init__(self, tracer=None, compact_threshold: int = 1024) -> None:
         self._now = 0.0
-        #: Min-heap of distinct timestamps; exactly one heap entry per slot.
-        self._times: list[float] = []
-        #: timestamp -> slot: the event itself while it is alone at that
-        #: instant, else a ``list`` of events in insertion order.  An event is
-        #: a flat ``(fn, *args)`` tuple (``post``, network deliveries) or a
-        #: cancellable :class:`EventHandle` (``schedule_at``).
-        self._buckets: dict[float, Any] = {}
+        #: epoch number -> its events, unsorted, in insertion order.
+        self._epochs: dict[int, list[tuple]] = {}
+        #: Min-heap of the keys of ``_epochs``: one entry per occupied epoch.
+        self._occupied: list[int] = []
+        #: The epoch being walked, sorted by instant; ``_run[:_cursor]`` is
+        #: consumed, and ``_run_epoch`` is its number (never ahead of
+        #: ``now``'s epoch — rule 1 of the module docstring).
+        self._run: list[tuple] = []
+        self._run_epoch = -1
+        self._cursor = 0
+        self._epochs_turned = 0
         self._stopped = False
         self._processed = 0
         self._cancelled = 0
         self._compact_threshold = compact_threshold
         # Next _cancelled value at which the compaction heuristic re-checks;
         # doubled on every failed check so counting pending entries (an
-        # O(slots) sum — there is deliberately no per-insert counter on the
+        # O(epochs) sum — there is deliberately no per-insert counter on the
         # hot path) stays amortized O(1) per cancellation.
         self._compact_check = compact_threshold
         self._compactions = 0
@@ -186,19 +228,23 @@ class Simulator:
         Computed on demand: the insertion path deliberately maintains no
         counter (millions of inserts per run, rare reads of this property).
         """
-        return sum(
-            len(slot) if slot.__class__ is list else 1 for slot in self._buckets.values()
-        )
+        return sum(map(len, self._epochs.values())) + len(self._run) - self._cursor
 
     @property
     def cancelled_pending(self) -> int:
-        """Cancelled entries still occupying their slots."""
+        """Cancelled entries still queued."""
         return self._cancelled
 
     @property
     def compactions(self) -> int:
         """Times the calendar was rebuilt to shed cancelled entries."""
         return self._compactions
+
+    @property
+    def epochs_turned(self) -> int:
+        """Epochs sorted and walked so far; ``processed_events`` over this is
+        the occupancy ``EPOCHS_PER_S`` was sized for."""
+        return self._epochs_turned
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -208,89 +254,94 @@ class Simulator:
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={when} before current time t={self._now}"
-            )
-        event = EventHandle(when, fn, args, self)
-        slot = self._buckets.get(when)
-        if slot is None:
-            self._buckets[when] = event
-            heapq.heappush(self._times, when)
-        elif slot.__class__ is list:
-            slot.append(event)
-        else:
-            self._buckets[when] = [slot, event]
+        if not self._now <= when < _INF:  # NaN fails both comparisons
+            raise self._refused(when)
+        handle = EventHandle((when, fn, *args))
+        handle._sim = self
+        self._insert(handle)
         if self._audit is not None:
             self._audit.note(when, fn)
-        return event
+        return handle
 
     def post(self, when: float, fn: Callable[..., Any], args: tuple) -> None:
         """Hot-path variant of :meth:`schedule_at`: no handle, no cancellation.
 
         Used by the network for message deliveries (millions per run): the
-        queued event is the one flat tuple ``(fn, *args)``.
+        queued event is the one flat tuple ``(when, fn, *args)``.
         """
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={when} before current time t={self._now}"
-            )
-        slot = self._buckets.get(when)
-        if slot is None:
-            self._buckets[when] = (fn, *args)
-            heapq.heappush(self._times, when)
-        elif slot.__class__ is list:
-            slot.append((fn, *args))
-        else:
-            self._buckets[when] = [slot, (fn, *args)]
+        if not self._now <= when < _INF:  # NaN fails both comparisons
+            raise self._refused(when)
+        self._insert((when, fn, *args))
         if self._audit is not None:
             self._audit.note(when, fn)
+
+    def _refused(self, when: float) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule at t={when}: not a finite time at or after t={self._now}"
+        )
+
+    def _insert(self, event: "tuple | EventHandle") -> None:
+        """Queue ``event`` at the finite instant ``event[0] >= now``.
+
+        The one place an event enters the calendar.  Everything after the
+        epoch being walked is an append to an unsorted list; an event inside
+        that epoch is bisected into the sorted run — to the right of every
+        entry at or before its instant, the consumed ones (``<= now``) included.
+        """
+        k = int(event[0] * EPOCHS_PER_S)
+        if k > self._run_epoch:
+            epoch = self._epochs.get(k)
+            if epoch is None:
+                self._epochs[k] = [event]
+                heapq.heappush(self._occupied, k)
+            else:
+                epoch.append(event)
+        else:
+            insort(self._run, event, key=_when)
 
     def stop(self) -> None:
         """Make :meth:`run` return after the current event finishes."""
         self._stopped = True
 
     def _note_cancelled(self) -> None:
-        """Called by :class:`EventHandle` when an entry is cancelled."""
+        """Called by :class:`EventHandle` when a pending entry is cancelled."""
         self._cancelled += 1
         if self._cancelled < self._compact_check:
             return
         # Compact once dead entries make up at least half the calendar;
         # otherwise double the re-check point so the pending count (an
-        # O(slots) sum) is amortized O(1) per cancellation.
+        # O(epochs) sum) is amortized O(1) per cancellation.
         if self._cancelled * 2 >= self.pending_events:
             self._compact()
         else:
             self._compact_check = self._cancelled * 2
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every queued slot (O(live) instead
-        of O(dead) skips in the run loop).
+        """Drop cancelled entries from every unconsumed part of the calendar
+        (O(live) instead of O(dead) skips in the run loop).
 
-        Mutates ``_times`` in place (slice assignment) on purpose: the run
-        loop holds a local alias, and cancellations — hence compactions —
-        can happen inside an event callback while the loop is mid-iteration.
-        The slot currently being drained is *not* in the dict (the loop
-        pops it first), so it is never touched here; its dead entries are
-        skipped by the loop itself.
+        Mutates ``_epochs``, ``_occupied`` and ``_run`` in place on purpose:
+        the run loop holds local aliases, and cancellations — hence
+        compactions — can happen inside an event callback while the loop is
+        mid-epoch.  The consumed prefix of the run stays, so the loop's
+        cursor remains valid.
         """
-        buckets = self._buckets
+        epochs = self._epochs
         emptied = []
-        for when, slot in buckets.items():
-            if slot.__class__ is list:
-                live = [event for event in slot if _is_live(event)]
-                if len(live) != len(slot):
-                    if live:
-                        slot[:] = live
-                    else:
-                        emptied.append(when)
-            elif not _is_live(slot):
-                emptied.append(when)
-        for when in emptied:
-            del buckets[when]
+        for k, epoch in epochs.items():
+            live = [event for event in epoch if event[1] is not None]
+            if live:
+                epoch[:] = live
+            else:
+                emptied.append(k)
         if emptied:
-            self._times[:] = list(buckets)
-            heapq.heapify(self._times)
+            for k in emptied:
+                del epochs[k]
+            self._occupied[:] = epochs
+            heapq.heapify(self._occupied)
+        cursor = self._cursor
+        run = self._run
+        run[cursor:] = [event for event in run[cursor:] if event[1] is not None]
         self._cancelled = 0
         self._compact_check = self._compact_threshold
         self._compactions += 1
@@ -312,6 +363,7 @@ class Simulator:
         wall_start = _time.perf_counter()
         sim_start = self._now
         processed_before = self._processed
+        turned_before = self._epochs_turned
         try:
             self._run_loop(until, max_events)
         finally:
@@ -323,94 +375,68 @@ class Simulator:
                 start=sim_start,
                 end=self._now,
                 events=executed,
+                epochs=self._epochs_turned - turned_before,
                 wall_s=round(wall, 6),
                 wall_per_sim_s=round(wall / advanced, 6) if advanced > 0 else None,
                 events_per_wall_s=round(executed / wall) if wall > 0 else None,
                 pending=self.pending_events,
             )
 
-    def _requeue(self, when: float, rest: list) -> None:
-        """Return the unexecuted tail of the active slot to the calendar.
-
-        Called when :meth:`stop` or the ``max_events`` valve interrupts a
-        slot mid-drain.  Events the callbacks scheduled at ``when`` while
-        the slot was being drained live in a *newer* slot (the active one
-        was popped from the dict first); the tail goes in front of them so
-        the overall order — old entries before new — survives the
-        interruption.
-        """
-        if not rest:
-            return
-        newer = self._buckets.get(when)
-        if newer is None:
-            heapq.heappush(self._times, when)
-        elif newer.__class__ is list:
-            rest += newer
-        else:
-            rest.append(newer)
-        self._buckets[when] = rest
-
     def _run_loop(self, until: float | None, max_events: int | None) -> None:
         # One loop body serves every (until, max_events) combination: absent
         # limits become +inf, which costs two compares per event — nothing
-        # next to the call itself.  A slot is dispatched on its exact class:
-        # a tuple or a handle is the lone event at its instant (jittered
-        # links spread arrivals, so that is nearly every slot), a list is
-        # several in insertion order.  The active slot is popped from the
-        # dict before draining, so same-instant events scheduled by its
-        # callbacks land in a fresh slot drained right after — keeping
-        # insertion order global.
+        # next to the call itself.  `i` is the cursor; it is stored before
+        # the event runs so that insertions, compaction and the pending
+        # count made by the callback see exactly the unconsumed entries
+        # (rule 3), and `len(run)` is re-read because they may change it.
         self._stopped = False
-        times = self._times
-        buckets = self._buckets
-        pop = heapq.heappop
+        epochs = self._epochs
+        occupied = self._occupied
         limit = _INF if until is None else until
+        # Rule 1: the last epoch this call may sort.
+        last_epoch = _INF if limit == _INF else int(limit * EPOCHS_PER_S)
         cap = _INF if max_events is None else max_events
+        run = self._run
+        i = 0  # every exit leaves the cursor at 0
         executed = 0
         try:
-            while times:
-                when = times[0]
-                if when > limit:
-                    self._now = until
-                    return
-                pop(times)
-                slot = buckets.pop(when)
-                self._now = when
-                cls = slot.__class__
-                if cls is tuple:
-                    slot[0](*slot[1:])
-                    executed += 1
-                elif cls is list:
-                    tail = iter(slot)
-                    for event in tail:
-                        if event.__class__ is tuple:
-                            event[0](*event[1:])
-                        else:
-                            fn = event.fn
-                            if fn is None:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            fn(*event.args)
-                        executed += 1
-                        if self._stopped or executed > cap:
-                            self._requeue(when, list(tail))
-                            break
-                else:
-                    fn = slot.fn
-                    if fn is None:
-                        if self._cancelled > 0:
+            while True:
+                if i < len(run):
+                    event = run[i]
+                    when = event[0]
+                    if when > limit:
+                        break
+                    i += 1
+                    self._cursor = i
+                    self._now = when
+                    fn = event[1]
+                    if event.__class__ is not tuple:  # an EventHandle
+                        if fn is None:
                             self._cancelled -= 1
-                        continue
-                    fn(*slot.args)
+                            continue
+                        event._sim = None
+                    fn(*event[2:])
                     executed += 1
-                if self._stopped:
-                    return
-                if executed > cap:
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                    if self._stopped:
+                        return
+                    if executed > cap:
+                        raise SimulationError(f"exceeded max_events={max_events}")
+                elif occupied and occupied[0] <= last_epoch:
+                    k = self._run_epoch = heapq.heappop(occupied)
+                    run = self._run = epochs.pop(k)
+                    if len(run) > 1:
+                        run.sort(key=_when)
+                    i = self._cursor = 0
+                    self._epochs_turned += 1
+                else:
+                    break
             if until is not None and self._now < until:
                 self._now = until
         finally:
+            # Release the consumed entries now rather than when the epoch
+            # turns: they pin the fired callbacks' arguments (whole messages).
+            del self._run[: self._cursor]
+            self._cursor = 0
             # Batched: per-event `self._processed += 1` is measurable, and no
             # caller observes the counter while an event callback is running.
             self._processed += executed

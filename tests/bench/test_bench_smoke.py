@@ -21,7 +21,11 @@ def run_script(*argv):
 @pytest.fixture(scope="module")
 def smoke_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("smoke") / "BENCH_smoke.json"
-    proc = run_script("--out", str(out), "--check")
+    # --eps-tolerance 1.0: tier-1 gates the deterministic half only (simulated
+    # TPS, txns, events — bit-for-bit, see below).  The events/sec floor is a
+    # wall-clock reading that a busy host fails on unchanged code; CI's
+    # perf-smoke job runs the script with its default and keeps that gate.
+    proc = run_script("--out", str(out), "--check", "--eps-tolerance", "1.0")
     return proc, out
 
 
@@ -48,6 +52,7 @@ def test_smoke_is_deterministic_vs_baseline(smoke_result):
     baseline = json.loads(open(BASELINE).read())
     assert result["throughput_tps"] == baseline["throughput_tps"]
     assert result["committed_txns"] == baseline["committed_txns"]
+    assert result["sim_events"] == baseline["sim_events"]
 
 
 def test_smoke_check_fails_on_regression(tmp_path, smoke_result):

@@ -32,3 +32,6 @@ def test_profile_report_has_collector_table():
     assert sum(report.gc.collections) >= 1
     text = format_profile_report(report)
     assert "Cyclic collector" in text and "objects_freed" in text
+    # The calendar's one constant is checkable from the first table.
+    assert 0 < report.metrics.sim_epochs <= report.sim_events
+    assert "events/epoch" in text

@@ -49,7 +49,11 @@ def _handler_readers() -> list[str]:
 
 
 def test_one_function_inserts_into_the_calendar():
-    assert _attribute_users("_buckets") == ["_transmit"]
+    # That function is Simulator._insert; _transmit calls it (or `post`), and
+    # nothing in this module reaches into the calendar's own containers.
+    for private in ("_epochs", "_occupied", "_run", "_run_epoch", "_cursor"):
+        assert _attribute_users(private) == [], private
+    assert _attribute_users("_insert") == ["_transmit"]
 
 
 def test_one_function_calls_handlers():

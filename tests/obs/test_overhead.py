@@ -3,72 +3,101 @@
 The contract (docs/OBSERVABILITY.md): with no tracer attached, every
 instrumented component pays at most one attribute check per *call site*, and
 the scheduler's run loop pays nothing per event.  This test replicates the
-scheduler's calendar-queue hot path inline — stripped of the tracer wrapper
-and the sanitizer audit check — and times both on the same 10k-event
-microbench; the instrumented one must stay within 5%.
+scheduler's epoch-calendar hot path — stripped of the tracer wrapper, the
+sanitizer audit check and the body of the loop's timer arm — and times both
+on the same 10k-event microbench; the instrumented one must stay within 5%.
+
+The microbench is the calendar's degenerate case, a chain with one pending
+event: every epoch holds one entry, so each event pays a list and a heap
+operation of its own (docs/PERFORMANCE.md, "Sixth round").
 """
 
 import heapq
 import time
+from bisect import insort
+from operator import itemgetter
 
-from repro.sim.scheduler import Simulator
+from repro.sim.scheduler import EPOCHS_PER_S, Simulator
+
+_when = itemgetter(0)
 
 
 class _SeedSimulator:
-    """The scheduler's hot path (``post`` + ``run``) with no instrumentation:
-    no tracer wrapper around the run loop, no tie-audit check in ``post``."""
+    """The scheduler's hot path (``post`` -> ``_insert``, ``run``) with no
+    instrumentation: no tracer wrapper around the run loop, no tie-audit
+    check in ``post``."""
 
     def __init__(self):
         self._now = 0.0
-        self._times = []
-        self._buckets = {}
+        self._epochs = {}
+        self._occupied = []
+        self._run = []
+        self._run_epoch = -1
+        self._cursor = 0
+        self._epochs_turned = 0
         self._stopped = False
         self._processed = 0
-        self._cancelled = 0
 
     def post(self, when, fn, args):
-        if when < self._now:
-            raise ValueError(f"cannot schedule at t={when} before t={self._now}")
-        slot = self._buckets.get(when)
-        if slot is None:
-            self._buckets[when] = (fn, *args)
-            heapq.heappush(self._times, when)
-        elif slot.__class__ is list:
-            slot.append((fn, *args))
+        if not self._now <= when < float("inf"):
+            raise ValueError(f"cannot schedule at t={when} from t={self._now}")
+        self._insert((when, fn, *args))
+
+    def _insert(self, event):
+        k = int(event[0] * EPOCHS_PER_S)
+        if k > self._run_epoch:
+            epoch = self._epochs.get(k)
+            if epoch is None:
+                self._epochs[k] = [event]
+                heapq.heappush(self._occupied, k)
+            else:
+                epoch.append(event)
         else:
-            self._buckets[when] = [slot, (fn, *args)]
+            insort(self._run, event, key=_when)
 
     def run(self, until=None, max_events=None):
         self._stopped = False
-        times = self._times
-        buckets = self._buckets
-        pop = heapq.heappop
+        epochs = self._epochs
+        occupied = self._occupied
         limit = float("inf") if until is None else until
+        last_epoch = limit if until is None else int(limit * EPOCHS_PER_S)
         cap = float("inf") if max_events is None else max_events
+        run = self._run
+        i = 0
         executed = 0
         try:
-            while times:
-                when = times[0]
-                if when > limit:
-                    self._now = until
-                    return
-                pop(times)
-                slot = buckets.pop(when)
-                self._now = when
-                if slot.__class__ is tuple:
-                    slot[0](*slot[1:])
+            while True:
+                if i < len(run):
+                    event = run[i]
+                    when = event[0]
+                    if when > limit:
+                        break
+                    i += 1
+                    self._cursor = i
+                    self._now = when
+                    fn = event[1]
+                    if event.__class__ is not tuple:
+                        raise AssertionError("the microbench queues no timers")
+                    fn(*event[2:])
                     executed += 1
+                    if self._stopped:
+                        return
+                    if executed > cap:
+                        raise ValueError(f"exceeded max_events={max_events}")
+                elif occupied and occupied[0] <= last_epoch:
+                    k = self._run_epoch = heapq.heappop(occupied)
+                    run = self._run = epochs.pop(k)
+                    if len(run) > 1:
+                        run.sort(key=_when)
+                    i = self._cursor = 0
+                    self._epochs_turned += 1
                 else:
-                    for event in slot:
-                        event[0](*event[1:])
-                        executed += 1
-                        if self._stopped or executed > cap:
-                            break
-                if self._stopped:
-                    return
-                if executed > cap:
-                    raise ValueError(f"exceeded max_events={max_events}")
+                    break
+            if until is not None and self._now < until:
+                self._now = until
         finally:
+            del self._run[: self._cursor]
+            self._cursor = 0
             self._processed += executed
 
 

@@ -81,6 +81,19 @@ def test_cancel_is_idempotent_in_accounting():
     assert sim.cancelled_pending == 1
 
 
+def test_cancelling_fired_handles_counts_nothing():
+    """Timers, transports and pull loops cancel handles that already fired;
+    those must not feed the half-dead heuristic phantom entries."""
+    sim = Simulator()
+    handles = [sim.schedule(0.1 * i, lambda: None) for i in range(5)]
+    sim.run()
+    for handle in handles:
+        handle.cancel()
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
+    assert not any(handle.cancelled for handle in handles)
+
+
 def test_timers_feed_compaction():
     sim = Simulator(compact_threshold=256)
     timers = [Timer(sim, 100.0, lambda: None) for _ in range(2000)]

@@ -62,6 +62,14 @@ def test_run_until_stops_clock_exactly():
     assert fired == [1, 5]
 
 
+def test_run_until_in_the_past_does_not_rewind_the_clock():
+    sim = Simulator()
+    sim.schedule(3.0, lambda: None)
+    sim.run(until=2.0)
+    sim.run(until=1.0)
+    assert sim.now == 2.0 and sim.pending_events == 1
+
+
 def test_run_until_includes_boundary_events():
     sim = Simulator()
     fired = []
@@ -88,10 +96,40 @@ def test_cancel_is_idempotent():
     sim.run()
 
 
+def test_handles_are_distinct_by_identity():
+    """A handle is the queued ``[when, fn, *args]`` list, but it names one
+    scheduled event: equal contents must not make two timers equal."""
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "x")
+    second = sim.schedule(1.0, fired.append, "x")
+    assert first != second and first == first
+    assert len({first, second}) == 2 and second not in [first]
+    second.cancel()
+    assert (first.cancelled, second.cancelled) == (False, True)
+    assert first.time == second.time == 1.0
+    sim.run()
+    assert fired == ["x"]
+
+
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(-0.1, lambda: None)
+
+
+@pytest.mark.parametrize("entry", ["schedule", "schedule_at", "post"])
+@pytest.mark.parametrize("when", [float("nan"), float("inf"), -0.1])
+def test_non_finite_or_past_instant_rejected(entry, when):
+    """A NaN would void the calendar's order and an inf never fires; both are
+    refused with the typed error, like an instant in the past."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        if entry == "post":
+            sim.post(when, lambda: None, ())
+        else:
+            getattr(sim, entry)(when, lambda: None)
+    assert sim.pending_events == 0
 
 
 def test_schedule_in_past_rejected():
@@ -143,3 +181,22 @@ def test_advance_clock_with_no_events():
     sim = Simulator()
     sim.run(until=10.0)
     assert sim.now == 10.0
+
+
+def test_epochs_turned_counts_epochs_not_events():
+    """One increment per occupied epoch, reported per run() on the span."""
+    from repro.obs import Tracer
+    from repro.sim.scheduler import EPOCHS_PER_S
+
+    tracer = Tracer()
+    sim = Simulator(tracer=tracer)
+    width = 1.0 / EPOCHS_PER_S
+    for epoch in (3, 4, 9):
+        for i in range(5):  # five events inside each of three epochs
+            sim.post((epoch + i / 8) * width, lambda: None, ())
+    sim.run(until=5 * width)
+    assert (sim.processed_events, sim.epochs_turned) == (10, 2)
+    sim.run()
+    assert (sim.processed_events, sim.epochs_turned) == (15, 3)
+    spans = [r.attrs for r in tracer.records() if r.name == "sim.run"]
+    assert [(a["events"], a["epochs"]) for a in spans] == [(10, 2), (5, 1)]

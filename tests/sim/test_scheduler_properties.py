@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.scheduler import EPOCHS_PER_S
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,17 +98,22 @@ def test_cascading_schedules_deterministic(seed):
 
 
 # ---------------------------------------------------------------------------
-# Model test: the calendar (singleton slots, list promotion, handles as
-# entries) against a classic (time, seq) heap.
+# Model test: the lazily sorted epoch calendar against the textbook
+# (time, seq) event heap.
 #
 # A *program* is a list of top-level ops plus a table of callback scripts.
 # Every event gets a fresh id at creation and logs (id, now) when it fires;
 # its script may insert more events (only scripts with a higher index, so
-# programs terminate), cancel handles, stop the run or compact the calendar.
-# Both backends run the same program; everything observable must agree.
+# programs terminate), cancel handles (pending, cancelled or already fired),
+# stop the run or compact the calendar.  Both backends run the same program;
+# everything observable must agree.
 # ---------------------------------------------------------------------------
 
-_DELAYS = (0.0, 0.0, 0.5, 1.0, 1.5)  # few distinct instants: slots collide
+_EPOCH = 1.0 / EPOCHS_PER_S
+# Few distinct instants, so events collide — at one instant, inside one
+# epoch (sub-epoch and mid-epoch steps), and on either side of an epoch
+# boundary (an exact multiple of the width, and a hair short of it).
+_DELAYS = (0.0, 0.0, 1e-4, _EPOCH - 1e-12, _EPOCH, 1.5 * _EPOCH, 0.5, 1.0, 1.5)
 _KINDS = ("post", "sched", "inline")
 
 _insert = st.tuples(
@@ -118,21 +124,16 @@ _compact = st.tuples(st.just("compact"))
 _action = st.one_of(_insert, _insert, _cancel, st.tuples(st.just("stop")), _compact)
 _run = st.tuples(
     st.just("run"),
-    st.sampled_from((None, 0.0, 0.5, 1.0, 5.0)),
+    st.sampled_from((None, 0.0, 1e-4, _EPOCH, 1.5 * _EPOCH, 0.5, 1.0, 5.0)),
     st.sampled_from((None, None, 0, 1, 3)),
 )
 _op = st.one_of(_insert, _insert, _insert, _cancel, _compact, _run)
 
 
 class _HeapModel:
-    """Reference: one ``[time, seq, fn, args]`` heap entry per event.
-
-    All entries of the earliest instant are popped as one batch, as the
-    calendar pops a slot: same-instant events scheduled by the batch's own
-    callbacks carry higher seqs and form the next batch, an interrupted
-    batch's tail goes back on the heap, and compaction (which also zeroes
-    the dead-entry count) cannot see the batch being drained.
-    """
+    """Reference: one ``[time, seq, fn, args]`` heap entry per event, popped
+    one at a time.  A popped entry's ``seq`` is cleared, which is how
+    ``cancel`` tells a fired handle from a pending one."""
 
     def __init__(self):
         self.now = 0.0
@@ -153,7 +154,7 @@ class _HeapModel:
         return entry
 
     def cancel(self, entry):
-        if entry[2] is not None:
+        if entry[1] is not None and entry[2] is not None:
             entry[2] = None
             self.cancelled += 1
 
@@ -169,27 +170,19 @@ class _HeapModel:
         self.stopped = False
         executed = 0
         try:
-            while self.heap:
-                when = self.heap[0][0]
-                if until is not None and when > until:
-                    self.now = until
+            while self.heap and (until is None or self.heap[0][0] <= until):
+                entry = heapq.heappop(self.heap)
+                entry[1] = None
+                self.now = entry[0]
+                if entry[2] is None:
+                    self.cancelled -= 1
+                    continue
+                entry[2](*entry[3])
+                executed += 1
+                if self.stopped:
                     return
-                batch = []
-                while self.heap and self.heap[0][0] == when:
-                    batch.append(heapq.heappop(self.heap))
-                self.now = when
-                for done, entry in enumerate(batch, 1):
-                    if entry[2] is None:
-                        self.cancelled = max(0, self.cancelled - 1)
-                        continue
-                    entry[2](*entry[3])
-                    executed += 1
-                    if self.stopped or (max_events is not None and executed > max_events):
-                        for left in batch[done:]:
-                            heapq.heappush(self.heap, left)
-                        if self.stopped:
-                            return
-                        raise SimulationError("exceeded max_events")
+                if max_events is not None and executed > max_events:
+                    raise SimulationError("exceeded max_events")
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -215,17 +208,9 @@ class _Calendar:
             return sim.schedule_at(when, fn, *args)
         if kind == "post":
             sim.post(when, fn, args)
-            return None
-        # Network._transmit's inline producer, verbatim.
-        buckets = sim._buckets
-        slot = buckets.get(when)
-        if slot is None:
-            buckets[when] = (fn, *args)
-            heapq.heappush(sim._times, when)
-        elif slot.__class__ is list:
-            slot.append((fn, *args))
         else:
-            buckets[when] = [slot, (fn, *args)]
+            # What Network._transmit's inline producer does.
+            sim._insert((when, fn, *args))
         return None
 
     def cancel(self, handle):
@@ -242,10 +227,11 @@ class _Calendar:
 
 
 def _execute(backend, ops, scripts):
-    """Run a program; returns the firing log and the state after each op."""
+    """Run a program; returns the firing log and the state after each op,
+    sampled from inside every callback as well (rule 3 of the scheduler's
+    module docstring: the counts are exact mid-epoch)."""
     log = []
-    handles = []  # (event id, backend handle) of every "sched" insertion
-    fired = set()
+    handles = []  # backend handle of every "sched" insertion
     next_id = [0]
 
     def insert(kind, delay, script):
@@ -253,28 +239,24 @@ def _execute(backend, ops, scripts):
         next_id[0] += 1
         handle = backend.insert(kind, backend.now + delay, fire, (eid, script))
         if kind == "sched":
-            handles.append((eid, handle))
+            handles.append(handle)
 
     def apply(action, base):
         if action[0] in _KINDS:
             insert(action[0], action[1], base + action[2])
         elif action[0] == "cancel":
-            # cancel() of a handle that already fired is legal but counts as
-            # a pending dead entry until the next compaction; not modelled.
-            live = [h for eid, h in handles if eid not in fired]
-            if live:
-                backend.cancel(live[action[1] % len(live)])
+            if handles:
+                backend.cancel(handles[action[1] % len(handles)])
         elif action[0] == "stop":
             backend.stop()
         elif action[0] == "compact":
             backend.compact()
 
     def fire(eid, script):
-        fired.add(eid)
-        log.append((eid, backend.now))
         if script < len(scripts):
             for action in scripts[script]:
                 apply(action, script + 1)
+        log.append((eid, backend.now, backend.pending, backend.cancelled))
 
     states = []
     for op in ops:
@@ -301,35 +283,74 @@ _DRAIN = ("run", None, None)
     ops=st.lists(_op, min_size=1, max_size=25),
     scripts=st.lists(st.lists(_action, max_size=4), min_size=1, max_size=8),
 )
-# singleton -> list promotion through each producer, fired in insertion order
+# one instant through each producer, fired in insertion order
 @example(ops=[("inline", 1.0, 9), ("sched", 1.0, 9), ("post", 1.0, 9), _DRAIN], scripts=[[]])
-# promotion of the fresh same-instant slot while its instant is being drained
+# insertion at `now` from a callback: behind what is already queued there
 @example(
     ops=[("post", 1.0, 0), ("post", 1.0, 1), _DRAIN],
     scripts=[[("inline", 0.0, 9), ("sched", 0.0, 9)], [("post", 0.0, 9)]],
 )
-# cancelled singleton: skipped by the loop, and dropped by _compact
+# insertion into the epoch being drained, ahead of and behind a queued entry
+@example(
+    ops=[("post", 1.0, 0), ("post", 1.0008, 9), _DRAIN],
+    scripts=[[("sched", 0.0009, 9), ("inline", 0.0003, 9), ("post", 0.0003, 9)]],
+)
+# run(until) stops mid-epoch, then an external insertion earlier in that epoch
+@example(
+    ops=[("post", 1.0008, 9), ("run", 1.0004, None), ("post", 0.0002, 9),
+         ("sched", 0.0, 9), ("inline", 0.0006, 9), _DRAIN],
+    scripts=[[]],
+)
+# cancelled entry: skipped by the loop, and dropped by _compact
 @example(ops=[("sched", 1.0, 9), ("cancel", 0), _DRAIN], scripts=[[]])
 @example(
     ops=[("sched", 1.0, 9), ("post", 0.5, 9), ("cancel", 0), ("compact",), _DRAIN],
     scripts=[[]],
 )
-# stop() mid-slot: the tail is requeued in front of a newer singleton
+# cancel() of a handle that already fired counts nothing
+@example(ops=[("sched", 0.5, 9), _DRAIN, ("cancel", 0), ("sched", 0.5, 9)], scripts=[[]])
+# stop() mid-epoch, with an insertion between the stop and the resume point
 @example(
-    ops=[("post", 1.0, 0), ("post", 1.0, 9), ("sched", 1.0, 9), _DRAIN, _DRAIN],
-    scripts=[[("inline", 0.0, 9), ("stop",)]],
+    ops=[("post", 1.0, 0), ("post", 1.0002, 9), ("sched", 1.0004, 9), _DRAIN,
+         ("post", 0.0001, 9), _DRAIN],
+    scripts=[[("inline", 0.0001, 9), ("stop",)]],
 )
-# max_events mid-slot, tail requeued onto a newer list, one of them cancelled
+# max_events mid-epoch, one of the entries left behind cancelled, then resume
 @example(
-    ops=[("post", 0.5, 0), ("sched", 0.5, 9), ("post", 0.5, 9), ("run", None, 0), _DRAIN],
-    scripts=[[("post", 0.0, 9), ("post", 0.0, 9), ("cancel", 0)]],
+    ops=[("post", 0.5, 0), ("sched", 0.5001, 9), ("post", 0.5002, 9), ("run", None, 0), _DRAIN],
+    scripts=[[("post", 0.0, 9), ("post", 0.0001, 9), ("cancel", 0)]],
 )
-# _compact from inside a callback: the slot being drained is out of its reach
+# _compact from inside a callback reaches the rest of the epoch being drained
 @example(
-    ops=[("post", 1.0, 0), ("sched", 1.0, 9), ("sched", 2.0, 9), _DRAIN],
-    scripts=[[("cancel", 0), ("cancel", 0), ("compact",), ("stop",)]],
+    ops=[("post", 1.0, 0), ("sched", 1.0, 9), ("sched", 1.0002, 9), ("sched", 2.0, 9), _DRAIN],
+    scripts=[[("cancel", 0), ("cancel", 1), ("compact",), ("stop",)]],
+)
+# ... and empties a future epoch, which leaves the calendar altogether
+@example(
+    ops=[("post", 1.0, 0), ("sched", 2.0, 9), ("sched", 2.0, 9), ("post", 3.0, 9), _DRAIN],
+    scripts=[[("cancel", 0), ("cancel", 1), ("compact",)]],
 )
 def test_calendar_matches_heap_model(ops, scripts):
     expected = _execute(_HeapModel(), ops, scripts)
     actual = _execute(_Calendar(), ops, scripts)
     assert actual == expected
+
+
+def test_bounded_run_never_sorts_an_epoch_beyond_until():
+    """Rule 1: with only a far timer pending, run(until) must not turn the
+    timer's epoch into the sorted run — or every later insertion before it
+    would be an O(n) insort instead of an append."""
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(4.0, fired.append, "timer")
+    sim.run(until=1.0)
+    turned = sim.epochs_turned
+    for i in range(10_000):
+        # 7919 is coprime to 10^4: every instant in [1.0, 3.9) is distinct.
+        sim.post(1.0 + 2.9 * ((i * 7919) % 10_000) / 10_000, fired.append, (i,))
+    assert len(sim._run) <= 1
+    assert sim.epochs_turned == turned
+    assert sim.pending_events == 10_001
+    sim.run()
+    assert fired.pop() == "timer"
+    assert fired == sorted(range(10_000), key=lambda i: (i * 7919) % 10_000)
