@@ -35,7 +35,7 @@ from ..dag.store import DagStore
 from ..dag.vertex import Vertex, VertexRef
 from ..errors import ConsensusError
 from ..net.network import Network
-from ..rbc.prefix import assemble_prefix, split_block
+from ..rbc.prefix import split_block
 from ..sim.rng import make_rng
 from ..sim.scheduler import Simulator
 from ..sim.timers import Timer
@@ -115,13 +115,12 @@ class SailfishNode:
         )
 
         # Prefix mode (Raptr-style certified-prefix commits): chunked
-        # vertices awaiting their attestation window, ordered-but-unfetched
-        # prefixes, commit-decision hooks, and counters.
+        # vertices awaiting their attestation window, commit-decision hooks,
+        # and counters.  Decided prefixes still owed are the RBC's
+        # (ChunkedPrefixRbc.fetch_prefix).
         self._prefix = params.rbc_mode == "prefix"
         #: (round, source) -> {"vertex", "votes": {attester: held}}.
         self._prefix_pending: dict[tuple[Round, NodeId], dict] = {}
-        #: Decided prefixes whose chunks are still being pulled.
-        self._awaiting_chunks: dict[tuple[Round, NodeId], tuple[Vertex, int]] = {}
         #: Execution feed: (node, key, block) fired at prefix-commit decision
         #: time — in prefix mode blocks NEVER reach the executor through
         #: on_block_ready, only through this hook, so every clan member
@@ -133,8 +132,6 @@ class SailfishNode:
         self.prefix_truncated = 0
         self.prefix_chunks_committed = 0
         self.prefix_chunks_dropped = 0
-        if self._prefix:
-            self.rbc.on_chunk = self._on_chunks_progress
 
         self.round: Round = 0
         self.started = False
@@ -732,42 +729,21 @@ class SailfishNode:
         self._prefix_deliver(vertex, k, holders)
 
     def _prefix_deliver(self, vertex: Vertex, k: int, holders: list[NodeId]) -> None:
-        """Hand the decided prefix to execution (clan duty), pulling missing
-        chunks from attesters who claimed to hold at least k."""
+        """Hand the decided prefix to execution (clan duty); the RBC pulls
+        missing chunks from attesters who claimed to hold at least k."""
         if self.on_commit_block is None:
             return
         if not self.rbc.serves_block(vertex.source, vertex.round):
-            return
-        manifest, chunks = self.rbc.prefix_parts(vertex.source, vertex.round)
-        if manifest is not None and all(i in chunks for i in range(k)):
-            block = assemble_prefix(manifest, chunks, k)
-            self.on_commit_block(self, vertex.block_digest, block)
             return
         # Clan members are fallback holders: chunk responses also carry the
         # manifest, so a member that pulled the bare vertex still recovers.
         round_cfg = self.clan_schedule.cfg_at(vertex.round)
         clan = round_cfg.clan(round_cfg.block_clan_of(vertex.source))
         pool = holders + sorted(p for p in clan if p not in holders)
-        self._awaiting_chunks[vertex.key] = (vertex, k)
-        self.rbc.fetch_chunks(
-            vertex.source, vertex.round, k,
-            [h for h in pool if h != self.node_id],
+        self.rbc.fetch_prefix(
+            vertex, k, [h for h in pool if h != self.node_id],
+            lambda block: self.on_commit_block(self, vertex.block_digest, block),
         )
-
-    def _on_chunks_progress(self, origin: NodeId, round_: Round) -> None:
-        """RBC chunk-holdings callback: complete a stalled prefix delivery."""
-        entry = self._awaiting_chunks.get((round_, origin))
-        if entry is None:
-            return
-        vertex, k = entry
-        manifest, chunks = self.rbc.prefix_parts(origin, round_)
-        if manifest is None or not all(i in chunks for i in range(k)):
-            return
-        del self._awaiting_chunks[(round_, origin)]
-        if self.on_commit_block is not None:
-            self.on_commit_block(
-                self, vertex.block_digest, assemble_prefix(manifest, chunks, k)
-            )
 
     # -- block handling ------------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from ..dag.vertex import Vertex
 from ..errors import ConsensusError
 from ..net import sizes
 from ..net.message import Message
+from ..rbc.retrieval import MAX_RETRY_TIMEOUT
 from ..types import NodeId, Round
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,8 +79,6 @@ class SyncResponseMsg(Message):
 class DagSynchronizer:
     """Per-node catch-up client and server."""
 
-    #: Retry interval cap (matches the payload retriever's cap).
-    MAX_RETRY_TIMEOUT = 30.0
     #: Responses served per (requester, from_round) — allows one retry to hit
     #: the same responder without letting Byzantine requesters amplify.
     MAX_RESPONSES_PER_REQUEST = 2
@@ -172,7 +171,7 @@ class DagSynchronizer:
             node.node_id, peer, SyncRequestMsg(from_round, to_round)
         )
         self._timer = node.sim.schedule(self._timeout, self._on_retry)
-        self._timeout = min(self._timeout * 2.0, self.MAX_RETRY_TIMEOUT)
+        self._timeout = min(self._timeout * 2.0, MAX_RETRY_TIMEOUT)
 
     def _pick_peer(self) -> NodeId:
         node = self.node

@@ -22,7 +22,9 @@ of the merged RBC.
 **Chunked prefix** (:class:`ChunkedPrefixRbc`): the block travels as
 per-chunk messages bound to the vertex via a manifest digest
 (``vertex.chunk_root``); voters attest the prefix they hold and the commit
-rule orders the certified prefix (see ``consensus/node.py``).
+rule orders the certified prefix (see ``consensus/node.py``), which this
+module then owes the node until its chunks are in.  Every pull here —
+vertex, block, chunks — runs on the one loop of :mod:`repro.rbc.retrieval`.
 
 ``VertexRbc(mode=...)`` is the one constructor: ``"two-round"``, ``"bracha"``
 and ``"optimistic"`` name the completion rule over the clan-only block
@@ -51,6 +53,7 @@ from ..rbc.prefix import (
     ChunkManifest,
     ChunkRequestMsg,
     ChunkResponseMsg,
+    assemble_prefix,
     split_block,
 )
 from ..sim.scheduler import Simulator
@@ -347,7 +350,7 @@ class VertexRbc(RbcCore):
             if self._signed and not holders:
                 holders = [origin]
             if holders:
-                self._vertex_retriever.fetch(origin, round_, digest_, holders)
+                self._vertex_retriever.fetch((origin, round_), holders, digest_)
             return
         self._maybe_finish(origin, round_, state)
 
@@ -399,7 +402,7 @@ class VertexRbc(RbcCore):
         ]
         if holders:
             self._block_retriever.fetch(
-                origin, round_, state.vertex.block_digest, holders
+                (origin, round_), holders, state.vertex.block_digest
             )
 
     def _on_pulled_block(self, origin: NodeId, round_: Round, block: Block) -> None:
@@ -447,6 +450,9 @@ class PrefixInstance(VertexInstance):
     manifest: ChunkManifest | None = None
     chunks: dict[int, BlockChunk] | None = None
     chunk_buffer: dict[int, BlockChunk] | None = None
+    #: The decided prefix this node still owes its commit path:
+    #: ``(ordered vertex, k, on_ready)`` (see ``fetch_prefix``).
+    owed: tuple[Vertex, int, Callable[[Block], None]] | None = None
 
 
 class ChunkedPrefixRbc(VertexRbc):
@@ -455,22 +461,18 @@ class ChunkedPrefixRbc(VertexRbc):
     Clan members get the manifest (bound to the vertex via ``chunk_root``)
     alongside the vertex and echo on vertex+manifest alone — the whole point
     is that certification must not wait for the block tail.  Blocks reach
-    the node through the certified-prefix commit path
-    (``node.on_commit_block``), never through ``on_block``, and chunk pulls
-    replace the whole-block pull plane.
+    the node through the certified-prefix commit path (:meth:`fetch_prefix`),
+    never through ``on_block``, and chunk pulls replace the whole-block pull
+    plane.
     """
 
     _instance_cls = PrefixInstance
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # Chunk-pull state: per-instance fetch entries (rotating holders,
-        # capped backoff) and the serve-once rate-limit marks.
-        self._chunk_fetch: dict[Key, dict] = {}
+        self._chunk_pull = self._pull_loop(self._request_chunks, self.retry_timeout)
+        #: Serve-once marks of the chunk server: (origin, round, index, requester).
         self._chunk_served: set[tuple[NodeId, Round, int, NodeId]] = set()
-        #: Fired as (origin, round) whenever this node's verified chunk
-        #: holdings for an instance grow (node completion).
-        self.on_chunk: Callable[[NodeId, Round], None] | None = None
 
     def val_parts(self, vertex: Vertex, block: Block | None) -> ValParts:
         parts = super().val_parts(vertex, block)
@@ -521,8 +523,12 @@ class ChunkedPrefixRbc(VertexRbc):
         self, origin: NodeId, round_: Round, state: PrefixInstance,
         manifest: ChunkManifest,
     ) -> bool:
-        """Accept a manifest iff it matches the certified vertex's chunk root."""
+        """Accept a manifest iff it matches the vertex's chunk root — the
+        VAL's vertex, or the ordered one for an instance known only through
+        sync catch-up."""
         accepted = state.vertex
+        if accepted is None and state.owed is not None:
+            accepted = state.owed[0]
         if (
             accepted is None
             or not accepted.block_chunks
@@ -585,15 +591,15 @@ class ChunkedPrefixRbc(VertexRbc):
         self._notify_chunks(origin, round_, state)
 
     def _notify_chunks(self, origin: NodeId, round_: Round, state: PrefixInstance) -> None:
-        key = (origin, round_)
-        entry = self._chunk_fetch.get(key)
-        if entry is not None and self._fetch_satisfied(state, entry["k"]):
-            timer = entry["timer"]
-            if timer is not None:
-                timer.cancel()
-            del self._chunk_fetch[key]
-        if self.on_chunk is not None:
-            self.on_chunk(origin, round_)
+        """Holdings grew: pay the owed prefix once chunks [0, k) are in."""
+        if state.owed is None or state.manifest is None:
+            return
+        _, k, on_ready = state.owed
+        chunks = state.chunks or ()
+        if all(i in chunks for i in range(k)):
+            state.owed = None
+            self._chunk_pull.done((origin, round_))
+            on_ready(assemble_prefix(state.manifest, chunks, k))
 
     def held_prefix(self, origin: NodeId, round_: Round) -> int:
         """Contiguous verified chunks held from index 0 (0 without manifest)."""
@@ -609,66 +615,35 @@ class ChunkedPrefixRbc(VertexRbc):
             held += 1
         return held
 
-    def prefix_parts(
-        self, origin: NodeId, round_: Round
-    ) -> tuple[ChunkManifest | None, dict[int, BlockChunk]]:
-        """The manifest and verified chunks this node holds for an instance."""
-        state = self.instances.get((origin, round_))
-        if state is None:
-            return None, {}
-        return state.manifest, dict(state.chunks) if state.chunks else {}
-
-    def _fetch_satisfied(self, state: PrefixInstance, k: int) -> bool:
-        if state.manifest is None:
-            return False
-        chunks = state.chunks
-        if k and not chunks:
-            return False
-        return all(i in chunks for i in range(k)) if k else True
-
-    def fetch_chunks(
-        self, origin: NodeId, round_: Round, k: int, holders: list[NodeId]
+    def fetch_prefix(
+        self, vertex: Vertex, k: int, holders: list[NodeId],
+        on_ready: Callable[[Block], None],
     ) -> None:
-        """Pull chunks [0, k) from ``holders`` (attesters of at least k)."""
-        key = (origin, round_)
-        state = self.instance(origin, round_)
-        if self._fetch_satisfied(state, k):
-            return
-        entry = self._chunk_fetch.get(key)
-        if entry is None:
-            self._chunk_fetch[key] = {
-                "k": k, "holders": list(holders), "next": 0,
-                "timeout": self.retry_timeout, "timer": None,
-            }
-            self._request_chunks(key)
-            return
-        entry["k"] = max(entry["k"], k)
-        for holder in holders:
-            if holder not in entry["holders"]:
-                entry["holders"].append(holder)
+        """Hand chunks [0, k) of the ordered ``vertex``'s block to
+        ``on_ready`` as one block: at once when they are held, else when the
+        pull from ``holders`` (attesters of at least k first) completes."""
+        key = (vertex.source, vertex.round)
+        state = self.instance(*key)
+        state.owed = (vertex, k, on_ready)
+        self._notify_chunks(vertex.source, vertex.round, state)
+        if state.owed is not None and holders:
+            self._chunk_pull.fetch(key, holders)
 
-    def _request_chunks(self, key: Key) -> None:
-        entry = self._chunk_fetch.get(key)
-        if entry is None:
-            return
-        origin, round_ = key
-        state = self.instance(origin, round_)
-        if self._fetch_satisfied(state, entry["k"]) or not entry["holders"]:
-            del self._chunk_fetch[key]
-            return
-        holders = entry["holders"]
-        target = holders[entry["next"] % len(holders)]
-        entry["next"] += 1
+    def _request_chunks(self, key: Key, target: NodeId, _want: None) -> bool:
+        """One pull attempt: ask ``target`` for the owed prefix's missing
+        chunks."""
+        state = self.instances[key]
+        if state.owed is None:
+            return False
         chunks = state.chunks or ()
         # With all k chunks held but the manifest missing (bare-vertex pull,
         # or k=0), probe index 0 — responses carry the manifest.
-        for index in [i for i in range(entry["k"]) if i not in chunks] or [0]:
-            req = ChunkRequestMsg(origin, round_, index)
+        for index in [i for i in range(state.owed[1]) if i not in chunks] or [0]:
+            req = ChunkRequestMsg(key[0], key[1], index)
             if state.ctx is not None:
                 req.trace_ctx = state.ctx
             self.network.send(self.node_id, target, req)
-        entry["timer"] = self.sim.schedule(entry["timeout"], self._request_chunks, key)
-        entry["timeout"] = min(entry["timeout"] * 1.5, 30.0)
+        return True
 
     def _on_chunk_request(self, src: NodeId, msg: ChunkRequestMsg) -> None:
         mark = (msg.origin, msg.round, msg.index, src)
@@ -705,21 +680,4 @@ class ChunkedPrefixRbc(VertexRbc):
 
     def gc_below(self, round_: Round) -> None:
         super().gc_below(round_)
-        for key in [k for k in self._chunk_fetch if k[1] < round_]:
-            timer = self._chunk_fetch.pop(key)["timer"]
-            if timer is not None:
-                timer.cancel()
         self._chunk_served = {m for m in self._chunk_served if m[1] >= round_}
-
-    def suspend_timers(self) -> None:
-        super().suspend_timers()
-        for entry in self._chunk_fetch.values():
-            if entry["timer"] is not None:
-                entry["timer"].cancel()
-                entry["timer"] = None
-
-    def resume_timers(self) -> None:
-        super().resume_timers()
-        for key in sorted(self._chunk_fetch):
-            if key in self._chunk_fetch:
-                self._request_chunks(key)

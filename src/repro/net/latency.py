@@ -9,6 +9,7 @@ to regions round-robin exactly as in the paper's setup.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import inf
 
 from ..errors import ConfigError
 from ..sim.rng import make_rng
@@ -55,29 +56,24 @@ class LatencyModel(ABC):
     def delay(self, src: NodeId, dst: NodeId) -> float:
         """One-way delay in seconds for a message from ``src`` to ``dst``."""
 
-    def constant_delays(self, n: int) -> list[list[float]] | None:
-        """Per-link delay table when this model is deterministic, else None.
+    @abstractmethod
+    def delay_spec(self, n: int) -> tuple:
+        """The network's hot-path form of :meth:`delay` over ``n`` nodes.
 
-        Jitter-free models return an ``n × n`` matrix so the network can skip
-        the per-message :meth:`delay` call on its hot path.  Models with any
-        randomness must return None — precomputing would change which RNG
-        draws each message consumes and break run-for-run determinism.
+        One of three shapes, each naming the float expression the network
+        evaluates per delivery:
+
+        * ``("table", rows, 0.0, None)`` — ``rows[src][dst]``, no randomness;
+        * ``("mul", rows, jitter, draw)`` —
+          ``rows[src][dst] * (1.0 + draw() * jitter)``;
+        * ``("add", base, jitter, draw)`` — ``base + draw() * jitter``.
+
+        ``draw`` is the model's RNG ``random`` bound method.  The network
+        inlines the expression with exactly one draw per delivery, in
+        destination order, so runs are bit-identical to calling
+        :meth:`delay`; a jitter-free model must use ``"table"`` (precomputing
+        a jittered model would change which draws each message consumes).
         """
-        return None
-
-    def jitter_params(self, n: int) -> tuple | None:
-        """Hot-path spec for jittered models, or None to use :meth:`delay`.
-
-        Returns ``("add", base, jitter, draw)`` when the delay is
-        ``base + draw() * jitter`` (draw = the model's RNG ``random`` bound
-        method), or ``("mul", rows, jitter, draw)`` when it is
-        ``rows[src][dst] * (1.0 + draw() * jitter)``.  The network inlines
-        the exact same floating-point expression per destination, so runs
-        are bit-identical to calling :meth:`delay` — including the RNG draw
-        order (exactly one draw per delivery, in destination order).  Models
-        with other formulas return None and keep the per-message call.
-        """
-        return None
 
     def mean_delay(self, n: int) -> float:
         """Mean one-way delay over all ordered pairs (used by the analytical
@@ -96,8 +92,10 @@ class UniformLatencyModel(LatencyModel):
     """Constant one-way delay with optional jitter; handy for unit tests."""
 
     def __init__(self, base: float = 0.05, jitter: float = 0.0, seed: int = 0) -> None:
-        if base < 0 or jitter < 0:
-            raise ConfigError("latency/jitter must be non-negative")
+        if not (0.0 <= base < inf and 0.0 <= jitter < inf):
+            raise ConfigError(
+                f"latency/jitter must be finite and non-negative, got {base}/{jitter}"
+            )
         self._base = base
         self._jitter = jitter
         # Jitter-free models never draw: deriving a stream anyway would
@@ -109,14 +107,9 @@ class UniformLatencyModel(LatencyModel):
             return self._base
         return self._base + self._rng.random() * self._jitter
 
-    def constant_delays(self, n: int) -> list[list[float]] | None:
-        if self._jitter != 0.0:
-            return None
-        return [[self._base] * n for _ in range(n)]
-
-    def jitter_params(self, n: int) -> tuple | None:
+    def delay_spec(self, n: int) -> tuple:
         if self._jitter == 0.0:
-            return None
+            return ("table", [[self._base] * n for _ in range(n)], 0.0, None)
         return ("add", self._base, self._jitter, self._rng.random)
 
     def mean_delay(self, n: int) -> float:
@@ -138,8 +131,8 @@ class GeoLatencyModel(LatencyModel):
         jitter: float = 0.05,
         seed: int = 0,
     ) -> None:
-        if jitter < 0:
-            raise ConfigError("jitter must be non-negative")
+        if not 0.0 <= jitter < inf:
+            raise ConfigError(f"jitter must be finite and non-negative, got {jitter}")
         rtts = GCP_RTT_MS if rtt_ms is None else rtt_ms
         self._regions = list(node_regions)
         self._jitter = jitter
@@ -153,9 +146,10 @@ class GeoLatencyModel(LatencyModel):
                     rtt = rtts[(src_region, dst_region)]
                 except KeyError as exc:
                     raise ConfigError(f"no RTT entry for {src_region}->{dst_region}") from exc
-                if rtt < 0:
+                if not 0.0 <= rtt < inf:
                     raise ConfigError(
-                        f"negative RTT for {src_region}->{dst_region}: {rtt}"
+                        f"RTT for {src_region}->{dst_region} must be finite and "
+                        f"non-negative, got {rtt}"
                     )
                 row.append(rtt / 2.0 / 1000.0)
             self._base.append(row)
@@ -171,15 +165,11 @@ class GeoLatencyModel(LatencyModel):
             return base
         return base * (1.0 + self._rng.random() * self._jitter)
 
-    def constant_delays(self, n: int) -> list[list[float]] | None:
-        if self._jitter != 0.0:
-            return None
-        return [row[:n] for row in self._base[:n]]
-
-    def jitter_params(self, n: int) -> tuple | None:
+    def delay_spec(self, n: int) -> tuple:
+        rows = [row[:n] for row in self._base[:n]]
         if self._jitter == 0.0:
-            return None
-        return ("mul", [row[:n] for row in self._base[:n]], self._jitter, self._rng.random)
+            return ("table", rows, 0.0, None)
+        return ("mul", rows, self._jitter, self._rng.random)
 
     def mean_delay(self, n: int | None = None) -> float:
         n = len(self._regions) if n is None else n

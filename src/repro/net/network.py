@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from math import inf
 from typing import Callable, Iterable
 
 from ..analysis import sanitizers as _sanitizers
@@ -86,24 +87,18 @@ class Network:
     ) -> None:
         if n < 1:
             raise NetworkError(f"network needs at least one node, got n={n}")
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
-            raise NetworkError("bandwidth must be positive")
+        if bandwidth_bps is not None and not 0.0 < bandwidth_bps <= inf:
+            raise NetworkError(f"bandwidth must be positive, got {bandwidth_bps}")
         self.sim = sim
         self.n = n
         self.latency = latency if latency is not None else UniformLatencyModel(0.05)
-        # Jitter-free latency models expose a constant per-link delay table;
-        # precomputing it removes a method call per (message, destination).
-        self._latency_table = self.latency.constant_delays(n)
-        if self._latency_table is not None and any(
-            d < 0 for row in self._latency_table for d in row
-        ):
-            raise NetworkError("latency model produced a negative constant delay")
-        # Jittered built-in models expose their exact delay expression so the
-        # transmit loop can inline it (one RNG draw per delivery, identical
-        # float math — see LatencyModel.jitter_params).
-        self._jitter_params = (
-            None if self._latency_table is not None else self.latency.jitter_params(n)
-        )
+        # The model's delay expression, which the transmit loop inlines (one
+        # RNG draw per jittered delivery, identical float math — see
+        # LatencyModel.delay_spec).
+        self._delay_spec = kind, data, jit, _ = self.latency.delay_spec(n)
+        rows = [[data]] if kind == "add" else data
+        if not all(0.0 <= d < inf for row in rows for d in (*row, jit)):
+            raise NetworkError("latency model produced a negative or non-finite delay")
         # Convert bits/s to bytes/s once; None means infinite bandwidth.
         self._bytes_per_sec = bandwidth_bps / 8.0 if bandwidth_bps else None
         self.adversary = adversary if adversary is not None else DelayAdversary()
@@ -138,33 +133,25 @@ class Network:
         self._staged = cpu is not None or self._freeze is not None
         # Delivery records can be handed straight to the simulator's
         # insertion routine — skipping `post`'s checks per delivery — when
-        # the arrival time is provably never in the past (built-in
-        # non-negative latency models, no adversarial extra delay) and the
-        # tie-order auditor doesn't need to observe insertions.
-        self._inline = (
-            self._null_adversary
-            and sim.tie_audit is None
-            and (self._latency_table is not None or self._jitter_params is not None)
-        )
+        # the arrival time is provably never in the past (delays were checked
+        # non-negative above; no adversarial extra delay) and the tie-order
+        # auditor doesn't need to observe insertions.
+        self._inline = self._null_adversary and sim.tie_audit is None
         # Message arena: only when the arrival-time upper bound per transmit
-        # is computable (built-in latency models, no adversarial delay) and
-        # nothing observes message identity across deliveries (no freeze
-        # sanitizer, no CPU-queue requeue).  `_retire` is a min-heap of
-        # (retire_at, seq, msg): once sim time passes retire_at, every copy
-        # of msg has been delivered and the object returns to the pool.
+        # is computable (no adversarial delay) and nothing observes message
+        # identity across deliveries (no freeze sanitizer, no CPU-queue
+        # requeue).  `_retire` is a min-heap of (retire_at, seq, msg): once
+        # sim time passes retire_at, every copy of msg has been delivered and
+        # the object returns to the pool.
         self.arena: MessageArena | None = None
         self._retire: list | None = None
         self._retire_seq = 0
         self._max_delay: list[float] | None = None
         if self._inline and cpu is None and self._freeze is None:
-            if self._latency_table is not None:
-                self._max_delay = [max(row) + 1e-9 for row in self._latency_table]
+            if kind == "add":
+                self._max_delay = [data + jit + 1e-9] * n
             else:
-                jmode, jdata, jit, _ = self._jitter_params
-                if jmode == "mul":
-                    self._max_delay = [max(row) * (1.0 + jit) + 1e-9 for row in jdata]
-                else:
-                    self._max_delay = [jdata + jit + 1e-9] * n
+                self._max_delay = [max(row) * (1.0 + jit) + 1e-9 for row in data]
             self.arena = MessageArena()
             self._retire = []
 
@@ -173,11 +160,20 @@ class Network:
         """The ``REPRO_SANITIZE=1`` freeze-after-send guard (None when off)."""
         return self._freeze
 
-    def register(self, node_id: NodeId, handler: Handler) -> None:
-        """Register the message handler for ``node_id``."""
+    def _node(self, node_id: NodeId) -> NodeId:
+        """``node_id``, once checked to name a node of this network (a
+        negative id would otherwise index from the end).
+
+        :meth:`send` checks its one destination; :meth:`multicast`'s
+        destinations are not checked, since that would cost a call per copy
+        on the hot path."""
         if not 0 <= node_id < self.n:
             raise NetworkError(f"node id {node_id} out of range (n={self.n})")
-        self._handlers[node_id] = handler
+        return node_id
+
+    def register(self, node_id: NodeId, handler: Handler) -> None:
+        """Register the message handler for ``node_id``."""
+        self._handlers[self._node(node_id)] = handler
         # A new handler invalidates any fast-dispatch table installed for the
         # old one; set_dispatch must be called after register.
         self._dispatch[node_id] = None
@@ -192,9 +188,7 @@ class Network:
         type fall back to the handler from :meth:`register`.  Call after
         :meth:`register` — re-registering clears the table.
         """
-        if not 0 <= node_id < self.n:
-            raise NetworkError(f"node id {node_id} out of range (n={self.n})")
-        self._dispatch[node_id] = dict(table)
+        self._dispatch[self._node(node_id)] = dict(table)
 
     def on_lifecycle(
         self,
@@ -208,9 +202,7 @@ class Network:
         stops (its timers must stop firing — that is what ``on_crash`` hooks
         implement) but durable state (the DAG store) survives to ``recover``.
         """
-        if not 0 <= node_id < self.n:
-            raise NetworkError(f"node id {node_id} out of range (n={self.n})")
-        self._lifecycle[node_id].append((on_crash, on_recover))
+        self._lifecycle[self._node(node_id)].append((on_crash, on_recover))
 
     def crash(self, node_id: NodeId) -> None:
         """Crash a node: it stops sending and receiving from now on.
@@ -219,7 +211,7 @@ class Network:
         transition so node-local timers are suppressed (a crashed node must
         not keep proposing or voting from beyond the grave).
         """
-        if self._crashed[node_id]:
+        if self._crashed[self._node(node_id)]:
             return
         self._crashed[node_id] = True
         for on_crash, _ in self._lifecycle.get(node_id, ()):
@@ -228,7 +220,7 @@ class Network:
 
     def recover(self, node_id: NodeId) -> None:
         """Undo :meth:`crash`; fires ``on_recover`` callbacks (catch-up)."""
-        if not self._crashed[node_id]:
+        if not self._crashed[self._node(node_id)]:
             return
         self._crashed[node_id] = False
         for _, on_recover in self._lifecycle.get(node_id, ()):
@@ -236,7 +228,7 @@ class Network:
                 on_recover()
 
     def is_crashed(self, node_id: NodeId) -> bool:
-        return self._crashed[node_id]
+        return self._crashed[self._node(node_id)]
 
     @property
     def track_kinds(self) -> bool:
@@ -249,7 +241,7 @@ class Network:
 
     def send(self, src: NodeId, dst: NodeId, msg: Message) -> None:
         """Send one message; delivery is scheduled on the simulator."""
-        self._transmit(src, (dst,), msg)
+        self._transmit(src, (self._node(dst),), msg)
 
     def multicast(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
         """Send ``msg`` to every destination; each copy occupies the NIC.
@@ -268,14 +260,13 @@ class Network:
         # The benchmark-critical loop of the whole simulator, and the only
         # place a send becomes calendar events: every broadcast/multicast
         # lands here, and every iteration schedules one delivery event.
-        # Three layers are flattened away when possible: per-destination
-        # stats increments are batched into one update at the end, the
-        # latency model's delay expression is inlined (identical float math
-        # and RNG draw order — see LatencyModel.jitter_params), and each
-        # delivery is one flat record `(arrive, deliver, src, dst, msg, size)`
-        # handed straight to the simulator's insertion routine instead of
-        # going through `sim.post`.
-        if self._crashed[src]:
+        # Three layers are flattened away: per-destination stats increments
+        # are batched into one update at the end, the latency model's delay
+        # expression is inlined (identical float math and RNG draw order —
+        # see LatencyModel.delay_spec), and each delivery is one flat record
+        # `(arrive, deliver, src, dst, msg, size)` handed straight to the
+        # simulator's insertion routine instead of going through `sim.post`.
+        if self._crashed[self._node(src)]:
             return
         if self._freeze is not None:
             self._freeze.on_send(msg)
@@ -304,15 +295,12 @@ class Network:
         tx = size / per_byte if per_byte is not None else 0.0
         faults = self.faults
         n = self.n
-        crow = self._latency_table[src] if self._latency_table is not None else None
-        jrow = jadd = None
-        if self._jitter_params is not None:
-            jmode, jdata, jit, rand = self._jitter_params
-            if jmode == "mul":
-                jrow = jdata[src]
-            else:
-                jadd = jdata
-        delay = self.latency.delay
+        kind, data, jit, rand = self._delay_spec
+        crow = jrow = None
+        if kind == "table":
+            crow = data[src]
+        elif kind == "mul":
+            jrow = data[src]
         deliver = self._deliver
         extra_delay = None if self._null_adversary else self.adversary.extra_delay
         # An inline network (see __init__) has proved that its arrivals are
@@ -354,7 +342,7 @@ class Network:
                 else:
                     # The one arrival-time expression.  Its association is
                     # part of the simulation's definition (float addition
-                    # does not re-associate): clock + prop per arm, then
+                    # does not re-associate): per delay_spec shape, then
                     # + extra.  `prop` is only what the hop span reports.
                     if crow is not None:
                         prop = crow[dst]
@@ -362,13 +350,10 @@ class Network:
                     elif jrow is not None:
                         prop = jrow[dst] * (1.0 + rand() * jit)
                         arrive = clock + prop
-                    elif jadd is not None:
+                    else:  # "add": data is the base delay
                         jitter = rand() * jit
-                        arrive = clock + jadd + jitter
-                        prop = jadd + jitter
-                    else:
-                        prop = delay(src, dst)
-                        arrive = clock + prop
+                        arrive = clock + data + jitter
+                        prop = data + jitter
                     if extra_delay is not None:
                         extra = extra_delay(src, dst, msg, now)
                         arrive += extra

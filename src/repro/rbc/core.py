@@ -60,9 +60,9 @@ from ..net.message import Message
 from ..net.network import Network
 from ..sim.scheduler import EventHandle, Simulator
 from ..types import NodeId, Round, clan_response_quorum
-from .base import InstanceKey
+from .base import InstanceKey, payload_digest
 from .messages import CertMsg, EchoMsg, PayloadRequest, PayloadResponse, ReadyMsg
-from .retrieval import Responder, Retriever
+from .retrieval import RequestFn, Responder, Retriever
 
 COMPLETIONS = ("two-round", "bracha", "optimistic")
 
@@ -209,8 +209,11 @@ class RbcCore:
         #: Forensics hook fired when a conflicting digest for an (origin,
         #: round) instance is first observed: (origin, round, n_conflicting).
         self.on_equivocation: Callable[[NodeId, Round, int], None] | None = None
-        #: Pull planes by channel: (client, server), in creation order.
-        self._pulls: dict[str, tuple[Retriever, Responder]] = {}
+        #: Every pull loop this module runs, in creation order: GC, crash
+        #: suspend and recovery walk this one list.
+        self._loops: list[Retriever] = []
+        #: Payload planes by channel: (loop, server, on_payload).
+        self._pulls: dict[str, tuple[Retriever, Responder, Callable]] = {}
         # ECHO/READY are the n²-per-round fan-out messages and the handlers
         # below retain only field values (signer sets, signatures, digests),
         # never the message object — so both classes satisfy the arena's
@@ -242,6 +245,12 @@ class RbcCore:
         handler(src, msg)
         return True
 
+    def _pull_loop(self, request: RequestFn, retry_timeout: float) -> Retriever:
+        """Open a pull loop whose attempts ``request`` sends."""
+        loop = Retriever(self.sim, request, retry_timeout)
+        self._loops.append(loop)
+        return loop
+
     def _pull_plane(
         self,
         channel: str,
@@ -249,13 +258,18 @@ class RbcCore:
         lookup: Callable[[NodeId, Round], Any | None],
         retry_timeout: float,
     ) -> Retriever:
-        """Open a pull plane (§3: download a missing value from its holders)."""
-        retriever = Retriever(
-            self.node_id, self.network, self.sim, on_payload, retry_timeout, channel
-        )
+        """Open a payload plane (§3: download a missing value from its
+        holders); its fetches ``want`` the payload digest."""
+        node_id, send = self.node_id, self.network.send
+
+        def request(key: InstanceKey, target: NodeId, digest_: bytes) -> bool:
+            send(node_id, target, PayloadRequest(key[0], key[1], digest_, channel))
+            return True
+
+        loop = self._pull_loop(request, retry_timeout)
         responder = Responder(self.node_id, self.network, lookup, channel=channel)
-        self._pulls[channel] = (retriever, responder)
-        return retriever
+        self._pulls[channel] = (loop, responder, on_payload)
+        return loop
 
     def _on_payload_request(self, src: NodeId, msg: PayloadRequest) -> None:
         plane = self._pulls.get(msg.channel)
@@ -264,8 +278,15 @@ class RbcCore:
 
     def _on_payload_response(self, src: NodeId, msg: PayloadResponse) -> None:
         plane = self._pulls.get(msg.channel)
-        if plane is not None:
-            plane[0].on_response(src, msg)
+        if plane is None:
+            return
+        loop, _, on_payload = plane
+        key = (msg.origin, msg.round)
+        want = loop.wanted(key)
+        if want is None or payload_digest(msg.payload) != want:
+            return  # unsolicited, or corrupted/adversarial: keep retrying
+        loop.done(key)
+        on_payload(msg.origin, msg.round, msg.payload)
 
     def send_val_parts(self, parts: ValParts) -> None:
         """Transmit an honest sender's VALs (and chunks) in protocol order."""
@@ -609,22 +630,23 @@ class RbcCore:
         Called as the owner's commit frontier advances; pull-client entries
         (with their retry timers) and pull-server rate-limit records for
         long-committed rounds would otherwise accumulate forever."""
-        for retriever, responder in self._pulls.values():
-            retriever.gc_below(round_)
+        for loop in self._loops:
+            loop.gc_below(round_)
+        for _, responder, _ in self._pulls.values():
             responder.gc_below(round_)
 
     def suspend_timers(self) -> None:
         """Crash: stop all local timers (no requests from the grave)."""
-        for retriever, _ in self._pulls.values():
-            retriever.suspend()
+        for loop in self._loops:
+            loop.suspend()
         if self._optimistic:
             for state in self.instances.values():
                 self._cancel_fallback(state)
 
     def resume_timers(self) -> None:
         """Recovery: restart suspended pulls."""
-        for retriever, _ in self._pulls.values():
-            retriever.resume()
+        for loop in self._loops:
+            loop.resume()
         if self._optimistic:
             # A recovering node has no idea how long it was down; give up on
             # the fast path for every instance that was in flight.

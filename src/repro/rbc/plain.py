@@ -186,7 +186,7 @@ class PlainRbc(RbcCore):
         # download as soon as the ECHO quorum certifies an honest holder.
         if self.in_clan and digest_ not in state.payloads and not state.delivered:
             self._retriever.fetch(
-                origin, round_, digest_, self._clan_holders(state.echoes[digest_])
+                (origin, round_), self._clan_holders(state.echoes[digest_]), digest_
             )
 
     def _certified(
@@ -204,7 +204,7 @@ class PlainRbc(RbcCore):
         vouchers = cert.signers if cert is not None else state.echoes.get(digest_, ())
         holders = self._clan_holders(vouchers)
         if holders:
-            self._retriever.fetch(origin, round_, digest_, holders)
+            self._retriever.fetch((origin, round_), holders, digest_)
 
     def _deliver(
         self, origin: NodeId, round_: Round, state: PlainInstance, digest_: bytes

@@ -1,11 +1,13 @@
-"""Payload retrieval ("download value m from parties in P_c").
+"""Retrieval ("download value m from parties in P_c").
 
 When a clan member reaches the delivery condition without having received the
 payload (possible under a Byzantine sender), it pulls the payload from clan
 members that provably hold it — any clan member that sent an ECHO claims to
 have received ``m`` (Fig. 2 step 2).  Requests go to one holder at a time
 with a retry timer; responders answer each requester at most once per
-instance (the paper's rate-limiting remark).
+instance (the paper's rate-limiting remark).  :class:`Retriever` is the one
+pull loop of the RBC layer: every plane (payload, vertex, block, chunks)
+differs only in the ``request`` callback that sends one attempt.
 """
 
 from __future__ import annotations
@@ -16,45 +18,39 @@ from ..errors import BroadcastError
 from ..net.network import Network
 from ..sim.scheduler import Simulator
 from ..types import NodeId, Round
-from .base import InstanceKey, payload_digest
+from .base import InstanceKey
 from .messages import PayloadRequest, PayloadResponse
+
+#: Capped exponential backoff between attempts: retries persist for eventual
+#: delivery without flooding the network when every holder is slow or faulty.
+BACKOFF = 1.5
+MAX_RETRY_TIMEOUT = 30.0
+
+#: ``request(key, target, want)`` sends one attempt to ``target``; False
+#: means nothing is left to ask, and the loop drops the fetch.
+RequestFn = Callable[[InstanceKey, NodeId, Any], bool]
 
 
 class Retriever:
-    """Per-node pull client: fetches missing payloads from known holders."""
+    """Per-node pull loop: rotates over known holders until the owner calls
+    :meth:`done`."""
 
     def __init__(
-        self,
-        node_id: NodeId,
-        network: Network,
-        sim: Simulator,
-        on_payload: Callable[[NodeId, Round, Any], None],
-        retry_timeout: float = 0.5,
-        channel: str = "payload",
+        self, sim: Simulator, request: RequestFn, retry_timeout: float = 0.5
     ) -> None:
         if retry_timeout <= 0:
             raise BroadcastError("retry timeout must be positive")
-        self.node_id = node_id
-        self.network = network
         self.sim = sim
-        self.on_payload = on_payload
+        self.request = request
         self.retry_timeout = retry_timeout
-        self.channel = channel
         self._pending: dict[InstanceKey, dict] = {}
 
-    def fetch(
-        self,
-        origin: NodeId,
-        round_: Round,
-        digest: bytes,
-        holders: list[NodeId],
-    ) -> None:
-        """Start pulling payload for ``(origin, round_)`` from ``holders``.
+    def fetch(self, key: InstanceKey, holders: list[NodeId], want: Any = None) -> None:
+        """Start pulling ``want`` for instance ``key`` from ``holders``.
 
         Idempotent: a second call for the same instance refreshes the holder
         list but does not restart an in-flight request.
         """
-        key = (origin, round_)
         state = self._pending.get(key)
         if state is not None:
             for holder in holders:
@@ -63,15 +59,25 @@ class Retriever:
             return
         if not holders:
             raise BroadcastError(f"no holders known for instance {key}")
-        state = {
-            "digest": digest,
+        self._pending[key] = {
+            "want": want,
             "holders": list(holders),
             "next": 0,
             "timer": None,
             "timeout": self.retry_timeout,
         }
-        self._pending[key] = state
         self._request(key)
+
+    def wanted(self, key: InstanceKey) -> Any | None:
+        """What the pending fetch for ``key`` asks for (None when none is)."""
+        state = self._pending.get(key)
+        return state["want"] if state is not None else None
+
+    def done(self, key: InstanceKey) -> None:
+        """The data for ``key`` is in: stop retrying."""
+        state = self._pending.pop(key, None)
+        if state is not None and state["timer"] is not None:
+            state["timer"].cancel()
 
     @property
     def pending(self) -> set[InstanceKey]:
@@ -85,9 +91,7 @@ class Retriever:
         without bound when holders stay unresponsive forever."""
         stale = [key for key in self._pending if key[1] < round_]
         for key in stale:
-            state = self._pending.pop(key)
-            if state["timer"] is not None:
-                state["timer"].cancel()
+            self.done(key)
         return len(stale)
 
     def suspend(self) -> None:
@@ -99,7 +103,7 @@ class Retriever:
                 state["timer"] = None
 
     def resume(self) -> None:
-        """Re-issue every suspended fetch (recovery)."""
+        """Re-issue every suspended fetch (recovery), in insertion order."""
         for key in list(self._pending):
             self._request(key)
 
@@ -110,31 +114,11 @@ class Retriever:
         holders = state["holders"]
         target = holders[state["next"] % len(holders)]
         state["next"] += 1
-        origin, round_ = key
-        self.network.send(
-            self.node_id,
-            target,
-            PayloadRequest(origin, round_, state["digest"], self.channel),
-        )
-        # Exponential backoff (capped): retries persist for eventual delivery
-        # without flooding the network when every holder is slow or faulty.
+        if not self.request(key, target, state["want"]):
+            del self._pending[key]
+            return
         state["timer"] = self.sim.schedule(state["timeout"], self._request, key)
-        state["timeout"] = min(state["timeout"] * 1.5, 30.0)
-
-    def on_response(self, src: NodeId, msg: PayloadResponse) -> None:
-        """Handle a payload response; verifies the digest before accepting."""
-        if msg.channel != self.channel:
-            return
-        key = (msg.origin, msg.round)
-        state = self._pending.get(key)
-        if state is None:
-            return
-        if payload_digest(msg.payload) != state["digest"]:
-            return  # corrupted or adversarial response; keep retrying
-        if state["timer"] is not None:
-            state["timer"].cancel()
-        del self._pending[key]
-        self.on_payload(msg.origin, msg.round, msg.payload)
+        state["timeout"] = min(state["timeout"] * BACKOFF, MAX_RETRY_TIMEOUT)
 
 
 class Responder:

@@ -9,6 +9,8 @@ slow or withholding proposers.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.committees import ClanConfig
 from repro.consensus import Deployment, ProtocolParams
 from repro.consensus.byzantine import (
@@ -24,6 +26,11 @@ from .conftest import run_deployment
 
 def _ordered_keys(deployment, nodes):
     return {i: deployment.nodes[i].ordered_keys() for i in nodes}
+
+
+def _owes(rbc):
+    """Whether any decided prefix has not reached its executor yet."""
+    return any(state.owed for state in rbc.instances.values())
 
 
 class TestOptimisticMode:
@@ -81,7 +88,7 @@ class TestPrefixMode:
             # Honest proposers on a clean network: nothing ever truncates.
             assert node.prefix_truncated == 0
             assert node.prefix_chunks_dropped == 0
-            assert not node._awaiting_chunks
+            assert not _owes(node.rbc)
 
     def test_decisions_are_identical_across_honest_nodes(self, run):
         dep, _ = run(
@@ -135,7 +142,7 @@ class TestPrefixMode:
             node = dep.nodes[i]
             assert node.prefix_truncated > 0
             # The withheld tail is dropped, never waited for.
-            assert not node._awaiting_chunks
+            assert not _owes(node.rbc)
 
     def test_smr_execution_matches_two_round(self):
         # End to end: the decided prefixes reach the executors, every clan
@@ -159,6 +166,30 @@ class TestPrefixMode:
                 for member in sorted(runtime.executors)
             }
         assert digests["prefix"] == digests["two-round"]
+
+    @pytest.mark.parametrize("node, down, up", [(3, 1.0, 3.0), (1, 1.0, 3.0), (2, 2.0, 5.0)])
+    def test_recovered_clan_member_executes_every_prefix(self, node, down, up):
+        # The recovered replica learns the rounds it missed through sync
+        # catch-up, so it never saw their VALs: the manifests its chunk pulls
+        # bring back must bind to the ordered vertex, or it stops executing.
+        runtime = SmrRuntime(
+            ClanConfig.baseline(4),
+            params=ProtocolParams(rbc_mode="prefix", verify_signatures=False),
+            seed=3,
+            track_kinds=True,
+        )
+        net = runtime.deployment.network
+        client = runtime.new_client("c")
+        runtime.start()
+        for i in range(40):
+            runtime.sim.schedule(i * 0.1, runtime.submit, client, ("incr", f"k{i % 3}", 1))
+        runtime.sim.schedule(down, net.crash, node)
+        runtime.sim.schedule(up, net.recover, node)
+        runtime.run(until=12.0, max_events=10_000_000)
+        assert net.stats.messages_by_kind["ChunkRequestMsg"] > 0  # pulls ran
+        runtime.check_execution_consistency()
+        assert {ex.executed_txns for ex in runtime.executors.values()} == {40}
+        assert not _owes(runtime.deployment.nodes[node].rbc)
 
 
 class TestDeterminism:

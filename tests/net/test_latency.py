@@ -60,6 +60,61 @@ def test_uniform_latency_rejects_negative():
         UniformLatencyModel(base=-1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformLatencyModel(NAN),
+        lambda: UniformLatencyModel(INF),
+        lambda: UniformLatencyModel(0.05, jitter=NAN),
+        lambda: UniformLatencyModel(0.05, jitter=INF),
+        lambda: GeoLatencyModel(["us-east1", "us-west1"], jitter=INF),
+        lambda: GeoLatencyModel(["us-east1", "us-west1"], jitter=NAN),
+        lambda: GeoLatencyModel(["a", "b"], rtt_ms={
+            ("a", "a"): 1.0, ("a", "b"): NAN, ("b", "a"): 2.0, ("b", "b"): 1.0,
+        }),
+        lambda: GeoLatencyModel(["a"], rtt_ms={("a", "a"): INF}),
+    ],
+    ids=[
+        "uniform-nan", "uniform-inf", "uniform-jitter-nan", "uniform-jitter-inf",
+        "geo-jitter-inf", "geo-jitter-nan", "geo-rtt-nan", "geo-rtt-inf",
+    ],
+)
+def test_non_finite_parameters_rejected_at_construction(make):
+    # Each passed its `< 0` check and failed only at the first send, deep in
+    # the simulator's calendar insertion.
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_delay_spec_matches_delay():
+    # The network evaluates delay_spec's expression instead of calling
+    # delay(); both must draw the same numbers in the same order.
+    pairs = [(src, dst) for src in range(7) for dst in range(7)]
+    for model in (
+        UniformLatencyModel(0.05),
+        UniformLatencyModel(0.05, 0.01, seed=4),
+        gcp_latency_model(7, jitter=0.0),
+        gcp_latency_model(7, seed=4),
+    ):
+        kind, data, jit, draw = model.delay_spec(7)
+        rng = draw.__self__ if draw is not None else None
+        replay = rng.getstate() if rng is not None else None
+        expected = [model.delay(src, dst) for src, dst in pairs]
+        if rng is not None:
+            rng.setstate(replay)  # the spec must draw the very same numbers
+        for (src, dst), want in zip(pairs, expected):
+            if kind == "table":
+                got = data[src][dst]
+            elif kind == "mul":
+                got = data[src][dst] * (1.0 + draw() * jit)
+            else:
+                got = data + draw() * jit
+            assert got == want, (kind, src, dst)
+
+
 def test_geo_latency_one_way_is_half_rtt():
     model = GeoLatencyModel(["us-east1", "us-west1"], jitter=0.0)
     assert model.delay(0, 1) == pytest.approx(66.14 / 2 / 1000)

@@ -160,6 +160,47 @@ def test_bad_bandwidth_rejected():
         Network(sim, 2, bandwidth_bps=0)
 
 
+@pytest.mark.parametrize("bandwidth", [float("nan"), -float("inf"), -1.0])
+def test_non_finite_bandwidth_rejected(bandwidth):
+    with pytest.raises(NetworkError):
+        Network(Simulator(), 2, bandwidth_bps=bandwidth)
+
+
+def test_infinite_bandwidth_is_legal():
+    sim = Simulator()
+    net = Network(sim, 2, latency=UniformLatencyModel(0.05), bandwidth_bps=float("inf"))
+    inbox = []
+    net.register(1, lambda src, msg: inbox.append(sim.now))
+    net.multicast(0, [1, 1], Blob(size=10**6))
+    sim.run()
+    assert inbox == [pytest.approx(0.05)] * 2
+
+
+class SpecModel(UniformLatencyModel):
+    """A latency model whose hot-path spec the test controls."""
+
+    def __init__(self, spec):
+        super().__init__(0.05)
+        self.spec = spec
+
+    def delay_spec(self, n):
+        return self.spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ("table", [[0.05, -0.01], [0.05, 0.05]], 0.0, None),
+        ("table", [[0.05, float("nan")], [0.05, 0.05]], 0.0, None),
+        ("mul", [[0.05, 0.05], [0.05, 0.05]], float("inf"), None),
+        ("add", float("inf"), 0.01, None),
+    ],
+)
+def test_bad_delay_spec_rejected(spec):
+    with pytest.raises(NetworkError):
+        Network(Simulator(), 2, latency=SpecModel(spec))
+
+
 def test_partial_synchrony_delays_before_gst_only():
     adversary = PartialSynchronyAdversary(gst=10.0, max_extra=5.0, delta=1.0, seed=9)
     sim, net, inbox = make_net(adversary=adversary)
@@ -274,3 +315,40 @@ def test_set_dispatch_rejects_unknown_node():
     for node_id in (-1, 2):
         with pytest.raises(NetworkError):
             net.set_dispatch(node_id, {})
+
+
+@pytest.mark.parametrize("node_id", [-1, -4, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, i: net.register(i, print),
+        lambda net, i: net.on_lifecycle(i),
+        lambda net, i: net.crash(i),
+        lambda net, i: net.recover(i),
+        lambda net, i: net.is_crashed(i),
+        lambda net, i: net.send(i, 1, Blob()),
+        lambda net, i: net.send(0, i, Blob()),
+        lambda net, i: net.broadcast(i, Blob()),
+    ],
+    ids=[
+        "register", "on_lifecycle", "crash", "recover", "is_crashed",
+        "send", "send_dst", "broadcast",
+    ],
+)
+def test_out_of_range_node_ids_rejected(call, node_id):
+    # A negative id used to index from the end: crash(-1) crashed node 3 and
+    # send(-2, ...) billed node 2's NIC.
+    sim, net, inbox = make_net(n=4)
+    with pytest.raises(NetworkError):
+        call(net, node_id)
+    sim.run()
+    assert net._crashed == [False] * 4
+    assert net.stats.bytes_sent == [0] * 4
+    assert inbox == [[], [], [], []]
+
+
+def test_scheduled_crash_of_unknown_node_raises_network_error():
+    sim, net, _ = make_net(n=4)
+    sim.schedule(1.0, net.crash, 4)
+    with pytest.raises(NetworkError):
+        sim.run()

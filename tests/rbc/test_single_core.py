@@ -1,8 +1,12 @@
-"""Guard: the RBC voting state machine is written exactly once.
+"""Guard: the RBC voting state machine and its pull loop are written once.
 
 The Fig. 2/3 family and the §5 merged vertex RBC are payload policies over
 ``repro.rbc.core``; a second definition of a voting handler anywhere under
-``src/repro`` means a copy has crept back in.
+``src/repro`` means a copy has crept back in.  Likewise every RBC pull —
+payload, block, vertex, chunks — runs on ``repro.rbc.retrieval.Retriever``:
+a retry timer or a capped backoff in the merged RBC or the node is a second
+pull loop.  (``consensus/sync.py`` keeps its own: it pulls one moving round
+window from any peer and resets its backoff on progress.)
 """
 
 import ast
@@ -29,3 +33,46 @@ def test_voting_handlers_are_defined_once_in_the_core():
                     where = os.path.relpath(path, SRC).replace(os.sep, "/")
                     defined[node.name].append(where)
     assert defined == {name: ["rbc/core.py"] for name in HANDLERS}
+
+
+def _trees(*folders):
+    for folder in folders:
+        for filename in sorted(os.listdir(os.path.join(SRC, folder))):
+            if filename.endswith(".py"):
+                path = os.path.join(SRC, folder, filename)
+                with open(path, encoding="utf-8") as fh:
+                    yield f"{folder}/{filename}", ast.parse(fh.read(), filename=path)
+
+
+def test_merged_rbc_and_node_schedule_no_timers():
+    for where, tree in _trees("consensus"):
+        if where not in ("consensus/vertex_rbc.py", "consensus/node.py"):
+            continue
+        calls = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("schedule", "schedule_at", "post")
+        ]
+        assert calls == [], where
+
+
+def test_backoff_lives_in_the_pull_loops():
+    # The capped-backoff step `min(timeout * growth, cap)` runs in the two
+    # pull loops; the 30 s cap is defined once and sync imports it.
+    steps, caps = set(), set()
+    for where, tree in _trees("rbc", "consensus"):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "min"
+                and node.args
+                and isinstance(node.args[0], ast.BinOp)
+                and isinstance(node.args[0].op, ast.Mult)
+            ):
+                steps.add(where)
+            if isinstance(node, ast.Constant) and node.value == 30.0:
+                caps.add(where)
+    assert steps == {"rbc/retrieval.py", "consensus/sync.py"}
+    assert caps == {"rbc/retrieval.py"}
