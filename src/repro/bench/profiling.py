@@ -8,7 +8,8 @@
 * the cyclic collector's bill for the run (time, collections per generation,
   objects freed): the collector runs in C between bytecodes, so its cost is
   smeared over whatever allocated last and no hot-function row shows it — an
-  allocation regression on the event path is visible here first, and
+  allocation regression on the event path is visible here first — beside
+  the process's peak RSS, where a memory regression shows, and
 * the run's core-speed number (simulator events per wall second), the same
   metric ``scripts/bench_smoke.py`` gates in CI.
 
@@ -29,6 +30,7 @@ import cProfile
 import gc
 import os
 import pstats
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -103,6 +105,8 @@ class ProfileReport:
     gc: GcStats = field(default_factory=GcStats)
     #: Per-hop simulated-time decomposition (only when traced).
     hop_stages: list[dict[str, Any]] = field(default_factory=list)
+    #: Peak resident set of the process after the run (``ru_maxrss``), MiB.
+    peak_rss_mb: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -194,6 +198,7 @@ def profile_experiment(
         metrics=metrics,
         hot=hot_functions(profiler, top=top),
         gc=gc_stats,
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     )
     if tracer is not None:
         from .trace_report import hop_stage_table
@@ -235,10 +240,12 @@ def format_profile_report(report: ProfileReport) -> str:
                     "gen1": report.gc.collections[1],
                     "gen2": report.gc.collections[2],
                     "objects_freed": report.gc.freed,
+                    "peak_rss_mb": round(report.peak_rss_mb, 1),
                 }
             ],
             "Cyclic collector during the run (its time hides inside whichever rows "
-            "were allocating; few objects freed = pure traversal of live containers)",
+            "were allocating; few objects freed = pure traversal of live containers; "
+            "peak_rss_mb = the process's high-water mark)",
         ),
     ]
     if report.hop_stages:

@@ -45,7 +45,7 @@ from ..dag.vertex import Vertex
 from ..errors import ConsensusError
 from ..net.network import Network
 from ..obs.ctx import TraceCtx, block_trace_key
-from ..rbc.core import Instance, RbcCore, ValParts
+from ..rbc.core import Instance, RbcCore, ValParts, echoers
 from ..rbc.messages import PayloadRequest, PayloadResponse
 from ..rbc.prefix import (
     BlockChunk,
@@ -346,7 +346,7 @@ class VertexRbc(RbcCore):
         if state.vertex is None or state.vertex.vertex_digest() != digest_:
             # VAL still in flight (or equivocation shadow): pull the vertex
             # from any echoing party, off the critical path.
-            holders = [p for p in state.echoes.get(digest_, ()) if p != self.node_id]
+            holders = [p for p in echoers(state, digest_) if p != self.node_id]
             if self._signed and not holders:
                 holders = [origin]
             if holders:
@@ -397,7 +397,7 @@ class VertexRbc(RbcCore):
             return
         holders = [
             p
-            for p in state.echoes.get(digest_, ())
+            for p in echoers(state, digest_)
             if p in state.clan and p != self.node_id
         ]
         if holders:
@@ -425,7 +425,7 @@ class VertexRbc(RbcCore):
         ):
             # Equivocating proposer: the quorum certified a different vertex
             # than the VAL we saw first; the certified one is authoritative.
-            state.conflicting.add(state.vertex.vertex_digest())
+            state.conflicting |= {state.vertex.vertex_digest()}
             if self.on_equivocation is not None:
                 self.on_equivocation(origin, round_, len(state.conflicting))
             state.vertex = vertex
@@ -470,6 +470,10 @@ class ChunkedPrefixRbc(VertexRbc):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # Not a payload plane, so gc_below leaves it alone: a pending chunk
+        # pull is an owed prefix (fetch_prefix opens it, _notify_chunks
+        # closes it), and the executor drains blocks in total order, so
+        # however far the GC floor has passed its round it must not drop.
         self._chunk_pull = self._pull_loop(self._request_chunks, self.retry_timeout)
         #: Serve-once marks of the chunk server: (origin, round, index, requester).
         self._chunk_served: set[tuple[NodeId, Round, int, NodeId]] = set()

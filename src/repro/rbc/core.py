@@ -66,6 +66,9 @@ from .retrieval import RequestFn, Responder, Retriever
 
 COMPLETIONS = ("two-round", "bracha", "optimistic")
 
+#: Party ids are recorded one byte each in ``Instance.echo_order``.
+MAX_PARTIES = 256
+
 
 @dataclass(slots=True)
 class Instance:
@@ -89,15 +92,22 @@ class Instance:
     #: and the f_c+1 of them the echo-quorum rule requires.
     clan: frozenset[NodeId] | None = None
     clan_quorum: int = 0
-    echoes: dict[bytes, set[NodeId]] = field(default_factory=dict)
-    #: Incremental clan-supporter tallies per digest (hot-path counter).
-    clan_echo_counts: dict[bytes, int] = field(default_factory=dict)
-    #: Signatures on ECHO statements, per digest (two-round completion).
-    echo_sigs: dict[bytes, dict[NodeId, Signature]] = field(default_factory=dict)
-    readies: dict[bytes, set[NodeId]] = field(default_factory=dict)
+    #: The clan as a supporter mask (bit p is party p).
+    clan_mask: int = 0
+    #: ECHO supporters per digest, as a mask (bit p: party p echoed).
+    echoes: dict[bytes, int] = field(default_factory=dict)
+    #: The same supporters in ECHO-arrival order, one byte each: the order
+    #: pulls ask holders in derives from it (see :func:`echoers`).
+    echo_order: dict[bytes, bytearray] = field(default_factory=dict)
+    #: Two-round completion: signatures on the ECHO statement per digest, in
+    #: arrival order, kept only until the certificate is built or received.
+    echo_sigs: dict[bytes, list[Signature]] = field(default_factory=dict)
+    #: READY supporters per digest, as a mask.
+    readies: dict[bytes, int] = field(default_factory=dict)
     #: Other digests seen in conflicting VALs (tests and forensics read this;
-    #: the protocol itself honours only the first).
-    conflicting: set[bytes] = field(default_factory=set)
+    #: the protocol itself honours only the first).  The shared empty
+    #: frozenset until the first conflict replaces it.
+    conflicting: frozenset[bytes] = frozenset()
     # Optimistic completion: has this instance abandoned the fast path, and
     # its armed fallback timer.
     pessimistic: bool = False
@@ -130,6 +140,19 @@ class ValParts:
     bare: Message
     #: Chunked prefix only: the block, as chunk messages for ``holders``.
     chunks: tuple[Message, ...] = ()
+
+
+def echoers(state: Instance, digest_: bytes) -> list[NodeId]:
+    """The parties that echoed ``digest_``, in the order a pull asks them.
+
+    Every holder list drawn from the ECHO tally is built here, and its
+    order is part of the simulation: it is the iteration order of a ``set``
+    filled in ECHO-arrival order — ascending ids once the table has spread
+    out (at 2f+1 supporters it has, for every n ≤ 256), arrival order among
+    ids that share a slot (``{9, 1}`` iterates as ``[9, 1]``).
+    """
+    order = state.echo_order.get(digest_)
+    return list(set(order)) if order is not None else []
 
 
 class RbcCore:
@@ -181,6 +204,11 @@ class RbcCore:
         (a :class:`~repro.rbc.base.Membership` or a ``ClanConfig``)."""
         if completion not in COMPLETIONS:
             raise BroadcastError(f"unknown RBC completion {completion!r}")
+        if committee.n > MAX_PARTIES:
+            raise BroadcastError(
+                f"RBC tallies record party ids in one byte: n={committee.n} "
+                f"exceeds {MAX_PARTIES}"
+            )
         self.node_id = node_id
         self.n = committee.n
         self.network = network
@@ -201,6 +229,8 @@ class RbcCore:
         self._quorum = committee.quorum
         self._amplify = committee.ready_amplify
         self.instances: dict[InstanceKey, Instance] = {}
+        #: Clan -> its supporter mask, shared by every instance of the clan.
+        self._clan_masks: dict[frozenset[NodeId], int] = {}
         # Optimistic-completion statistics: deliveries through each path and
         # fallback-trigger counts by reason ("conflict"/"timeout"/"ready").
         self.fast_deliveries = 0
@@ -209,13 +239,13 @@ class RbcCore:
         #: Forensics hook fired when a conflicting digest for an (origin,
         #: round) instance is first observed: (origin, round, n_conflicting).
         self.on_equivocation: Callable[[NodeId, Round, int], None] | None = None
-        #: Every pull loop this module runs, in creation order: GC, crash
+        #: Every pull loop this module runs, in creation order: crash
         #: suspend and recovery walk this one list.
         self._loops: list[Retriever] = []
         #: Payload planes by channel: (loop, server, on_payload).
         self._pulls: dict[str, tuple[Retriever, Responder, Callable]] = {}
         # ECHO/READY are the n²-per-round fan-out messages and the handlers
-        # below retain only field values (signer sets, signatures, digests),
+        # below retain only field values (supporter bits, signatures, digests),
         # never the message object — so both classes satisfy the arena's
         # pooling contract.  CERT does not: _on_cert rebroadcasts the object.
         self._arena = getattr(network, "arena", None)
@@ -235,6 +265,10 @@ class RbcCore:
             if clan is not None:
                 state.clan = clan
                 state.clan_quorum = clan_response_quorum(len(clan))  # f_c + 1
+                mask = self._clan_masks.get(clan)
+                if mask is None:
+                    mask = self._clan_masks[clan] = sum(1 << p for p in clan)
+                state.clan_mask = mask
         return state
 
     def on_message(self, src: NodeId, msg: object) -> bool:
@@ -334,7 +368,7 @@ class RbcCore:
         self, origin: NodeId, round_: Round, state: Instance, digest_: bytes
     ) -> None:
         """A VAL for a second digest: record it, never follow it."""
-        state.conflicting.add(digest_)
+        state.conflicting |= {digest_}
         if self.on_equivocation is not None:
             self.on_equivocation(origin, round_, len(state.conflicting))
         if self._optimistic and not state.pessimistic:
@@ -387,30 +421,33 @@ class RbcCore:
         state = self.instances.get((msg.origin, msg.round))
         if state is None:
             state = self.instance(msg.origin, msg.round)
-        # get-then-create: setdefault would build and discard a set on every
-        # one of the n³ ECHOes; only the first of an instance needs one.
-        supporters = state.echoes.get(digest_)
-        if supporters is None:
-            supporters = state.echoes[digest_] = set()
-        if src in supporters:
+        # An int mask per digest, no container: ECHOes are n³ per round and
+        # the instance table is never pruned.
+        bit = 1 << src
+        supporters = state.echoes.get(digest_, 0)
+        if supporters & bit:
             return
-        supporters.add(src)
-        if state.clan is not None and src in state.clan:
-            state.clan_echo_counts[digest_] = state.clan_echo_counts.get(digest_, 0) + 1
+        supporters = state.echoes[digest_] = supporters | bit
+        order = state.echo_order.get(digest_)
+        if order is None:
+            state.echo_order[digest_] = bytearray((src,))
+        else:
+            order.append(src)
         if self._signed:
-            sigs = state.echo_sigs.get(digest_)
-            if sigs is None:
-                sigs = state.echo_sigs[digest_] = {}
-            sigs[src] = signature
             if state.cert_sent:
                 return  # tally maintained, but the quorum already acted
+            sigs = state.echo_sigs.get(digest_)
+            if sigs is None:
+                state.echo_sigs[digest_] = [signature]
+            else:
+                sigs.append(signature)
         elif self._optimistic and not state.pessimistic:
             if not state.delivered and state.fallback_timer is None:
                 self._arm_fallback(msg.origin, msg.round, state)
             if len(state.echoes) > 1 or state.conflicting:
                 # _fall_back replays the quorum rule per digest.
                 self._fall_back(msg.origin, msg.round, state, "conflict")
-            elif len(supporters) == self.n and not state.delivered:
+            elif supporters.bit_count() == self.n and not state.delivered:
                 # Fast path: all n parties echoed one digest.  Every clan
                 # member echoed only after holding the payload, and the all-n
                 # set includes this node, so delivery needs no pull.
@@ -423,17 +460,19 @@ class RbcCore:
     ) -> None:
         """The echo-quorum rule: 2f+1 ECHOes, ≥ f_c+1 of them from the clan
         — so an honest clan member provably holds the payload."""
-        if len(state.echoes[digest_]) < self._quorum:
+        supporters = state.echoes[digest_]
+        if supporters.bit_count() < self._quorum:
             return
         if state.clan is not None and (
-            state.clan_echo_counts.get(digest_, 0) < state.clan_quorum
+            (supporters & state.clan_mask).bit_count() < state.clan_quorum
         ):
             return
         if self._signed:
             if state.cert_sent:
                 return
             state.cert_sent = True
-            cert = build_certificate(list(state.echo_sigs[digest_].values()))
+            cert = build_certificate(state.echo_sigs.pop(digest_))
+            state.echo_sigs.clear()
             cert_msg = self._cert_cls(origin, round_, digest_, cert, self.n)
             if state.ctx is not None and self.tracer.verbose:
                 cert_msg.trace_ctx = state.ctx
@@ -466,6 +505,7 @@ class RbcCore:
         # it even if the original quorum-former was the only honest multicaster.
         if not state.cert_sent:
             state.cert_sent = True
+            state.echo_sigs.clear()
             self.network.broadcast(self.node_id, msg)
         self._complete(msg.origin, msg.round, msg.digest, state, msg.cert)
 
@@ -514,13 +554,12 @@ class RbcCore:
                 # so the laggard completes even if it was the only one to
                 # fall back.
                 self._send_ready(msg.origin, msg.round, state.quorum_digest, state)
-        supporters = state.readies.get(msg.digest)
-        if supporters is None:
-            supporters = state.readies[msg.digest] = set()
-        if src in supporters:
+        bit = 1 << src
+        supporters = state.readies.get(msg.digest, 0)
+        if supporters & bit:
             return
-        supporters.add(src)
-        count = len(supporters)
+        supporters = state.readies[msg.digest] = supporters | bit
+        count = supporters.bit_count()
         if count >= self._amplify and state.ready_digest is None:
             self._send_ready(msg.origin, msg.round, msg.digest, state)
         if count >= self._quorum:
@@ -625,14 +664,14 @@ class RbcCore:
     # -- housekeeping ---------------------------------------------------------------
 
     def gc_below(self, round_: Round) -> None:
-        """Garbage-collect retrieval state for instances with round < ``round_``.
+        """Garbage-collect the payload planes for instances with round < ``round_``.
 
         Called as the owner's commit frontier advances; pull-client entries
         (with their retry timers) and pull-server rate-limit records for
-        long-committed rounds would otherwise accumulate forever."""
-        for loop in self._loops:
+        long-committed rounds would otherwise accumulate forever.  A loop
+        that is not a plane is its owner's to close, fetch by fetch."""
+        for loop, responder, _ in self._pulls.values():
             loop.gc_below(round_)
-        for _, responder, _ in self._pulls.values():
             responder.gc_below(round_)
 
     def suspend_timers(self) -> None:
@@ -656,4 +695,4 @@ class RbcCore:
                     self._fall_back(origin, round_, state, "timeout")
 
 
-__all__ = ["COMPLETIONS", "Instance", "RbcCore", "ValParts"]
+__all__ = ["COMPLETIONS", "MAX_PARTIES", "Instance", "RbcCore", "ValParts", "echoers"]

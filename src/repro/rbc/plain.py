@@ -29,7 +29,7 @@ from ..net.network import Network
 from ..sim.scheduler import Simulator
 from ..types import NodeId, Round
 from .base import DeliverFn, Delivery, Membership, payload_digest
-from .core import Instance, RbcCore, ValParts
+from .core import Instance, RbcCore, ValParts, echoers
 from .messages import (
     CertMsg,
     EchoMsg,
@@ -186,7 +186,7 @@ class PlainRbc(RbcCore):
         # download as soon as the ECHO quorum certifies an honest holder.
         if self.in_clan and digest_ not in state.payloads and not state.delivered:
             self._retriever.fetch(
-                (origin, round_), self._clan_holders(state.echoes[digest_]), digest_
+                (origin, round_), self._clan_holders(echoers(state, digest_)), digest_
             )
 
     def _certified(
@@ -201,7 +201,7 @@ class PlainRbc(RbcCore):
         # Clan member without the value: pull it from the clan members that
         # vouched for it — the certificate's signers, else the echoers.  With
         # no holder known yet, later ECHOes trigger the fetch.
-        vouchers = cert.signers if cert is not None else state.echoes.get(digest_, ())
+        vouchers = cert.signers if cert is not None else echoers(state, digest_)
         holders = self._clan_holders(vouchers)
         if holders:
             self._retriever.fetch((origin, round_), holders, digest_)

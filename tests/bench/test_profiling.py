@@ -32,6 +32,10 @@ def test_profile_report_has_collector_table():
     assert sum(report.gc.collections) >= 1
     text = format_profile_report(report)
     assert "Cyclic collector" in text and "objects_freed" in text
+    # Memory beside the collector: the process high-water mark, in MiB.
+    assert "peak_rss_mb" in text
+    assert 1.0 < report.peak_rss_mb < 1e6
+    assert f"{round(report.peak_rss_mb, 1)}" in text
     # The calendar's one constant is checkable from the first table.
     assert 0 < report.metrics.sim_epochs <= report.sim_events
     assert "events/epoch" in text

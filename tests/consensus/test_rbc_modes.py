@@ -191,6 +191,33 @@ class TestPrefixMode:
         assert {ex.executed_txns for ex in runtime.executors.values()} == {40}
         assert not _owes(runtime.deployment.nodes[node].rbc)
 
+    def test_gc_keeps_the_chunk_pull_of_an_owed_prefix(self):
+        # Node 3 misses rounds while down and pulls their chunks during
+        # catch-up.  Node 0 attested them, so it heads every holder list,
+        # and it is dead by then: each pull needs a retry.  Catch-up commits
+        # race the GC floor far past those rounds (gc_depth=2), and a pull GC
+        # dropped would never be asked again — node 3 would stop executing.
+        runtime = SmrRuntime(
+            ClanConfig.baseline(4),
+            params=ProtocolParams(
+                rbc_mode="prefix", verify_signatures=False, gc_depth=2
+            ),
+            seed=3,
+        )
+        net = runtime.deployment.network
+        client = runtime.new_client("c")
+        runtime.start()
+        for i in range(40):
+            runtime.sim.schedule(i * 0.1, runtime.submit, client, ("incr", f"k{i % 3}", 1))
+        runtime.sim.schedule(1.0, net.crash, 3)
+        runtime.sim.schedule(3.0, net.recover, 3)
+        runtime.sim.schedule(3.2, net.crash, 0)
+        runtime.run(until=12.0, max_events=10_000_000)
+        live = [runtime.executors[i] for i in (1, 2, 3)]
+        assert len({ex.state_digest() for ex in live}) == 1
+        assert min(ex.executed_txns for ex in live) > 30
+        assert not _owes(runtime.deployment.nodes[3].rbc)
+
 
 class TestDeterminism:
     def test_mode_runs_are_reproducible(self):

@@ -8,6 +8,9 @@ event").  These tests count tracked objects with ``gc.get_objects()`` so a
 refactor that re-wraps events (a per-event list, an ``(fn, args)`` pair, a
 separate handle) fails here instead of showing up as a slow benchmark.  The calendar's own
 containers are budgeted too: one list per occupied epoch, whatever it holds.
+The RBC instance table is budgeted the same way: it is never pruned and
+holds n² instances per round, so a per-digest container there costs n³
+memory per round.
 """
 
 import gc
@@ -15,9 +18,14 @@ import gc
 import pytest
 
 from repro.analysis import sanitizers
+from repro.crypto.signatures import Signature
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.obs.tracer import NULL_TRACER
+from repro.rbc.base import Membership
+from repro.rbc.core import RbcCore
+from repro.rbc.messages import CertMsg, EchoMsg, ReadyMsg
 from repro.sim import Simulator
 
 
@@ -105,3 +113,67 @@ def test_timer_is_one_object_and_leaves_nothing_behind():
     assert fired == list(range(1, k, 2))
     del fired[:]
     assert _tracked() <= base
+
+
+class _Sink:
+    """The network surface of a voting core; every broadcast is dropped."""
+
+    tracer = NULL_TRACER
+    arena = None
+
+    def broadcast(self, src, msg):
+        pass
+
+
+class _Voter(RbcCore):
+    """The voting core alone: certification hands nothing to a policy."""
+
+    _echo_cls = EchoMsg
+    _ready_cls = ReadyMsg
+    _cert_cls = CertMsg
+
+    clan = frozenset(range(0, 16, 2))
+
+    def _clan_of(self, origin, round_):
+        return self.clan
+
+    def _holder_certified(self, origin, round_, digest_, state):
+        pass
+
+    def _certified(self, origin, round_, digest_, state, cert):
+        pass
+
+    def dispatch_table(self):
+        return {EchoMsg: self._on_echo}
+
+
+@pytest.mark.parametrize("completion", ["two-round", "bracha"])
+def test_rbc_instance_allocates_no_per_digest_container(completion):
+    n = 16
+    voter = _Voter(
+        0, Membership(n, frozenset(range(n))), _Sink(), Simulator(), None,
+        completion, verify_signatures=False,
+    )
+    d = b"d" * 32
+    echoes = [
+        EchoMsg(9, 1, d, Signature(p, b"statement", b"tag")) for p in range(n)
+    ]
+    signed = completion == "two-round"
+    # A first instance makes the instance table and the clan-mask cache
+    # tracked containers; what follows is the per-instance cost.
+    voter.on_message(0, EchoMsg(8, 1, d, echoes[0].signature))
+    base = _tracked()
+    for party in range(n):
+        voter.on_message(party, echoes[party])
+        if party + 1 not in (1, voter._quorum - 1, n):
+            continue
+        state = voter.instances[(9, 1)]
+        if signed and not state.cert_sent:
+            # The instance, its one signature list and the dict keying it
+            # by digest: supporters are masks, arrival order a bytearray.
+            assert _tracked() - base <= 3
+        else:
+            # Certified, or unsigned: the instance and nothing else.
+            assert _tracked() - base <= 1
+    assert state.echoes[d] == (1 << n) - 1
+    assert state.cert_sent == signed and state.echo_sigs == {}

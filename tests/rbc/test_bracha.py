@@ -111,7 +111,7 @@ def test_duplicate_echo_not_double_counted(make_harness):
         h.net.send(1, 2, EchoMsg(0, 1, d))
     h.run()
     state = h.modules[2].instances[(0, 1)]
-    assert state.echoes[d] == {1}
+    assert state.echoes[d] == 1 << 1  # supporter mask: party 1 alone
     assert state.ready_digest is None
 
 
@@ -124,7 +124,7 @@ def test_duplicate_ready_not_double_counted(make_harness):
         h.net.send(1, 2, ReadyMsg(0, 1, d))
     h.run()
     state = h.modules[2].instances[(0, 1)]
-    assert state.readies[d] == {1}
+    assert state.readies[d] == 1 << 1
     assert not state.delivered
 
 

@@ -70,7 +70,7 @@ def test_echo_with_wrong_signer_rejected(make_harness):
     h.net.send(3, 1, EchoMsg(0, 1, d, sig))
     h.run()
     state = h.modules[1].instances.get((0, 1))
-    assert state is None or 3 not in state.echoes.get(d, set())
+    assert state is None or not state.echoes.get(d, 0) & 1 << 3
 
 
 def test_forged_certificate_rejected(make_harness):
