@@ -433,11 +433,39 @@ class VertexRbc(RbcCore):
 
     def _lookup_block(self, origin: NodeId, round_: Round) -> Block | None:
         state = self.instances.get((origin, round_))
-        return state.block if state else None
+        if state is not None:
+            return state.block
+        retired = self.retired_payload(origin, round_)
+        return retired[1] if retired is not None else None
 
     def _lookup_vertex(self, origin: NodeId, round_: Round) -> Vertex | None:
         state = self.instances.get((origin, round_))
-        return state.vertex if state else None
+        if state is not None:
+            return state.vertex
+        retired = self.retired_payload(origin, round_)
+        return retired[0] if retired is not None else None
+
+    # -- retirement ------------------------------------------------------------------
+
+    def _payload_finished(
+        self, origin: NodeId, round_: Round, state: VertexInstance
+    ) -> bool:
+        """The held vertex is the certified one, and the block is delivered
+        or not this node's to hold: a late VAL or ECHO starts no pull."""
+        vertex = state.vertex
+        if vertex is None or vertex.vertex_digest() != state.quorum_digest:
+            return False
+        return (
+            state.block_delivered
+            or vertex.block_digest is None
+            or not self.serves_block(origin, round_)
+        )
+
+    def _on_retire(
+        self, origin: NodeId, round_: Round, state: VertexInstance
+    ) -> tuple[Vertex, Block | None]:
+        self.evidence.forget(origin, round_)
+        return state.vertex, state.block
 
 
 # -- chunked prefix -------------------------------------------------------------
@@ -681,6 +709,12 @@ class ChunkedPrefixRbc(VertexRbc):
         self._accept_chunk(msg.origin, msg.round, chunk)
 
     # -- housekeeping ---------------------------------------------------------------
+
+    def _payload_finished(
+        self, origin: NodeId, round_: Round, state: PrefixInstance
+    ) -> bool:
+        # The chunk server and held_prefix answer from the instance: keep it.
+        return False
 
     def gc_below(self, round_: Round) -> None:
         super().gc_below(round_)

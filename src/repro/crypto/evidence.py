@@ -66,7 +66,9 @@ class EvidencePool:
         if signature.signer != origin:
             raise CryptoError("signature does not belong to the claimed origin")
         key = (origin, round_)
-        seen = self._seen.setdefault(key, {})
+        seen = self._seen.get(key)
+        if seen is None:
+            seen = self._seen[key] = {}
         if digest_ in seen:
             return None
         seen[digest_] = signature
@@ -77,6 +79,11 @@ class EvidencePool:
             self.proofs.append(proof)
             return proof
         return None
+
+    def forget(self, origin: NodeId, round_: Round) -> None:
+        """Drop the signatures recorded for ``(origin, round_)``: its RBC
+        instance retired and takes no VAL any more.  Proofs stay."""
+        self._seen.pop((origin, round_), None)
 
     def convicted(self) -> set[NodeId]:
         """Parties with at least one equivocation proof against them."""

@@ -40,7 +40,14 @@ is the payload policy, a subclass that supplies
   vouch for it (it then asks the core to :meth:`RbcCore._vote`);
 * ``_holder_certified`` — the ECHO quorum proves an honest clan member
   holds the payload, so a pull may start early (§5);
-* ``_certified`` — the digest is certified: deliver, or pull from whom.
+* ``_certified`` — the digest is certified: deliver, or pull from whom;
+* ``_payload_finished``/``_on_retire`` — may a delivered instance
+  retire below the GC floor, and what its pull servers keep answering.
+
+An instance is *live* from the first message for its key, *finished* once
+nothing it may still receive makes it send (:meth:`RbcCore._finished`), and
+*retired* when the GC floor passes its round while it is finished: only its
+key and the policy's pull answer stay (:meth:`RbcCore.gc_below`).
 
 The policies are :class:`repro.rbc.plain.PlainRbc` (digest to the tribe,
 opaque payload to one fixed clan) and, in
@@ -186,6 +193,17 @@ class RbcCore:
         """Exact-class ``{message class: handler}`` table of this module."""
         raise NotImplementedError
 
+    def _payload_finished(self, origin: NodeId, round_: Round, state: Instance) -> bool:
+        """Is the payload part of a delivered instance done, so that nothing
+        it may still receive makes the policy send?  A policy that does not
+        say keeps its instances."""
+        return False
+
+    def _on_retire(self, origin: NodeId, round_: Round, state: Instance) -> Any:
+        """The instance leaves the table: what the policy's pull servers
+        answer for it from now on (see :meth:`retired_payload`)."""
+        raise NotImplementedError
+
     # -- construction ----------------------------------------------------------
 
     def __init__(
@@ -229,6 +247,16 @@ class RbcCore:
         self._quorum = committee.quorum
         self._amplify = committee.ready_amplify
         self.instances: dict[InstanceKey, Instance] = {}
+        #: Retired instances, ``{round: {origin: payload}}``: their keys, and
+        #: what the policy's pull servers still answer for them (see
+        #: :meth:`gc_below`).
+        self._retired: dict[Round, dict[NodeId, Any]] = {}
+        #: The GC floor so far, the keys below it whose instances were not
+        #: finished when it passed them, and the count of those keys at which
+        #: they are looked at again.
+        self._floor: Round = 0
+        self._lingering: list[InstanceKey] = []
+        self._recheck = 0
         #: Clan -> its supporter mask, shared by every instance of the clan.
         self._clan_masks: dict[frozenset[NodeId], int] = {}
         # Optimistic-completion statistics: deliveries through each path and
@@ -261,6 +289,8 @@ class RbcCore:
         state = self.instances.get(key)
         if state is None:
             state = self.instances[key] = self._instance_cls()
+            if round_ < self._floor:
+                self._lingering.append(key)
             clan = self._clan_of(origin, round_)
             if clan is not None:
                 state.clan = clan
@@ -270,6 +300,20 @@ class RbcCore:
                     mask = self._clan_masks[clan] = sum(1 << p for p in clan)
                 state.clan_mask = mask
         return state
+
+    def _open(self, origin: NodeId, round_: Round) -> Instance | None:
+        """The miss path of the voting handlers: the instance, created now,
+        or None when it was retired (the message is then dropped)."""
+        retired = self._retired.get(round_)
+        if retired is not None and origin in retired:
+            return None
+        return self.instance(origin, round_)
+
+    def retired_payload(self, origin: NodeId, round_: Round) -> Any | None:
+        """What the policy kept of a retired instance (None unless the
+        instance at ``(origin, round_)`` retired)."""
+        retired = self._retired.get(round_)
+        return retired.get(origin) if retired is not None else None
 
     def on_message(self, src: NodeId, msg: object) -> bool:
         """Dispatch a network message; returns False if it isn't ours."""
@@ -345,16 +389,20 @@ class RbcCore:
         """
         if self._signed:
             signature = msg.signature
-            if signature is None:
+            # The signer is checked even when signatures are not: a VAL
+            # signed by another party is malformed whatever the setting.
+            if signature is None or signature.signer != origin:
                 return None
             if self.verify:
-                if signature.signer != origin or not self.pki.verify(signature):
+                if not self.pki.verify(signature):
                     return None
                 if signature.message_digest != self._val_statement(origin, round_, digest_):
                     return None
         state = self.instances.get((origin, round_))
         if state is None:
-            state = self.instance(origin, round_)
+            state = self._open(origin, round_)
+            if state is None:
+                return None
         if self.tracer.enabled:
             if state.val_at is None:
                 state.val_at = self.sim.now
@@ -420,9 +468,11 @@ class RbcCore:
         # and after the first one the instance always exists.
         state = self.instances.get((msg.origin, msg.round))
         if state is None:
-            state = self.instance(msg.origin, msg.round)
+            state = self._open(msg.origin, msg.round)
+            if state is None:
+                return
         # An int mask per digest, no container: ECHOes are n³ per round and
-        # the instance table is never pruned.
+        # every instance lives at least until the GC floor passes its round.
         bit = 1 << src
         supporters = state.echoes.get(digest_, 0)
         if supporters & bit:
@@ -490,7 +540,9 @@ class RbcCore:
             return
         state = self.instances.get((msg.origin, msg.round))
         if state is None:
-            state = self.instance(msg.origin, msg.round)
+            state = self._open(msg.origin, msg.round)
+            if state is None:
+                return
         if state.quorum_digest is not None:
             return
         if self.verify:
@@ -537,7 +589,9 @@ class RbcCore:
             return
         state = self.instances.get((msg.origin, msg.round))
         if state is None:
-            state = self.instance(msg.origin, msg.round)
+            state = self._open(msg.origin, msg.round)
+            if state is None:
+                return
         if self._optimistic:
             if not state.pessimistic and not state.delivered:
                 # Someone already fell back; join its pessimistic quorum now
@@ -664,15 +718,61 @@ class RbcCore:
     # -- housekeeping ---------------------------------------------------------------
 
     def gc_below(self, round_: Round) -> None:
-        """Garbage-collect the payload planes for instances with round < ``round_``.
+        """Garbage-collect instances with round < ``round_``.
 
         Called as the owner's commit frontier advances; pull-client entries
         (with their retry timers) and pull-server rate-limit records for
         long-committed rounds would otherwise accumulate forever.  A loop
-        that is not a plane is its owner's to close, fetch by fetch."""
+        that is not a plane is its owner's to close, fetch by fetch.
+
+        Then every *finished* instance below the floor retires: it leaves
+        the table, the policy keeps what its pull servers answer, and a late
+        VAL/ECHO/READY/CERT for its key is dropped where it would have
+        recreated the instance.  The walk covers the rounds the floor just
+        passed, and the unfinished keys it left behind each time their number
+        has doubled — never the whole table."""
         for loop, responder, _ in self._pulls.values():
             loop.gc_below(round_)
             responder.gc_below(round_)
+        if round_ <= self._floor:
+            return
+        lingering = self._lingering
+        if len(lingering) >= self._recheck:
+            lingering[:] = [key for key in lingering if not self._retire(key)]
+            self._recheck = 2 * len(lingering)
+        instances = self.instances
+        for passed in range(self._floor, round_):
+            for origin in range(self.n):
+                key = (origin, passed)
+                if key in instances and not self._retire(key):
+                    lingering.append(key)
+        self._floor = round_
+
+    def _finished(self, origin: NodeId, round_: Round, state: Instance) -> bool:
+        """Would the instance stay silent whatever it still receives?
+
+        It delivered and echoed (a late VAL makes a non-echoer echo), its
+        fallback timer is off, and its completion is done: the certificate
+        sent, or its own READY (an optimistic fast-path deliverer answers a
+        late READY with one) — and so is the policy's payload part."""
+        if not state.delivered or not state.echoed or state.fallback_timer is not None:
+            return False
+        if not (state.cert_sent if self._signed else state.ready_digest is not None):
+            return False
+        return self._payload_finished(origin, round_, state)
+
+    def _retire(self, key: InstanceKey) -> bool:
+        """Retire the instance at ``key`` if it is finished."""
+        origin, round_ = key
+        state = self.instances[key]
+        if not self._finished(origin, round_, state):
+            return False
+        del self.instances[key]
+        retired = self._retired.get(round_)
+        if retired is None:
+            retired = self._retired[round_] = {}
+        retired[origin] = self._on_retire(origin, round_, state)
+        return True
 
     def suspend_timers(self) -> None:
         """Crash: stop all local timers (no requests from the grave)."""

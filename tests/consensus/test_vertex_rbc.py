@@ -3,6 +3,7 @@
 import pytest
 
 from repro.committees import ClanConfig
+from repro.consensus import Deployment, ProtocolParams
 from repro.crypto.signatures import Pki
 from repro.dag.block import Block
 from repro.dag.transaction import Transaction
@@ -138,6 +139,25 @@ def test_unsigned_val_rejected_in_two_round_mode():
         h.net.send(proposer, i, VertexValMsg(vertex, block if i in h.cfg.clan(0) else None, None))
     h.run(until=5.0)
     assert all(not h.vertices[i] for i in range(N))
+
+
+def test_val_signed_by_another_party_is_dropped_without_verification():
+    """The signer check does not depend on ``verify_signatures``: a VAL
+    signed by someone other than its origin used to reach the evidence pool,
+    whose CryptoError then stopped the whole run."""
+    deployment = Deployment(
+        ClanConfig.baseline(4), ProtocolParams(verify_signatures=False)
+    )
+    deployment.start()
+    deployment.run(until=0.5)
+    vertex = Vertex(50, 1, None, ())
+    forged = deployment.pki.key(2).sign(
+        vertex_val_statement(1, 50, vertex.vertex_digest())
+    )
+    deployment.network.send(1, 0, VertexValMsg(vertex, None, forged))
+    deployment.run(until=1.0)
+    assert (1, 50) not in deployment.nodes[0].rbc.instances
+    assert deployment.nodes[0].rbc.evidence.proofs == []
 
 
 def test_bracha_mode_delivers():

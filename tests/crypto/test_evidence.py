@@ -52,6 +52,34 @@ def test_pool_rejects_mismatched_signer():
         pool.record(3, 1, d, signed(4, 1, d))
 
 
+def test_forget_drops_records_but_keeps_proofs():
+    pool = EvidencePool()
+    d1, d2 = digest(b"a"), digest(b"b")
+    pool.record(3, 1, d1, signed(3, 1, d1))
+    pool.record(3, 1, d2, signed(3, 1, d2))
+    pool.record(5, 1, d1, signed(5, 1, d1))
+    pool.forget(3, 1)
+    pool.forget(5, 1)
+    pool.forget(6, 9)  # nothing recorded: a no-op
+    assert pool._seen == {}
+    assert len(pool.proofs) == 1 and pool.convicted() == {3}
+    # A forgotten instance starts afresh, and is never convicted twice.
+    assert pool.record(5, 1, d2, signed(5, 1, d2)) is None
+    pool.record(3, 1, d1, signed(3, 1, d1))
+    assert pool.record(3, 1, d2, signed(3, 1, d2)) is None
+    assert len(pool.proofs) == 1
+
+
+def test_record_keeps_one_dict_per_instance():
+    pool = EvidencePool()
+    d1, d2 = digest(b"a"), digest(b"b")
+    pool.record(3, 1, d1, signed(3, 1, d1))
+    seen = pool._seen[(3, 1)]
+    pool.record(3, 1, d1, signed(3, 1, d1))
+    pool.record(3, 1, d2, signed(3, 1, d2))
+    assert pool._seen[(3, 1)] is seen and set(seen) == {d1, d2}
+
+
 def test_evidence_rejects_equal_digests():
     d = digest(b"a")
     proof = EquivocationEvidence(3, 1, d, d, signed(3, 1, d), signed(3, 1, d))
