@@ -54,23 +54,15 @@ from repro.bench.parallel import (  # noqa: E402
     run_grid,
     shutdown_pool,
 )
-from repro.bench.profiling import SMOKE_CONFIG  # noqa: E402
-from repro.bench.runner import ExperimentConfig, _simulate  # noqa: E402
-from repro.errors import SimulationError  # noqa: E402
+from repro.bench.profiling import SMOKE_CONFIG, TRIBE150_CONFIG  # noqa: E402
+from repro.bench.runner import _simulate  # noqa: E402
+from repro.errors import EventBudgetExceeded  # noqa: E402
 
-#: Tribe-scale smoke: n=150 (the paper's largest sweep point) with sparse
-#: edges.  A full n=150 round is ~5M simulator events, so the run is capped
-#: by event budget rather than simulated time — enough to push thousands of
-#: vertex broadcasts through the bitmap store and the sparse edge selection.
-SPARSE_SMOKE_CONFIG = ExperimentConfig(
-    protocol="sailfish",
-    n=150,
-    txns_per_proposal=32,
-    bandwidth_bps=400e6,
-    duration=5.0,  # never reached: the event cap fires first
-    warmup=1.0,
-    edge_mode="sparse",
-)
+#: Tribe-scale smoke: the ``tribe150`` profile target (n=150, sparse edges)
+#: capped by event budget rather than simulated time — enough to push
+#: thousands of vertex broadcasts through the bitmap store and the sparse
+#: edge selection.  ``repro profile tribe150 --max-events 2000000``
+#: attributes the same prefix.
 SPARSE_SMOKE_EVENTS = 2_000_000
 
 
@@ -95,16 +87,16 @@ def measure_sparse_smoke(max_events: int = SPARSE_SMOKE_EVENTS) -> dict:
     """Events/sec at tribe scale: one event-capped n=150 sparse-edge run."""
     start = time.perf_counter()
     try:
-        metrics = _simulate(SPARSE_SMOKE_CONFIG, max_events=max_events)
+        metrics = _simulate(TRIBE150_CONFIG, max_events=max_events)
         events = metrics.sim_events
-    except SimulationError:
+    except EventBudgetExceeded:
         # The cap fired mid-run — the expected outcome; the budget itself is
         # the event count.
         events = max_events
     wall = time.perf_counter() - start
     return {
-        "n": SPARSE_SMOKE_CONFIG.n,
-        "edge_mode": SPARSE_SMOKE_CONFIG.edge_mode,
+        "n": TRIBE150_CONFIG.n,
+        "edge_mode": TRIBE150_CONFIG.edge_mode,
         "events": events,
         "wall_s": round(wall, 3),
         "events_per_sec": round(events / wall, 1),

@@ -13,6 +13,11 @@
 * the run's core-speed number (simulator events per wall second), the same
   metric ``scripts/bench_smoke.py`` gates in CI.
 
+``--max-events N`` profiles the first N events and stops: the report says
+the run was capped and omits the simulated metrics a run that never reached
+its horizon does not have.  That is how the ``tribe150`` target is meant to
+be run — a full n=150 round is ~5M events.
+
 With ``--trace`` the run also carries a :class:`~repro.obs.Tracer`, so the
 report correlates the wall-clock hot spots with the *simulated-time* per-hop
 decomposition (NIC wait → tx → propagation → CPU wait → CPU) of
@@ -35,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..errors import EventBudgetExceeded
 from .metrics import RunMetrics
 from .reporting import format_table
 from .runner import ExperimentConfig, _simulate
@@ -50,6 +56,21 @@ SMOKE_CONFIG = ExperimentConfig(
     bandwidth_bps=400e6,
     duration=6.0,
     warmup=2.0,
+)
+
+#: Tribe-scale sparse edges: n=150 (the paper's largest sweep point) with
+#: ``edge_mode="sparse"``, the Clownfish-style configuration at that scale.
+#: A full round is ~5M simulator events, so it is run under an event cap:
+#: ``scripts/bench_perf.py`` times its first 2M events, and ``repro profile
+#: tribe150 --max-events N`` attributes them.
+TRIBE150_CONFIG = ExperimentConfig(
+    protocol="sailfish",
+    n=150,
+    txns_per_proposal=32,
+    bandwidth_bps=400e6,
+    duration=5.0,  # never reached: the event cap fires first
+    warmup=1.0,
+    edge_mode="sparse",
 )
 
 #: Named profile targets: name → (description, config).
@@ -78,6 +99,10 @@ PROFILE_TARGETS: dict[str, tuple[str, ExperimentConfig]] = {
             warmup=2.0,
         ),
     ),
+    "tribe150": (
+        "baseline Sailfish n=150, sparse edges, load 32 (run with --max-events)",
+        TRIBE150_CONFIG,
+    ),
 }
 
 
@@ -100,13 +125,16 @@ class ProfileReport:
     target: str
     wall_s: float
     sim_events: int
-    metrics: RunMetrics
+    #: The run's simulated metrics; None when the event cap ended it.
+    metrics: RunMetrics | None
     hot: list[dict[str, Any]] = field(default_factory=list)
     gc: GcStats = field(default_factory=GcStats)
     #: Per-hop simulated-time decomposition (only when traced).
     hop_stages: list[dict[str, Any]] = field(default_factory=list)
     #: Peak resident set of the process after the run (``ru_maxrss``), MiB.
     peak_rss_mb: float = 0.0
+    #: The ``max_events`` cap, when it fired before the run's horizon.
+    capped: int | None = None
 
     @property
     def events_per_sec(self) -> float:
@@ -181,21 +209,28 @@ def profile_experiment(
     """Profile one (uncached, in-process) experiment run.
 
     Always simulates — the result cache is bypassed on purpose; a cache hit
-    would profile JSON parsing, not the simulator.
+    would profile JSON parsing, not the simulator.  When ``max_events``
+    fires first, the capped prefix is what gets profiled.
     """
     tracer = None
     if trace:
         from ..obs import Tracer
 
         tracer = Tracer()
-    metrics, profiler, wall, gc_stats = profile_call(
-        _simulate, config, max_events=max_events, tracer=tracer
-    )
+
+    def simulate():
+        try:
+            return _simulate(config, max_events=max_events, tracer=tracer)
+        except EventBudgetExceeded:
+            return None
+
+    metrics, profiler, wall, gc_stats = profile_call(simulate)
     report = ProfileReport(
         target=target,
         wall_s=wall,
-        sim_events=metrics.sim_events,
+        sim_events=metrics.sim_events if metrics is not None else max_events,
         metrics=metrics,
+        capped=None if metrics is not None else max_events,
         hot=hot_functions(profiler, top=top),
         gc=gc_stats,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -209,25 +244,33 @@ def profile_experiment(
 
 def format_profile_report(report: ProfileReport) -> str:
     """Render a :class:`ProfileReport` as aligned text tables."""
-    sections = [
-        format_table(
-            [
-                {
-                    "target": report.target,
-                    "wall_s": round(report.wall_s, 3),
-                    "sim_events": report.sim_events,
-                    "events/sec": f"{report.events_per_sec:,.0f}",
-                    "epochs": report.metrics.sim_epochs,
-                    "events/epoch": round(
-                        report.sim_events / max(1, report.metrics.sim_epochs), 1
-                    ),
-                    "throughput_ktps": round(report.metrics.throughput_tps / 1e3, 2),
-                    "rounds": report.metrics.rounds,
-                }
-            ],
+    run = {
+        "target": report.target,
+        "wall_s": round(report.wall_s, 3),
+        "sim_events": report.sim_events,
+        "events/sec": f"{report.events_per_sec:,.0f}",
+    }
+    metrics = report.metrics
+    if metrics is not None:
+        run.update(
+            {
+                "epochs": metrics.sim_epochs,
+                "events/epoch": round(report.sim_events / max(1, metrics.sim_epochs), 1),
+                "throughput_ktps": round(metrics.throughput_tps / 1e3, 2),
+                "rounds": metrics.rounds,
+            }
+        )
+        title = (
             "Profiled run (events/sec = host core speed; events/epoch = calendar "
-            "occupancy; simulated metrics must not move under optimization)",
-        ),
+            "occupancy; simulated metrics must not move under optimization)"
+        )
+    else:
+        title = (
+            f"Profiled run, capped at {report.capped:,} events (events/sec = host "
+            "core speed; no simulated metrics: the run stopped before its horizon)"
+        )
+    sections = [
+        format_table([run], title),
         format_table(report.hot, f"Hot functions (top {len(report.hot)} by own time)"),
         format_table(
             [

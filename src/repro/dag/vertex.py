@@ -63,6 +63,16 @@ class Vertex:
     _parents_cache: "tuple[VertexRef, ...] | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Lazily computed key and ref() caches: every node's DagStore keys its
+    #: tables by ``key`` and builds its edges from ``ref()``, so computing
+    #: them once per vertex lets all n stores share one tuple and one ref
+    #: (docs/PERFORMANCE.md, "ninth round").  Not part of equality or repr.
+    _key_cache: "tuple[Round, NodeId] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _ref_cache: VertexRef | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.round < GENESIS_ROUND:
@@ -111,11 +121,19 @@ class Vertex:
         return value
 
     def ref(self) -> VertexRef:
-        return VertexRef(self.round, self.source, self.vertex_digest())
+        cached = self._ref_cache
+        if cached is None:
+            cached = VertexRef(self.round, self.source, self.vertex_digest())
+            object.__setattr__(self, "_ref_cache", cached)
+        return cached
 
     @property
     def key(self) -> tuple[Round, NodeId]:
-        return (self.round, self.source)
+        cached = self._key_cache
+        if cached is None:
+            cached = (self.round, self.source)
+            object.__setattr__(self, "_key_cache", cached)
+        return cached
 
     def parents(self) -> tuple[VertexRef, ...]:
         cached = self._parents_cache

@@ -19,6 +19,10 @@ class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 
 
+class EventBudgetExceeded(SimulationError):
+    """A run executed more events than its ``max_events`` budget allowed."""
+
+
 class NetworkError(ReproError):
     """Invalid use of the simulated network (unknown node, bad size, ...)."""
 

@@ -263,9 +263,11 @@ class Network:
         # Three layers are flattened away: per-destination stats increments
         # are batched into one update at the end, the latency model's delay
         # expression is inlined (identical float math and RNG draw order —
-        # see LatencyModel.delay_spec), and each delivery is one flat record
-        # `(arrive, deliver, src, dst, msg, size)` handed straight to the
-        # simulator's insertion routine instead of going through `sim.post`.
+        # see LatencyModel.delay_spec), and the call builds one record
+        # `(deliver, src, msg, size)` that all its copies share: each copy is
+        # handed straight to the simulator's insertion routine as the three
+        # calendar slots `arrive, record, dst`, allocating no object of its
+        # own, instead of going through `sim.post`.
         if self._crashed[self._node(src)]:
             return
         if self._freeze is not None:
@@ -302,6 +304,7 @@ class Network:
         elif kind == "mul":
             jrow = data[src]
         deliver = self._deliver
+        record = (deliver, src, msg, size)
         extra_delay = None if self._null_adversary else self.adversary.extra_delay
         # An inline network (see __init__) has proved that its arrivals are
         # never in the past and that no tie auditor listens — all `post`
@@ -358,17 +361,18 @@ class Network:
                         extra = extra_delay(src, dst, msg, now)
                         arrive += extra
                         prop += extra
-                # One flat record per in-flight delivery; a traced hop's
-                # latency decomposition rides on it as a tail.
+                # A traced hop's latency decomposition is per copy: it rides
+                # as the tail of a `post`-shaped tuple of its own.
                 if traced:
                     hop = (now, 0.0, 0.0, 0.0) if dst == src else (now, nic_wait, tx, prop)
-                    event = (arrive, deliver, src, dst, msg, size, hop)
+                    if insert is not None:
+                        insert(arrive, (arrive, deliver, src, dst, msg, size, hop), -1)
+                    else:
+                        sim.post(arrive, deliver, (src, dst, msg, size, hop))
+                elif insert is not None:
+                    insert(arrive, record, dst)
                 else:
-                    event = (arrive, deliver, src, dst, msg, size)
-                if insert is not None:
-                    insert(event)
-                else:
-                    sim.post(arrive, deliver, event[2:])
+                    sim.post(arrive, deliver, (src, dst, msg, size))
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count

@@ -1,35 +1,43 @@
 """Deterministic discrete-event scheduler: a lazily sorted epoch calendar.
 
-**An event** is one sequence ``(when, fn, *args)`` — field 0 the instant it
-fires — run as ``ev[1](*ev[2:])``:
+**An event** is three consecutive slots ``when, item, dst`` of a flat list —
+it has no object of its own:
 
-* ``post`` (and the network's producer) queues a flat tuple — no handle, no
-  cancellation; a traced delivery's ``hop`` tuple rides last, as the
-  callback's final argument;
-* ``schedule_at`` queues and returns an :class:`EventHandle`, a ``list`` of
-  the same shape; ``cancel()`` clears ``fn`` in place and the run loop skips
-  the entry.
+* a network delivery copy is ``(arrive, record, dst)``.  ``record`` is the
+  ``(deliver, src, msg, size)`` tuple that ``Network._transmit`` builds
+  *once per send* and shares among all of that send's copies; the copy runs
+  as ``deliver(src, dst, msg, size)``.  A pending copy therefore allocates
+  nothing the cyclic collector tracks;
+* every other event has ``dst = -1`` and an ``item`` shaped ``(when, fn,
+  *args)``, run as ``item[1](*item[2:])``.  ``post`` queues a flat tuple —
+  no handle, no cancellation; a traced delivery's ``hop`` tuple rides last,
+  as the callback's final argument.  ``schedule_at`` queues and returns an
+  :class:`EventHandle`, a ``list`` of the same shape; ``cancel()`` clears
+  ``fn`` in place and the run loop skips the entry.  Such an event is one
+  GC-tracked object.
 
-Either way a pending event is one GC-tracked object (docs/PERFORMANCE.md,
-"One object per in-flight event").
+(docs/PERFORMANCE.md, "Sharing per-copy state (ninth round)": the per-copy
+delivery tuple was ~85 % of every young generation the collector scanned.)
 
 **The calendar** buckets events by time and orders a bucket only when the
 clock reaches it (Brown's calendar queue, CACM 1988, with one sort per
 bucket instead of one heap operation per event).  Simulated time is cut into
 epochs of ``1 / EPOCHS_PER_S`` seconds.  Inserting is ``k = int(when *
-EPOCHS_PER_S)`` and an append to the unsorted list ``_epochs[k]``; the first
-event of an epoch also pushes ``k`` on a small heap of ints.  The run loop
-takes the earliest occupied epoch, sorts it once by field 0 and walks it with
-a cursor.  An event that falls into the epoch being walked (loopback
-deliveries at ``now``, sub-millisecond links) is placed with
-``bisect.insort``.  Per event that is O(1) plus its share of one sort of a
-few hundred floats, where a heap of every pending timestamp paid a
-log-n, cache-missing sift over ~44k entries at n=40 (docs/PERFORMANCE.md,
-"Sixth round").
+EPOCHS_PER_S)`` and an append of the three slots to the unsorted list
+``_epochs[k]``; the first event of an epoch also pushes ``k`` on a small
+heap of ints.  The run loop takes the earliest occupied epoch as ``_run``,
+sorts its slot indices once by instant into ``_order`` and walks that with a
+cursor.  An event that falls into the epoch being walked (loopback
+deliveries at ``now``, sub-millisecond links) is appended to ``_run`` and its
+index placed into ``_order`` with ``bisect.insort``.  Per event that is O(1)
+plus its share of one sort of a few hundred floats, where a heap of every
+pending timestamp paid a log-n, cache-missing sift over ~44k entries at n=40
+(docs/PERFORMANCE.md, "Sixth round").
 
-**Insertion order needs no counter.**  ``list.sort`` is stable and ``insort``
-bisects right, so two events at one instant fire in the order they were
-inserted — exactly the ``(time, seq)`` order of a textbook event heap,
+**Insertion order needs no counter.**  ``sorted`` is stable and ``insort``
+bisects right — over the consumed prefix of ``_order`` too — so two events
+at one instant fire in the order they were inserted, deliveries, posts and
+timers alike: exactly the ``(time, seq)`` order of a textbook event heap,
 with nothing to maintain.  tests/sim/test_scheduler_properties.py holds the
 calendar equal to that heap on generated programs.
 
@@ -66,11 +74,10 @@ from __future__ import annotations
 import heapq
 import time as _time
 from bisect import insort
-from operator import itemgetter
 from typing import Any, Callable
 
 from ..analysis import sanitizers as _sanitizers
-from ..errors import SimulationError
+from ..errors import EventBudgetExceeded, SimulationError
 from ..obs.tracer import NULL_TRACER
 
 
@@ -80,18 +87,17 @@ _INF = float("inf")
 #: epoch holds ~600 events on the n=40 benchmark workload and ~20 on n=12.
 EPOCHS_PER_S = 1024
 
-_when = itemgetter(0)
-
 
 class EventHandle(list):
     """A cancellable scheduled event; the handle *is* the queued entry.
 
-    It is the list ``[when, fn, *args]`` — a ``list`` so that the calendar
-    reads its instant as ``entry[0]`` exactly as it does a delivery tuple's,
-    and so that a pending timer is one GC-tracked object, not a handle plus
-    the entry that reaches it (docs/PERFORMANCE.md, "Sixth round": a second
-    object per timer cost ``smr_lossy`` +0.45 s of collector time in 8 s).
-    Use only ``time``, ``cancelled`` and ``cancel()``.
+    It is the list ``[when, fn, *args]`` — the shape of a ``post`` tuple, so
+    the run loop fires both the same way, and a ``list`` so that ``cancel()``
+    can clear it in place: a pending timer is one GC-tracked object, not a
+    handle plus the entry that reaches it (docs/PERFORMANCE.md, "Sixth
+    round": a second object per timer cost ``smr_lossy`` +0.45 s of
+    collector time in 8 s).  Use only ``time``, ``cancelled`` and
+    ``cancel()``.
 
     Cancellation is O(1): the entry stays queued but its callback is cleared
     and its arguments dropped, and the run loop skips it.  The owning
@@ -156,6 +162,7 @@ class Simulator:
         "_epochs",
         "_occupied",
         "_run",
+        "_order",
         "_run_epoch",
         "_cursor",
         "_epochs_turned",
@@ -171,14 +178,17 @@ class Simulator:
 
     def __init__(self, tracer=None, compact_threshold: int = 1024) -> None:
         self._now = 0.0
-        #: epoch number -> its events, unsorted, in insertion order.
-        self._epochs: dict[int, list[tuple]] = {}
+        #: epoch number -> its events' ``when, item, dst`` slots, unsorted, in
+        #: insertion order.
+        self._epochs: dict[int, list] = {}
         #: Min-heap of the keys of ``_epochs``: one entry per occupied epoch.
         self._occupied: list[int] = []
-        #: The epoch being walked, sorted by instant; ``_run[:_cursor]`` is
+        #: The epoch being walked (its slots) and the index of each of its
+        #: events' first slot, sorted by instant; ``_order[:_cursor]`` is
         #: consumed, and ``_run_epoch`` is its number (never ahead of
         #: ``now``'s epoch — rule 1 of the module docstring).
-        self._run: list[tuple] = []
+        self._run: list = []
+        self._order: list[int] = []
         self._run_epoch = -1
         self._cursor = 0
         self._epochs_turned = 0
@@ -228,7 +238,7 @@ class Simulator:
         Computed on demand: the insertion path deliberately maintains no
         counter (millions of inserts per run, rare reads of this property).
         """
-        return sum(map(len, self._epochs.values())) + len(self._run) - self._cursor
+        return sum(map(len, self._epochs.values())) // 3 + len(self._order) - self._cursor
 
     @property
     def cancelled_pending(self) -> int:
@@ -258,7 +268,7 @@ class Simulator:
             raise self._refused(when)
         handle = EventHandle((when, fn, *args))
         handle._sim = self
-        self._insert(handle)
+        self._insert(when, handle, -1)
         if self._audit is not None:
             self._audit.note(when, fn)
         return handle
@@ -266,12 +276,11 @@ class Simulator:
     def post(self, when: float, fn: Callable[..., Any], args: tuple) -> None:
         """Hot-path variant of :meth:`schedule_at`: no handle, no cancellation.
 
-        Used by the network for message deliveries (millions per run): the
-        queued event is the one flat tuple ``(when, fn, *args)``.
+        The queued event is the one flat tuple ``(when, fn, *args)``.
         """
         if not self._now <= when < _INF:  # NaN fails both comparisons
             raise self._refused(when)
-        self._insert((when, fn, *args))
+        self._insert(when, (when, fn, *args), -1)
         if self._audit is not None:
             self._audit.note(when, fn)
 
@@ -280,24 +289,34 @@ class Simulator:
             f"cannot schedule at t={when}: not a finite time at or after t={self._now}"
         )
 
-    def _insert(self, event: "tuple | EventHandle") -> None:
-        """Queue ``event`` at the finite instant ``event[0] >= now``.
+    def _insert(self, when: float, item: Any, dst: int) -> None:
+        """Queue one event at the finite instant ``when >= now``: a shared
+        delivery record for ``dst >= 0``, else a ``(when, fn, *args)``
+        sequence with ``dst = -1`` (module docstring).
 
         The one place an event enters the calendar.  Everything after the
         epoch being walked is an append to an unsorted list; an event inside
-        that epoch is bisected into the sorted run — to the right of every
-        entry at or before its instant, the consumed ones (``<= now``) included.
+        that epoch is appended to the run and its index bisected into the
+        sorted order — to the right of every entry at or before its instant,
+        the consumed ones (``<= now``) included.
         """
-        k = int(event[0] * EPOCHS_PER_S)
+        k = int(when * EPOCHS_PER_S)
         if k > self._run_epoch:
             epoch = self._epochs.get(k)
             if epoch is None:
-                self._epochs[k] = [event]
+                self._epochs[k] = [when, item, dst]
                 heapq.heappush(self._occupied, k)
             else:
-                epoch.append(event)
+                # Three appends beat `epoch += when, item, dst` (no tuple).
+                epoch.append(when)
+                epoch.append(item)
+                epoch.append(dst)
         else:
-            insort(self._run, event, key=_when)
+            run = self._run
+            run.append(when)
+            run.append(item)
+            run.append(dst)
+            insort(self._order, len(run) - 3, key=run.__getitem__)
 
     def stop(self) -> None:
         """Make :meth:`run` return after the current event finishes."""
@@ -320,28 +339,29 @@ class Simulator:
         """Drop cancelled entries from every unconsumed part of the calendar
         (O(live) instead of O(dead) skips in the run loop).
 
-        Mutates ``_epochs``, ``_occupied`` and ``_run`` in place on purpose:
-        the run loop holds local aliases, and cancellations — hence
+        Mutates ``_epochs``, ``_occupied`` and ``_order`` in place on
+        purpose: the run loop holds local aliases, and cancellations — hence
         compactions — can happen inside an event callback while the loop is
-        mid-epoch.  The consumed prefix of the run stays, so the loop's
-        cursor remains valid.
+        mid-epoch.  The consumed prefix of the order stays, so the loop's
+        cursor remains valid; the walked epoch's dead slots are left to the
+        release at the end of ``run()``.
         """
         epochs = self._epochs
         emptied = []
         for k, epoch in epochs.items():
-            live = [event for event in epoch if event[1] is not None]
-            if live:
-                epoch[:] = live
-            else:
+            live = _live(epoch, range(0, len(epoch), 3))
+            if not live:
                 emptied.append(k)
+            elif len(live) * 3 < len(epoch):
+                epoch[:] = [slot for j in live for slot in epoch[j : j + 3]]
         if emptied:
             for k in emptied:
                 del epochs[k]
             self._occupied[:] = epochs
             heapq.heapify(self._occupied)
         cursor = self._cursor
-        run = self._run
-        run[cursor:] = [event for event in run[cursor:] if event[1] is not None]
+        order = self._order
+        order[cursor:] = _live(self._run, order[cursor:])
         self._cancelled = 0
         self._compact_check = self._compact_threshold
         self._compactions += 1
@@ -353,8 +373,9 @@ class Simulator:
             until: stop once simulated time would exceed this instant; the
                 clock is advanced to ``until`` exactly.  Events at ``until``
                 itself are executed.
-            max_events: safety valve — raise :class:`SimulationError` if more
-                than this many events execute (runaway-protocol guard).
+            max_events: safety valve — raise :class:`EventBudgetExceeded` (a
+                :class:`SimulationError`) if more than this many events
+                execute (runaway-protocol guard).
         """
         tracer = self._tracer
         if not tracer.enabled:
@@ -385,10 +406,11 @@ class Simulator:
     def _run_loop(self, until: float | None, max_events: int | None) -> None:
         # One loop body serves every (until, max_events) combination: absent
         # limits become +inf, which costs two compares per event — nothing
-        # next to the call itself.  `i` is the cursor; it is stored before
-        # the event runs so that insertions, compaction and the pending
-        # count made by the callback see exactly the unconsumed entries
-        # (rule 3), and `len(run)` is re-read because they may change it.
+        # next to the call itself.  `i` is the cursor into `order`; it is
+        # stored before the event runs so that insertions, compaction and the
+        # pending count made by the callback see exactly the unconsumed
+        # entries (rule 3), and `len(order)` is re-read because they may
+        # change it.
         self._stopped = False
         epochs = self._epochs
         occupied = self._occupied
@@ -397,35 +419,45 @@ class Simulator:
         last_epoch = _INF if limit == _INF else int(limit * EPOCHS_PER_S)
         cap = _INF if max_events is None else max_events
         run = self._run
+        order = self._order
         i = 0  # every exit leaves the cursor at 0
         executed = 0
         try:
             while True:
-                if i < len(run):
-                    event = run[i]
-                    when = event[0]
+                if i < len(order):
+                    j = order[i]
+                    when = run[j]
                     if when > limit:
                         break
                     i += 1
                     self._cursor = i
                     self._now = when
-                    fn = event[1]
-                    if event.__class__ is not tuple:  # an EventHandle
-                        if fn is None:
-                            self._cancelled -= 1
-                            continue
-                        event._sim = None
-                    fn(*event[2:])
+                    item = run[j + 1]
+                    dst = run[j + 2]
+                    if dst >= 0:  # a delivery copy of a shared record
+                        deliver, src, msg, size = item
+                        deliver(src, dst, msg, size)
+                    else:
+                        fn = item[1]
+                        if item.__class__ is not tuple:  # an EventHandle
+                            if fn is None:
+                                self._cancelled -= 1
+                                continue
+                            item._sim = None
+                        fn(*item[2:])
                     executed += 1
                     if self._stopped:
                         return
                     if executed > cap:
-                        raise SimulationError(f"exceeded max_events={max_events}")
+                        raise EventBudgetExceeded(f"exceeded max_events={max_events}")
                 elif occupied and occupied[0] <= last_epoch:
                     k = self._run_epoch = heapq.heappop(occupied)
                     run = self._run = epochs.pop(k)
-                    if len(run) > 1:
-                        run.sort(key=_when)
+                    order = self._order = (
+                        sorted(range(0, len(run), 3), key=run.__getitem__)
+                        if len(run) > 3
+                        else [0]
+                    )
                     i = self._cursor = 0
                     self._epochs_turned += 1
                 else:
@@ -435,12 +467,30 @@ class Simulator:
         finally:
             # Release the consumed entries now rather than when the epoch
             # turns: they pin the fired callbacks' arguments (whole messages).
-            del self._run[: self._cursor]
-            self._cursor = 0
+            self._release()
             # Batched: per-event `self._processed += 1` is measurable, and no
             # caller observes the counter while an event callback is running.
             self._processed += executed
 
+    def _release(self) -> None:
+        """Rebuild the walked epoch from its unconsumed events, in order, so
+        that consumed entries stop pinning their callbacks' arguments."""
+        cursor = self._cursor
+        if cursor:
+            run = self._run
+            kept = []
+            for j in self._order[cursor:]:
+                kept += run[j : j + 3]
+            self._run = kept
+            self._order = list(range(0, len(kept), 3))
+        self._cursor = 0
+
     def run_until_idle(self, max_events: int | None = None) -> None:
         """Run until no events remain (alias of ``run()`` with a guard)."""
         self.run(until=None, max_events=max_events)
+
+
+def _live(slots: list, indices) -> list[int]:
+    """The ``indices`` (first slots) of ``slots``' events that are not
+    cancelled handles; only ``dst = -1`` items can be."""
+    return [j for j in indices if slots[j + 2] >= 0 or slots[j + 1][1] is not None]

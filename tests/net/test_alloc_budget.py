@@ -1,13 +1,17 @@
-"""Allocation budget of an in-flight event: one GC-tracked object.
+"""Allocation budget of an in-flight event: a delivery copy is no GC-tracked
+object, a timer one.
 
 The cyclic collector re-traverses every tracked container that is still alive
 when a collection runs, and a queued delivery lives ~100k events before it
 fires — so the number of tracked objects per pending event is a direct
 multiplier on collector time (docs/PERFORMANCE.md, "One object per in-flight
-event").  These tests count tracked objects with ``gc.get_objects()`` so a
-refactor that re-wraps events (a per-event list, an ``(fn, args)`` pair, a
-separate handle) fails here instead of showing up as a slow benchmark.  The calendar's own
-containers are budgeted too: one list per occupied epoch, whatever it holds.
+event" and "Sharing per-copy state").  A send costs one shared record
+``(deliver, src, msg, size)`` and the bound ``_deliver`` it holds, whatever
+its fan-out; each copy is three untracked calendar slots.  These tests count
+tracked objects with ``gc.get_objects()`` so a refactor that re-wraps events
+(a per-copy tuple, an ``(fn, args)`` pair, a separate handle) fails here
+instead of showing up as a slow benchmark.  The calendar's own containers are
+budgeted too: one list per occupied epoch, whatever it holds.
 The RBC instance table is budgeted the same way: it is never pruned and
 holds n² instances per round, so a per-digest container there costs n³
 memory per round.
@@ -56,7 +60,7 @@ def _inline_net(n, bandwidth_bps):
     return sim, net
 
 
-def test_pending_delivery_alone_at_its_instant_is_one_object():
+def test_pending_delivery_alone_at_its_instant_is_no_object():
     n, k = 9, 40
     sim, net = _inline_net(n, bandwidth_bps=1e6)
     msgs = [_Blob() for _ in range(k)]
@@ -70,10 +74,12 @@ def test_pending_delivery_alone_at_its_instant_is_one_object():
     pending = sim.pending_events
     assert pending == k * (n - 1)
     assert len(sim._epochs) == pending
+    # 0 per pending copy;
     # + one list per occupied epoch;
-    # + k: each _transmit call binds `deliver` once, shared by its copies;
+    # + 2k: each _transmit call builds one record and binds `deliver` once,
+    #   both shared by its copies;
     # + 1: the calendar dict is tracked once it holds a tracked value.
-    assert _tracked() - base <= pending + len(sim._epochs) + k + 1
+    assert _tracked() - base <= len(sim._epochs) + 2 * k + 1
     sim.run()
     assert sim.pending_events == 0
     assert _tracked() <= base
@@ -90,8 +96,24 @@ def test_deliveries_sharing_an_instant_add_one_list_per_instant():
     # k·(n-1) remote copies at t=0.05 — two epochs, one list each.
     assert sim.pending_events == k * n
     assert len(sim._epochs) == 2
-    assert _tracked() - base <= k * n + 2 + k + 1
+    assert _tracked() - base <= 2 + 2 * k + 1
     sim.run()
+    assert _tracked() <= base
+
+
+def test_tribe_wide_fan_out_costs_one_record_per_send():
+    # n=150, the paper's largest tribe: a broadcast is 150 copies, and the
+    # collector's bill must not scale with them.
+    n, k = 150, 6
+    sim, net = _inline_net(n, bandwidth_bps=1e9)
+    msgs = [_Blob() for _ in range(k)]
+    base = _tracked()
+    for sender, msg in enumerate(msgs):
+        net.broadcast(sender, msg)
+    assert sim.pending_events == k * n
+    assert _tracked() - base <= len(sim._epochs) + 2 * k + 1
+    sim.run()
+    assert sim.pending_events == 0
     assert _tracked() <= base
 
 

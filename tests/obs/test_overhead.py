@@ -15,11 +15,8 @@ operation of its own (docs/PERFORMANCE.md, "Sixth round").
 import heapq
 import time
 from bisect import insort
-from operator import itemgetter
 
 from repro.sim.scheduler import EPOCHS_PER_S, Simulator
-
-_when = itemgetter(0)
 
 
 class _SeedSimulator:
@@ -32,6 +29,7 @@ class _SeedSimulator:
         self._epochs = {}
         self._occupied = []
         self._run = []
+        self._order = []
         self._run_epoch = -1
         self._cursor = 0
         self._epochs_turned = 0
@@ -41,19 +39,25 @@ class _SeedSimulator:
     def post(self, when, fn, args):
         if not self._now <= when < float("inf"):
             raise ValueError(f"cannot schedule at t={when} from t={self._now}")
-        self._insert((when, fn, *args))
+        self._insert(when, (when, fn, *args), -1)
 
-    def _insert(self, event):
-        k = int(event[0] * EPOCHS_PER_S)
+    def _insert(self, when, item, dst):
+        k = int(when * EPOCHS_PER_S)
         if k > self._run_epoch:
             epoch = self._epochs.get(k)
             if epoch is None:
-                self._epochs[k] = [event]
+                self._epochs[k] = [when, item, dst]
                 heapq.heappush(self._occupied, k)
             else:
-                epoch.append(event)
+                epoch.append(when)
+                epoch.append(item)
+                epoch.append(dst)
         else:
-            insort(self._run, event, key=_when)
+            run = self._run
+            run.append(when)
+            run.append(item)
+            run.append(dst)
+            insort(self._order, len(run) - 3, key=run.__getitem__)
 
     def run(self, until=None, max_events=None):
         self._stopped = False
@@ -63,22 +67,27 @@ class _SeedSimulator:
         last_epoch = limit if until is None else int(limit * EPOCHS_PER_S)
         cap = float("inf") if max_events is None else max_events
         run = self._run
+        order = self._order
         i = 0
         executed = 0
         try:
             while True:
-                if i < len(run):
-                    event = run[i]
-                    when = event[0]
+                if i < len(order):
+                    j = order[i]
+                    when = run[j]
                     if when > limit:
                         break
                     i += 1
                     self._cursor = i
                     self._now = when
-                    fn = event[1]
-                    if event.__class__ is not tuple:
+                    item = run[j + 1]
+                    dst = run[j + 2]
+                    if dst >= 0:
+                        raise AssertionError("the microbench queues no deliveries")
+                    fn = item[1]
+                    if item.__class__ is not tuple:
                         raise AssertionError("the microbench queues no timers")
-                    fn(*event[2:])
+                    fn(*item[2:])
                     executed += 1
                     if self._stopped:
                         return
@@ -87,8 +96,11 @@ class _SeedSimulator:
                 elif occupied and occupied[0] <= last_epoch:
                     k = self._run_epoch = heapq.heappop(occupied)
                     run = self._run = epochs.pop(k)
-                    if len(run) > 1:
-                        run.sort(key=_when)
+                    order = self._order = (
+                        sorted(range(0, len(run), 3), key=run.__getitem__)
+                        if len(run) > 3
+                        else [0]
+                    )
                     i = self._cursor = 0
                     self._epochs_turned += 1
                 else:
@@ -96,7 +108,12 @@ class _SeedSimulator:
             if until is not None and self._now < until:
                 self._now = until
         finally:
-            del self._run[: self._cursor]
+            if self._cursor:
+                kept = []
+                for j in self._order[self._cursor :]:
+                    kept += self._run[j : j + 3]
+                self._run = kept
+                self._order = list(range(0, len(kept), 3))
             self._cursor = 0
             self._processed += executed
 

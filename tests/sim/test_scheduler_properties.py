@@ -107,6 +107,12 @@ def test_cascading_schedules_deterministic(seed):
 # programs terminate), cancel handles (pending, cancelled or already fired),
 # stop the run or compact the calendar.  Both backends run the same program;
 # everything observable must agree.
+#
+# An "inline" op is a send: like Network._transmit, the calendar gets one
+# shared record and one (when, record, dst) slot triple per copy, each copy
+# at its own delay — so one record's copies straddle epochs, land in the
+# epoch being walked, and sit beside posts and handles when _compact runs.
+# The model sees each copy as an independent event.
 # ---------------------------------------------------------------------------
 
 _EPOCH = 1.0 / EPOCHS_PER_S
@@ -116,8 +122,15 @@ _EPOCH = 1.0 / EPOCHS_PER_S
 _DELAYS = (0.0, 0.0, 1e-4, _EPOCH - 1e-12, _EPOCH, 1.5 * _EPOCH, 0.5, 1.0, 1.5)
 _KINDS = ("post", "sched", "inline")
 
-_insert = st.tuples(
-    st.sampled_from(_KINDS), st.sampled_from(_DELAYS), st.integers(0, 7)
+_insert = st.one_of(
+    st.tuples(
+        st.sampled_from(("post", "sched")), st.sampled_from(_DELAYS), st.integers(0, 7)
+    ),
+    st.tuples(
+        st.just("inline"),
+        st.lists(st.sampled_from(_DELAYS), min_size=1, max_size=4).map(tuple),
+        st.integers(0, 7),
+    ),
 )
 _cancel = st.tuples(st.just("cancel"), st.integers(0, 63))
 _compact = st.tuples(st.just("compact"))
@@ -152,6 +165,10 @@ class _HeapModel:
         self.seq += 1
         heapq.heappush(self.heap, entry)
         return entry
+
+    def transmit(self, whens, fire, first_id, script):
+        for copy, when in enumerate(whens):
+            self.insert("inline", when, fire, (first_id + copy, script))
 
     def cancel(self, entry):
         if entry[1] is not None and entry[2] is not None:
@@ -189,6 +206,10 @@ class _HeapModel:
             self.processed += executed
 
 
+def _deliver_copy(first_id, dst, fire, script):
+    fire(first_id + dst, script)
+
+
 class _Calendar:
     """The real :class:`Simulator` behind the model's interface."""
 
@@ -206,12 +227,15 @@ class _Calendar:
         sim = self.sim
         if kind == "sched":
             return sim.schedule_at(when, fn, *args)
-        if kind == "post":
-            sim.post(when, fn, args)
-        else:
-            # What Network._transmit's inline producer does.
-            sim._insert((when, fn, *args))
+        sim.post(when, fn, args)
         return None
+
+    def transmit(self, whens, fire, first_id, script):
+        # What Network._transmit's inline producer does: one record shared
+        # by every copy, run as record[0](record[1], dst, *record[2:]).
+        record = (_deliver_copy, first_id, fire, script)
+        for dst, when in enumerate(whens):
+            self.sim._insert(when, record, dst)
 
     def cancel(self, handle):
         handle.cancel()
@@ -226,6 +250,13 @@ class _Calendar:
         self.sim.run(until=until, max_events=max_events)
 
 
+#: Event budget of an uncapped "run" op, on both backends.  No generated
+#: program comes near it; a calendar that fires a consumed entry again (an
+#: insertion bisected into the consumed prefix shifts it under the cursor)
+#: loops forever, and the budget turns that into a failed comparison.
+_RUNAWAY = 10_000
+
+
 def _execute(backend, ops, scripts):
     """Run a program; returns the firing log and the state after each op,
     sampled from inside every callback as well (rule 3 of the scheduler's
@@ -236,6 +267,10 @@ def _execute(backend, ops, scripts):
 
     def insert(kind, delay, script):
         eid = next_id[0]
+        if kind == "inline":
+            next_id[0] += len(delay)
+            backend.transmit([backend.now + d for d in delay], fire, eid, script)
+            return
         next_id[0] += 1
         handle = backend.insert(kind, backend.now + delay, fire, (eid, script))
         if kind == "sched":
@@ -262,7 +297,8 @@ def _execute(backend, ops, scripts):
     for op in ops:
         if op[0] == "run":
             try:
-                backend.run(None if op[1] is None else backend.now + op[1], op[2])
+                cap = _RUNAWAY if op[2] is None else op[2]
+                backend.run(None if op[1] is None else backend.now + op[1], cap)
                 outcome = "ok"
             except SimulationError:
                 outcome = "max_events"
@@ -284,21 +320,21 @@ _DRAIN = ("run", None, None)
     scripts=st.lists(st.lists(_action, max_size=4), min_size=1, max_size=8),
 )
 # one instant through each producer, fired in insertion order
-@example(ops=[("inline", 1.0, 9), ("sched", 1.0, 9), ("post", 1.0, 9), _DRAIN], scripts=[[]])
+@example(ops=[("inline", (1.0,), 9), ("sched", 1.0, 9), ("post", 1.0, 9), _DRAIN], scripts=[[]])
 # insertion at `now` from a callback: behind what is already queued there
 @example(
     ops=[("post", 1.0, 0), ("post", 1.0, 1), _DRAIN],
-    scripts=[[("inline", 0.0, 9), ("sched", 0.0, 9)], [("post", 0.0, 9)]],
+    scripts=[[("inline", (0.0,), 9), ("sched", 0.0, 9)], [("post", 0.0, 9)]],
 )
 # insertion into the epoch being drained, ahead of and behind a queued entry
 @example(
     ops=[("post", 1.0, 0), ("post", 1.0008, 9), _DRAIN],
-    scripts=[[("sched", 0.0009, 9), ("inline", 0.0003, 9), ("post", 0.0003, 9)]],
+    scripts=[[("sched", 0.0009, 9), ("inline", (0.0003,), 9), ("post", 0.0003, 9)]],
 )
 # run(until) stops mid-epoch, then an external insertion earlier in that epoch
 @example(
     ops=[("post", 1.0008, 9), ("run", 1.0004, None), ("post", 0.0002, 9),
-         ("sched", 0.0, 9), ("inline", 0.0006, 9), _DRAIN],
+         ("sched", 0.0, 9), ("inline", (0.0006,), 9), _DRAIN],
     scripts=[[]],
 )
 # cancelled entry: skipped by the loop, and dropped by _compact
@@ -313,7 +349,7 @@ _DRAIN = ("run", None, None)
 @example(
     ops=[("post", 1.0, 0), ("post", 1.0002, 9), ("sched", 1.0004, 9), _DRAIN,
          ("post", 0.0001, 9), _DRAIN],
-    scripts=[[("inline", 0.0001, 9), ("stop",)]],
+    scripts=[[("inline", (0.0001,), 9), ("stop",)]],
 )
 # max_events mid-epoch, one of the entries left behind cancelled, then resume
 @example(
@@ -329,6 +365,23 @@ _DRAIN = ("run", None, None)
 @example(
     ops=[("post", 1.0, 0), ("sched", 2.0, 9), ("sched", 2.0, 9), ("post", 3.0, 9), _DRAIN],
     scripts=[[("cancel", 0), ("cancel", 1), ("compact",)]],
+)
+# one record, four copies: two in the epoch being walked (one at `now`),
+# one later in it, one in a future epoch — between posts and handles
+@example(
+    ops=[("post", 1.0, 0), ("sched", 1.0, 9), ("post", 1.0003, 9), _DRAIN],
+    scripts=[[("inline", (0.0, 0.5, 0.0002, 0.0), 9), ("post", 0.0, 9)]],
+)
+# _compact over an epoch of mixed slots: copies, posts and cancelled handles
+@example(
+    ops=[("inline", (1.0, 1.0, 2.0), 9), ("sched", 1.0, 9), ("post", 1.0, 9),
+         ("sched", 2.0, 9), ("cancel", 0), ("cancel", 1), ("compact",), _DRAIN],
+    scripts=[[]],
+)
+# ... and over the epoch being walked, from inside a callback
+@example(
+    ops=[("post", 1.0, 0), ("sched", 1.0001, 9), ("sched", 1.0002, 9), _DRAIN],
+    scripts=[[("inline", (0.0001, 0.0, 0.0003), 9), ("cancel", 1), ("compact",)]],
 )
 def test_calendar_matches_heap_model(ops, scripts):
     expected = _execute(_HeapModel(), ops, scripts)
