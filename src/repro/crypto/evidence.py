@@ -54,8 +54,9 @@ class EvidencePool:
     """Per-node collector: turns observed conflicting signed VALs into proofs."""
 
     def __init__(self) -> None:
-        #: (origin, round) -> {digest: signature}
-        self._seen: dict[tuple[NodeId, Round], dict[bytes, Signature]] = {}
+        #: (origin, round) -> the first (digest, signature) recorded: one
+        #: pair proves a conflict, so a later digest is never stored.
+        self._seen: dict[tuple[NodeId, Round], tuple[bytes, Signature]] = {}
         self.proofs: list[EquivocationEvidence] = []
         self._convicted: set[tuple[NodeId, Round]] = set()
 
@@ -66,19 +67,17 @@ class EvidencePool:
         if signature.signer != origin:
             raise CryptoError("signature does not belong to the claimed origin")
         key = (origin, round_)
-        seen = self._seen.get(key)
-        if seen is None:
-            seen = self._seen[key] = {}
-        if digest_ in seen:
+        first = self._seen.get(key)
+        if first is None:
+            self._seen[key] = (digest_, signature)
             return None
-        seen[digest_] = signature
-        if len(seen) >= 2 and key not in self._convicted:
-            self._convicted.add(key)
-            (d_a, s_a), (d_b, s_b) = sorted(seen.items())[:2]
-            proof = EquivocationEvidence(origin, round_, d_a, d_b, s_a, s_b)
-            self.proofs.append(proof)
-            return proof
-        return None
+        if first[0] == digest_ or key in self._convicted:
+            return None
+        self._convicted.add(key)
+        (d_a, s_a), (d_b, s_b) = sorted((first, (digest_, signature)))
+        proof = EquivocationEvidence(origin, round_, d_a, d_b, s_a, s_b)
+        self.proofs.append(proof)
+        return proof
 
     def forget(self, origin: NodeId, round_: Round) -> None:
         """Drop the signatures recorded for ``(origin, round_)``: its RBC

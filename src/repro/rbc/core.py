@@ -57,7 +57,7 @@ policies of the merged RBC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..crypto.certificates import QuorumCertificate, build_certificate, verify_certificate
@@ -78,12 +78,26 @@ MAX_PARTIES = 256
 
 
 @dataclass(slots=True)
+class Tally:
+    """ECHO/READY votes for a digest other than the instance's first, whose
+    votes live inline on the :class:`Instance` in fields of these names."""
+
+    echo_mask: int = 0
+    echo_order: bytearray | None = None
+    echo_sigs: list[Signature] | None = None
+    ready_mask: int = 0
+
+
+@dataclass(slots=True)
 class Instance:
     """Voting state of one ``(origin, round)`` instance.
 
     ECHO/READY tallies are per digest: an equivocating sender may split the
-    network across digests, and quorum checks must never mix them.  Policies
-    subclass this with the payload they hold.
+    network across digests, and quorum checks must never mix them.  An
+    honest run sees one digest per instance, and there are n² instances per
+    round, so that digest's tally is kept inline rather than in a
+    per-digest container.  Policies subclass this with the payload they
+    hold.
     """
 
     #: Digest of the first VAL seen — the only one this node ever vouches for.
@@ -101,16 +115,23 @@ class Instance:
     clan_quorum: int = 0
     #: The clan as a supporter mask (bit p is party p).
     clan_mask: int = 0
-    #: ECHO supporters per digest, as a mask (bit p: party p echoed).
-    echoes: dict[bytes, int] = field(default_factory=dict)
+    #: The first digest any ECHO or READY named.  Its votes live in the
+    #: four fields below, the same four a :class:`Tally` holds for every
+    #: further digest (see :func:`tally_of`).
+    tally_digest: bytes | None = None
+    #: ECHO supporters, as a mask (bit p: party p echoed).
+    echo_mask: int = 0
     #: The same supporters in ECHO-arrival order, one byte each: the order
     #: pulls ask holders in derives from it (see :func:`echoers`).
-    echo_order: dict[bytes, bytearray] = field(default_factory=dict)
-    #: Two-round completion: signatures on the ECHO statement per digest, in
-    #: arrival order, kept only until the certificate is built or received.
-    echo_sigs: dict[bytes, list[Signature]] = field(default_factory=dict)
-    #: READY supporters per digest, as a mask.
-    readies: dict[bytes, int] = field(default_factory=dict)
+    echo_order: bytearray | None = None
+    #: Two-round completion: signatures on the ECHO statement, in arrival
+    #: order, kept only until the certificate is built or received.
+    echo_sigs: list[Signature] | None = None
+    #: READY supporters, as a mask.
+    ready_mask: int = 0
+    #: ``{digest: Tally}`` of the digests after the first; None until a
+    #: second digest shows up, which only an equivocating sender causes.
+    others: dict[bytes, Tally] | None = None
     #: Other digests seen in conflicting VALs (tests and forensics read this;
     #: the protocol itself honours only the first).  The shared empty
     #: frozenset until the first conflict replaces it.
@@ -127,6 +148,16 @@ class Instance:
     #: Causal trace context of this instance (None when unsampled or tracing
     #: is off); inherited from the VAL and stamped onto what this node sends.
     ctx: Any | None = None
+
+    @property
+    def echoes(self) -> dict[bytes, int]:
+        """``{digest: ECHO supporter mask}``, for tests and forensics."""
+        return {d: t.echo_mask for d, t in tallies(self) if t.echo_mask}
+
+    @property
+    def readies(self) -> dict[bytes, int]:
+        """``{digest: READY supporter mask}``, for tests and forensics."""
+        return {d: t.ready_mask for d, t in tallies(self) if t.ready_mask}
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,6 +180,54 @@ class ValParts:
     chunks: tuple[Message, ...] = ()
 
 
+def tally_of(state: Instance, digest_: bytes) -> Instance | Tally | None:
+    """The votes for ``digest_``: the instance itself when it is the first
+    digest, else its overflow tally (None when no vote named it)."""
+    if state.tally_digest == digest_:
+        return state
+    others = state.others
+    return others.get(digest_) if others is not None else None
+
+
+def _claim(state: Instance, digest_: bytes) -> Instance | Tally:
+    """:func:`tally_of`'s miss path for a vote: the first digest claims the
+    inline slot, any other gets (or finds) its overflow tally."""
+    if state.tally_digest is None:
+        state.tally_digest = digest_
+        return state
+    others = state.others
+    if others is None:
+        others = state.others = {}
+    tally = others.get(digest_)
+    if tally is None:
+        tally = others[digest_] = Tally()
+    return tally
+
+
+def tallies(state: Instance) -> list[tuple[bytes, Instance | Tally]]:
+    """Every ``(digest, tally)`` of the instance, the inline one first."""
+    if state.tally_digest is None:
+        return []
+    pairs = [(state.tally_digest, state)]
+    if state.others is not None:
+        pairs += state.others.items()
+    return pairs
+
+
+def _echoed(state: Instance) -> list[tuple[bytes, Instance | Tally]]:
+    """The ``(digest, tally)`` pairs that hold at least one ECHO."""
+    return [pair for pair in tallies(state) if pair[1].echo_mask]
+
+
+def _drop_sigs(state: Instance) -> None:
+    """The certificate is sent or forwarded: no digest's ECHO signatures
+    are read again."""
+    state.echo_sigs = None
+    if state.others is not None:
+        for tally in state.others.values():
+            tally.echo_sigs = None
+
+
 def echoers(state: Instance, digest_: bytes) -> list[NodeId]:
     """The parties that echoed ``digest_``, in the order a pull asks them.
 
@@ -158,7 +237,8 @@ def echoers(state: Instance, digest_: bytes) -> list[NodeId]:
     out (at 2f+1 supporters it has, for every n ≤ 256), arrival order among
     ids that share a slot (``{9, 1}`` iterates as ``[9, 1]``).
     """
-    order = state.echo_order.get(digest_)
+    tally = tally_of(state, digest_)
+    order = tally.echo_order if tally is not None else None
     return list(set(order)) if order is not None else []
 
 
@@ -471,30 +551,34 @@ class RbcCore:
             state = self._open(msg.origin, msg.round)
             if state is None:
                 return
-        # An int mask per digest, no container: ECHOes are n³ per round and
-        # every instance lives at least until the GC floor passes its round.
+        # An int mask and a bytearray, no container: ECHOes are n³ per round
+        # and every instance lives at least until the GC floor passes its
+        # round.  The hit path is the instance's own inline tally.
+        tally = state if state.tally_digest == digest_ else _claim(state, digest_)
         bit = 1 << src
-        supporters = state.echoes.get(digest_, 0)
+        supporters = tally.echo_mask
         if supporters & bit:
             return
-        supporters = state.echoes[digest_] = supporters | bit
-        order = state.echo_order.get(digest_)
+        supporters = tally.echo_mask = supporters | bit
+        order = tally.echo_order
         if order is None:
-            state.echo_order[digest_] = bytearray((src,))
+            tally.echo_order = bytearray((src,))
         else:
             order.append(src)
         if self._signed:
             if state.cert_sent:
                 return  # tally maintained, but the quorum already acted
-            sigs = state.echo_sigs.get(digest_)
+            sigs = tally.echo_sigs
             if sigs is None:
-                state.echo_sigs[digest_] = [signature]
+                tally.echo_sigs = [signature]
             else:
                 sigs.append(signature)
         elif self._optimistic and not state.pessimistic:
             if not state.delivered and state.fallback_timer is None:
                 self._arm_fallback(msg.origin, msg.round, state)
-            if len(state.echoes) > 1 or state.conflicting:
+            if state.conflicting or (
+                state.others is not None and len(_echoed(state)) > 1
+            ):
                 # _fall_back replays the quorum rule per digest.
                 self._fall_back(msg.origin, msg.round, state, "conflict")
             elif supporters.bit_count() == self.n and not state.delivered:
@@ -503,14 +587,16 @@ class RbcCore:
                 # set includes this node, so delivery needs no pull.
                 self._complete(msg.origin, msg.round, digest_, state)
             return
-        self._check_echo_quorum(msg.origin, msg.round, digest_, state)
+        self._check_echo_quorum(msg.origin, msg.round, digest_, state, tally)
 
     def _check_echo_quorum(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance,
+        tally: Instance | Tally,
     ) -> None:
-        """The echo-quorum rule: 2f+1 ECHOes, ≥ f_c+1 of them from the clan
-        — so an honest clan member provably holds the payload."""
-        supporters = state.echoes[digest_]
+        """The echo-quorum rule on ``digest_``'s ``tally``: 2f+1 ECHOes,
+        ≥ f_c+1 of them from the clan — so an honest clan member provably
+        holds the payload."""
+        supporters = tally.echo_mask
         if supporters.bit_count() < self._quorum:
             return
         if state.clan is not None and (
@@ -521,8 +607,8 @@ class RbcCore:
             if state.cert_sent:
                 return
             state.cert_sent = True
-            cert = build_certificate(state.echo_sigs.pop(digest_))
-            state.echo_sigs.clear()
+            cert = build_certificate(tally.echo_sigs)
+            _drop_sigs(state)
             cert_msg = self._cert_cls(origin, round_, digest_, cert, self.n)
             if state.ctx is not None and self.tracer.verbose:
                 cert_msg.trace_ctx = state.ctx
@@ -557,7 +643,7 @@ class RbcCore:
         # it even if the original quorum-former was the only honest multicaster.
         if not state.cert_sent:
             state.cert_sent = True
-            state.echo_sigs.clear()
+            _drop_sigs(state)
             self.network.broadcast(self.node_id, msg)
         self._complete(msg.origin, msg.round, msg.digest, state, msg.cert)
 
@@ -608,16 +694,18 @@ class RbcCore:
                 # so the laggard completes even if it was the only one to
                 # fall back.
                 self._send_ready(msg.origin, msg.round, state.quorum_digest, state)
+        digest_ = msg.digest
+        tally = state if state.tally_digest == digest_ else _claim(state, digest_)
         bit = 1 << src
-        supporters = state.readies.get(msg.digest, 0)
+        supporters = tally.ready_mask
         if supporters & bit:
             return
-        supporters = state.readies[msg.digest] = supporters | bit
+        supporters = tally.ready_mask = supporters | bit
         count = supporters.bit_count()
         if count >= self._amplify and state.ready_digest is None:
-            self._send_ready(msg.origin, msg.round, msg.digest, state)
+            self._send_ready(msg.origin, msg.round, digest_, state)
         if count >= self._quorum:
-            self._complete(msg.origin, msg.round, msg.digest, state)
+            self._complete(msg.origin, msg.round, digest_, state)
 
     # -- completion ---------------------------------------------------------------
 
@@ -712,8 +800,8 @@ class RbcCore:
             )
         # Replay the quorum rule per digest: 2f+1 may long be met while the
         # fast path was holding out for all n.
-        for digest_ in sorted(state.echoes):
-            self._check_echo_quorum(origin, round_, digest_, state)
+        for digest_, tally in sorted(_echoed(state)):
+            self._check_echo_quorum(origin, round_, digest_, state, tally)
 
     # -- housekeeping ---------------------------------------------------------------
 
@@ -791,8 +879,11 @@ class RbcCore:
             # the fast path for every instance that was in flight.
             for origin, round_ in sorted(self.instances):
                 state = self.instances[(origin, round_)]
-                if state.val_digest is not None or state.echoes:
+                if state.val_digest is not None or _echoed(state):
                     self._fall_back(origin, round_, state, "timeout")
 
 
-__all__ = ["COMPLETIONS", "MAX_PARTIES", "Instance", "RbcCore", "ValParts", "echoers"]
+__all__ = [
+    "COMPLETIONS", "MAX_PARTIES", "Instance", "RbcCore", "Tally", "ValParts",
+    "echoers", "tallies", "tally_of",
+]

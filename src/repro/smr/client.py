@@ -21,8 +21,9 @@ from ..types import NodeId
 class _PendingRequest:
     txn: Transaction
     clan_idx: int
-    #: responses received: node -> result
-    responses: dict[NodeId, Any] = field(default_factory=dict)
+    #: responses received: node -> result (None once accepted: later
+    #: replies are ignored, so the tally is released)
+    responses: dict[NodeId, Any] | None = field(default_factory=dict)
     accepted: bool = False
     result: Any = None
     accepted_at: float | None = None
@@ -77,6 +78,7 @@ class Client:
                 request.accepted = True
                 request.result = value
                 request.accepted_at = now
+                request.responses = None
                 if self.tracer.enabled:
                     # Client-observed latency: creation → f_c+1 matching replies.
                     self.tracer.counter(

@@ -70,14 +70,24 @@ def test_forget_drops_records_but_keeps_proofs():
     assert len(pool.proofs) == 1
 
 
-def test_record_keeps_one_dict_per_instance():
+def test_record_keeps_one_pair_per_instance():
     pool = EvidencePool()
-    d1, d2 = digest(b"a"), digest(b"b")
-    pool.record(3, 1, d1, signed(3, 1, d1))
-    seen = pool._seen[(3, 1)]
-    pool.record(3, 1, d1, signed(3, 1, d1))
-    pool.record(3, 1, d2, signed(3, 1, d2))
-    assert pool._seen[(3, 1)] is seen and set(seen) == {d1, d2}
+    d1, d2, d3 = digest(b"a"), digest(b"b"), digest(b"c")
+    s1, s2 = signed(3, 1, d1), signed(3, 1, d2)
+    pool.record(3, 1, d2, s2)
+    assert pool._seen[(3, 1)] == (d2, s2)
+    assert pool.record(3, 1, d2, signed(3, 1, d2)) is None
+    proof = pool.record(3, 1, d1, s1)
+    # The first pair is all that is kept, and the proof orders the two
+    # digests whichever came first.
+    assert pool._seen[(3, 1)] == (d2, s2)
+    assert proof == EquivocationEvidence(3, 1, *sorted((d1, d2)), *(
+        (s1, s2) if d1 < d2 else (s2, s1)
+    ))
+    assert proof.verify(PKI, vertex_val_statement)
+    # A third digest adds no proof and stores nothing.
+    assert pool.record(3, 1, d3, signed(3, 1, d3)) is None
+    assert pool.proofs == [proof] and pool._seen[(3, 1)] == (d2, s2)
 
 
 def test_evidence_rejects_equal_digests():

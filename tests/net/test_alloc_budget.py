@@ -12,12 +12,14 @@ tracked objects with ``gc.get_objects()`` so a refactor that re-wraps events
 (a per-copy tuple, an ``(fn, args)`` pair, a separate handle) fails here
 instead of showing up as a slow benchmark.  The calendar's own containers are
 budgeted too: one list per occupied epoch, whatever it holds.
-The RBC instance table is budgeted the same way: it is never pruned and
-holds n² instances per round, so a per-digest container there costs n³
-memory per round.
+The RBC instance table is budgeted in bytes instead (``tracemalloc``): it
+holds n² instances per round until the GC floor passes them, so a
+per-digest container there costs n³ memory per round — and a dict of
+atomic keys and values is no tracked object at all.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
+from repro.rbc import core
 from repro.rbc.base import Membership
 from repro.rbc.core import RbcCore
 from repro.rbc.messages import CertMsg, EchoMsg, ReadyMsg
@@ -169,8 +172,31 @@ class _Voter(RbcCore):
         return {EchoMsg: self._on_echo}
 
 
+def _bytes_allocated_by_the_core() -> int:
+    """Live bytes traced since ``tracemalloc.start()`` whose allocating frame
+    is the RBC core or a dataclass-generated ``__init__`` (where
+    ``default_factory`` containers are made).  Attribution by frame keeps
+    out what the test's own collections and the interpreter allocate."""
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, core.__file__), tracemalloc.Filter(True, "<string>")]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+#: Bytes an instance at n=16 may keep alive with all its votes: the
+#: instance, its key tuple, the supporter mask and the arrival bytearray
+#: (~370 B), and — two-round, until the certificate — one signature list
+#: (~550 B).  A dict per tally costs 64 B empty and ~220 B holding one
+#: digest; the four-dict layout read 920–1,270 B here.
+INSTANCE_BYTES = 640
+
+
 @pytest.mark.parametrize("completion", ["two-round", "bracha"])
 def test_rbc_instance_allocates_no_per_digest_container(completion):
+    """Measured in bytes, not tracked objects: CPython does not track a
+    dict whose keys and values are all atomic (``bytes -> int``), so a
+    per-digest tally dict is invisible to ``gc.get_objects()``."""
     n = 16
     voter = _Voter(
         0, Membership(n, frozenset(range(n))), _Sink(), Simulator(), None,
@@ -181,21 +207,22 @@ def test_rbc_instance_allocates_no_per_digest_container(completion):
         EchoMsg(9, 1, d, Signature(p, b"statement", b"tag")) for p in range(n)
     ]
     signed = completion == "two-round"
-    # A first instance makes the instance table and the clan-mask cache
-    # tracked containers; what follows is the per-instance cost.
-    voter.on_message(0, EchoMsg(8, 1, d, echoes[0].signature))
-    base = _tracked()
+    # A first instance taken through all n ECHOes builds the instance
+    # table, the clan-mask cache and every lazily made helper; what follows
+    # is the per-instance cost.
     for party in range(n):
-        voter.on_message(party, echoes[party])
-        if party + 1 not in (1, voter._quorum - 1, n):
-            continue
-        state = voter.instances[(9, 1)]
-        if signed and not state.cert_sent:
-            # The instance, its one signature list and the dict keying it
-            # by digest: supporters are masks, arrival order a bytearray.
-            assert _tracked() - base <= 3
-        else:
-            # Certified, or unsigned: the instance and nothing else.
-            assert _tracked() - base <= 1
-    assert state.echoes[d] == (1 << n) - 1
-    assert state.cert_sent == signed and state.echo_sigs == {}
+        voter.on_message(party, EchoMsg(8, 1, d, echoes[party].signature))
+    checkpoints = (voter._quorum - 1, voter._quorum, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for party in range(n):
+            voter.on_message(party, echoes[party])
+            if party + 1 in checkpoints:
+                retained = _bytes_allocated_by_the_core()
+                assert retained <= INSTANCE_BYTES, (party + 1, retained)
+    finally:
+        tracemalloc.stop()
+    state = voter.instances[(9, 1)]
+    assert state.echoes == {d: (1 << n) - 1} and state.others is None
+    assert state.cert_sent == signed and state.echo_sigs is None

@@ -5,8 +5,14 @@ cannot read holders off a container any more; they ask
 :func:`repro.rbc.core.echoers`.  A pull asks ``holders[0]`` first, and
 which holder answers first moves commit times, so that order is part of
 the simulation: the iteration order of a ``set`` filled in ECHO-arrival
-order.  These tests pin it on the vertex pull of the merged RBC — the
+order.  The first tests pin it on the vertex pull of the merged RBC — the
 pull a certified instance starts when its VAL is still in flight.
+
+The first digest any vote names keeps its tally inline on the instance;
+every further digest gets its own :class:`repro.rbc.core.Tally`.  The rest
+of the file drives a bare voting core with an equivocator's two digests
+and checks that no quorum, amplification, certificate or replay ever mixes
+them, under every completion rule.
 """
 
 import pytest
@@ -21,13 +27,15 @@ from repro.consensus.messages import (
 from repro.consensus.vertex_rbc import VertexRbc
 from repro.crypto.certificates import build_certificate
 from repro.crypto.hashing import digest as hash_of
-from repro.crypto.signatures import Pki
+from repro.crypto.signatures import Pki, Signature
 from repro.errors import BroadcastError
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
+from repro.obs.tracer import NULL_TRACER
+from repro.rbc.base import Membership
 from repro.rbc.bracha import BrachaRbc
-from repro.rbc.core import MAX_PARTIES
-from repro.rbc.messages import PayloadRequest
+from repro.rbc.core import COMPLETIONS, MAX_PARTIES, RbcCore, echoers, tallies, tally_of
+from repro.rbc.messages import CertMsg, EchoMsg, PayloadRequest, ReadyMsg
 from repro.sim import Simulator
 
 N = 16  # f = 5: ECHO/READY quorum 11
@@ -112,3 +120,175 @@ def test_tribe_beyond_the_byte_sized_arrival_record_is_rejected():
     BrachaRbc(n - 1, n, Network(sim, n), sim, lambda d: None)  # id 255 fits
     with pytest.raises(BroadcastError, match="one byte"):
         BrachaRbc(0, n + 1, Network(sim, n + 1), sim, lambda d: None)
+
+
+# -- two digests in one instance ---------------------------------------------
+
+D1, D2 = sorted((hash_of(b"one version"), hash_of(b"another version")))
+F = 5  # N = 16: quorum 2f+1 = 11, READY amplification f+1 = 6
+
+
+class _Sink:
+    """The network surface of a voting core: records what it broadcasts."""
+
+    tracer = NULL_TRACER
+    arena = None
+
+    def __init__(self):
+        self.sent = []
+
+    def broadcast(self, src, msg):
+        self.sent.append(msg)
+
+
+class Voter(RbcCore):
+    """Node 0's voting core alone, with no clan condition and no payload:
+    it records which digests the echo quorum and the completion rule name."""
+
+    _echo_cls = EchoMsg
+    _ready_cls = ReadyMsg
+    _cert_cls = CertMsg
+
+    def __init__(self, completion):
+        self.holder_certified = []
+        self.certified = []
+        super().__init__(
+            0, Membership(N, frozenset(range(N))), _Sink(), Simulator(), None,
+            completion, verify_signatures=False,
+        )
+
+    def _clan_of(self, origin, round_):
+        return None
+
+    def _holder_certified(self, origin, round_, digest_, state):
+        self.holder_certified.append(digest_)
+
+    def _certified(self, origin, round_, digest_, state, cert):
+        self.certified.append((digest_, cert))
+
+    def dispatch_table(self):
+        return {EchoMsg: self._on_echo, ReadyMsg: self._on_ready, CertMsg: self._on_cert}
+
+    @property
+    def state(self):
+        return self.instances[(ORIGIN, ROUND)]
+
+    def sent(self, cls):
+        return [msg for msg in self.network.sent if isinstance(msg, cls)]
+
+    def echo(self, digest_, *parties):
+        for party in parties:
+            signature = Signature(party, b"echo:" + digest_, bytes([party]))
+            self.on_message(party, EchoMsg(ORIGIN, ROUND, digest_, signature))
+
+    def ready(self, digest_, *parties):
+        for party in parties:
+            self.on_message(party, ReadyMsg(ORIGIN, ROUND, digest_))
+
+
+def _mask(parties):
+    return sum(1 << p for p in parties)
+
+
+@pytest.mark.parametrize("completion", COMPLETIONS)
+def test_two_digests_keep_separate_masks_and_echoers(completion):
+    voter = Voter(completion)
+    voter.echo(D2, 7, 3, 5)
+    voter.echo(D1, 9, 1, 2, 12)
+    state = voter.state
+    assert state.tally_digest == D2 and list(state.others) == [D1]
+    assert state.echoes == {D2: _mask((7, 3, 5)), D1: _mask((9, 1, 2, 12))}
+    assert tally_of(state, D1).echo_order == bytearray((9, 1, 2, 12))
+    assert sorted(echoers(state, D2)) == [3, 5, 7]
+    assert sorted(echoers(state, D1)) == [1, 2, 9, 12]
+    assert echoers(state, hash_of(b"never echoed")) == []
+
+
+@pytest.mark.parametrize("completion", COMPLETIONS)
+def test_ready_first_claims_the_inline_slot_and_echoes_still_certify(completion):
+    voter = Voter(completion)
+    voter.ready(D2, 4)
+    voter.echo(D1, *range(1, 2 * F + 2))
+    state = voter.state
+    if completion == "two-round":
+        # The signed rule takes no READY: ECHOes name the first digest.
+        assert state.tally_digest == D1 and state.readies == {}
+        assert [digest_ for digest_, _ in voter.certified] == [D1]
+    else:
+        assert state.tally_digest == D2 and list(state.others) == [D1]
+        assert state.readies == {D2: 1 << 4} and state.echoes == {D1: state.others[D1].echo_mask}
+        assert voter.holder_certified == [D1]
+        assert [msg.digest for msg in voter.sent(ReadyMsg)] == [D1]
+        assert state.ready_digest == D1
+
+
+@pytest.mark.parametrize("completion", ["bracha", "optimistic"])
+def test_ready_amplification_counts_each_digest_alone(completion):
+    voter = Voter(completion)
+    voter.ready(D1, *range(1, F + 1))
+    voter.ready(D2, *range(F + 1, 2 * F + 1))
+    # 2f READYs in all, f per digest: neither reaches f+1.
+    assert voter.sent(ReadyMsg) == [] and voter.state.ready_digest is None
+    voter.ready(D2, 2 * F + 1)
+    assert [msg.digest for msg in voter.sent(ReadyMsg)] == [D2]
+    assert voter.state.readies == {D1: _mask(range(1, F + 1)), D2: _mask(range(F + 1, 2 * F + 2))}
+
+
+def _signature_lists(state):
+    return [tally.echo_sigs for _, tally in tallies(state)]
+
+
+def test_two_round_certificate_holds_the_certified_digests_echoers_only():
+    voter = Voter("two-round")
+    voter.echo(D2, 14, 15, 13)
+    voter.echo(D1, *range(1, 2 * F + 1))
+    state = voter.state
+    assert [len(sigs) for sigs in _signature_lists(state)] == [3, 2 * F]
+    voter.echo(D1, 2 * F + 1)
+    [(digest_, cert)] = voter.certified
+    assert digest_ == D1 and cert.signers == frozenset(range(1, 2 * F + 2))
+    assert cert.message_digest == b"echo:" + D1
+    assert state.cert_sent and _signature_lists(state) == [None, None]
+    # Later ECHOes still count, but keep no signature.
+    voter.echo(D2, 12)
+    assert state.echoes[D2] == _mask((12, 13, 14, 15))
+    assert _signature_lists(state) == [None, None]
+
+
+def test_two_round_forwarded_certificate_drops_every_signature_list():
+    voter = Voter("two-round")
+    voter.echo(D1, 1, 2)
+    voter.echo(D2, 14, 15, 13)
+    state = voter.state
+    assert [len(sigs) for sigs in _signature_lists(state)] == [2, 3]
+    source = Voter("two-round")
+    source.echo(D2, *range(3, 2 * F + 4))
+    [(_, cert)] = source.certified
+    voter.on_message(3, CertMsg(ORIGIN, ROUND, D2, cert, N))
+    assert [msg.digest for msg in voter.sent(CertMsg)] == [D2]
+    assert voter.certified == [(D2, cert)]
+    assert state.cert_sent and _signature_lists(state) == [None, None]
+
+
+def test_optimistic_conflict_falls_back_once_and_replays_in_sorted_order():
+    voter = Voter("optimistic")
+    replayed = []
+    check = voter._check_echo_quorum
+
+    def spy(origin, round_, digest_, state, tally):
+        replayed.append(digest_)
+        check(origin, round_, digest_, state, tally)
+
+    voter._check_echo_quorum = spy
+    # The larger digest arrives first and owns the inline slot.
+    voter.echo(D2, *range(1, 2 * F + 2))
+    assert voter.fallbacks == {} and replayed == []
+    voter.echo(D1, 13)
+    assert voter.fallbacks == {"conflict": 1}
+    assert replayed == [D1, D2]
+    # D2's quorum, met long before, acts on the replay.
+    assert voter.holder_certified == [D2] and voter.state.ready_digest == D2
+    voter.echo(D1, 14, 15)
+    voter.echo(D2, 12)
+    assert voter.fallbacks == {"conflict": 1}
+    assert replayed == [D1, D2, D1, D1, D2]

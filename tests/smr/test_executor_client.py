@@ -114,6 +114,25 @@ def test_client_outvotes_byzantine_minority():
     assert client.result_of(txn.txn_id) == "right"
 
 
+def test_client_releases_replies_once_accepted():
+    cfg = ClanConfig.single_clan(10, 5, seed=1)  # f_c = 2 -> quorum 3
+    client = Client("alice", cfg)
+    txn = client.create_txn(("set", "x", 1), now=0.0)
+    other = client.create_txn(("set", "y", 2), now=0.0)
+    members = sorted(cfg.clan(0))
+    for m in members[:3]:
+        client.on_response(m, txn.txn_id, 1, 1.0)
+    client.on_response(members[0], other.txn_id, 2, 1.0)
+    assert client._pending[txn.txn_id].responses is None
+    # Late replies, even a dissenting majority, change nothing.
+    for m in members[3:]:
+        client.on_response(m, txn.txn_id, "late", 2.0)
+    assert client.result_of(txn.txn_id) == 1
+    assert client._pending[txn.txn_id].accepted_at == 1.0
+    assert client.accepted_count() == 1 and client.pending_count() == 1
+    assert client._pending[other.txn_id].responses == {members[0]: 2}
+
+
 def test_client_rejects_non_clan_responders():
     cfg = ClanConfig.single_clan(10, 5, seed=1)
     client = Client("alice", cfg)
