@@ -12,8 +12,12 @@ systems do — over a wire that may drop and duplicate packets
   backoff, so a message sent before a partition is delivered after it heals
   (the GST argument made concrete).
 * **Duplicate suppression** — the receiver tracks delivered sequence numbers
-  per channel (contiguous watermark + sparse out-of-order set, so memory is
-  bounded by the reorder window) and delivers each message exactly once.
+  per channel in a :class:`SeqWindow` (contiguous watermark + sparse
+  out-of-order set) and delivers each message exactly once.  While no
+  sender crashes, the set holds at most the reorder window.  A crash breaks
+  that bound: the crashed sender's unacked buffer is discarded, so a lost
+  message in it leaves its receiver a permanent hole in the seqs, and every
+  later seq on that channel stays in the set for the rest of the run.
 
 The class mirrors the :class:`~repro.net.network.Network` API (``register`` /
 ``send`` / ``multicast`` / ``broadcast`` / ``crash`` / ``recover`` / stats /
@@ -84,22 +88,39 @@ class _SendState:
 
 
 @dataclass(slots=True)
-class _RecvState:
-    """Receiver side of one directed channel (duplicate suppression)."""
+class SeqWindow:
+    """Exactly-once filter over sequence numbers 1, 2, 3, ...
 
-    #: Every seq <= contiguous has been delivered.
+    A watermark plus the accepted seqs above it, so memory follows the
+    numbers accepted out of order rather than every number ever accepted.
+    The one dedup window of the stack: receive channels here, per-client
+    transaction ids in :class:`~repro.smr.state_machine.ReplayGuard`.
+    """
+
+    #: Every seq <= contiguous has been accepted.
     contiguous: int = 0
-    #: Delivered seqs above the watermark (bounded by the reorder window).
+    #: Accepted seqs above the watermark (the reorder window).
     sparse: set[int] = field(default_factory=set)
 
     def accept(self, seq: int) -> bool:
-        """Record ``seq``; returns False if it was already delivered."""
-        if seq <= self.contiguous or seq in self.sparse:
+        """Record ``seq``; returns False if it was already accepted."""
+        sparse = self.sparse
+        if seq == self.contiguous + 1 and not sparse:
+            self.contiguous = seq  # in order: no set touched
+            return True
+        if seq <= self.contiguous or seq in sparse:
             return False
-        self.sparse.add(seq)
-        while self.contiguous + 1 in self.sparse:
-            self.contiguous += 1
-            self.sparse.discard(self.contiguous)
+        if seq != self.contiguous + 1:
+            sparse.add(seq)
+            return True
+        # ``seq`` fills the gap at the watermark: advance over the run above.
+        while seq + 1 in sparse:
+            seq += 1
+            sparse.discard(seq)
+        self.contiguous = seq
+        if not sparse:
+            # A set never shrinks its table; drop the one the gap grew.
+            self.sparse = set()
         return True
 
 
@@ -134,7 +155,7 @@ class ReliableTransport:
         self.max_timeout = max_timeout
         self._handlers: list[Handler | None] = [None] * network.n
         self._send: dict[Channel, _SendState] = {}
-        self._recv: dict[Channel, _RecvState] = {}
+        self._recv: dict[Channel, SeqWindow] = {}
         #: Retransmission counter (observability + tests).
         self.retransmissions = 0
         #: Duplicates suppressed at the receiver.
@@ -259,7 +280,7 @@ class ReliableTransport:
         self.net.send(dst, src, AckMsg(msg.seq))
         recv = self._recv.get((src, dst))
         if recv is None:
-            recv = self._recv[(src, dst)] = _RecvState()
+            recv = self._recv[(src, dst)] = SeqWindow()
         if not recv.accept(msg.seq):
             self.duplicates_suppressed += 1
             return

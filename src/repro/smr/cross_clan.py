@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ExecutionError
+from .state_machine import ReplayGuard
 
 #: Cross-clan operation tags understood by :class:`ShardedStateMachine`.
 PREPARE = "xc-prepare"
@@ -61,7 +62,7 @@ class ShardedStateMachine:
         self._data: dict[Any, Any] = {}
         self._locks: dict[Any, str] = {}
         self._staged: dict[str, _Staged] = {}
-        self._applied: set[str] = set()
+        self._applied = ReplayGuard()
 
     # -- plain operations --------------------------------------------------
 
@@ -92,9 +93,8 @@ class ShardedStateMachine:
 
     def apply(self, txn_id: str, op: tuple | None) -> Any:
         """Apply one ordered transaction (replay-protected by txn id)."""
-        if txn_id in self._applied:
+        if not self._applied.first(txn_id):
             return None
-        self._applied.add(txn_id)
         if op is None:
             return None
         kind = op[0]

@@ -18,6 +18,40 @@ from typing import Any
 from ..crypto.hashing import digest
 from ..dag.transaction import Transaction
 from ..errors import ExecutionError
+from ..net.transport import SeqWindow
+
+
+class ReplayGuard:
+    """Replay protection for transaction ids, bounded by the reorder window.
+
+    An id ``<head>:<n>`` with ``n`` a canonical positive decimal (ASCII
+    digits, no leading zero, at most 18 of them) -- what
+    :meth:`~repro.smr.client.Client.create_txn` issues -- is deduped in the
+    :class:`~repro.net.transport.SeqWindow` of its ``head``, so a client's
+    ids cost a watermark plus those applied out of order.  Every other id
+    goes to one exact set.  The home of an id depends on its string alone,
+    never on a window's state: an id that could change homes as a
+    watermark advances could be applied twice.
+    """
+
+    __slots__ = ("_windows", "_others")
+
+    def __init__(self) -> None:
+        self._windows: dict[str, SeqWindow] = {}
+        self._others: set[str] = set()
+
+    def first(self, txn_id: str) -> bool:
+        """Record ``txn_id``; True the first time it is seen, else False."""
+        head, sep, n = txn_id.rpartition(":")
+        if sep and n.isascii() and n.isdigit() and n[0] != "0" and len(n) <= 18:
+            window = self._windows.get(head)
+            if window is None:
+                window = self._windows[head] = SeqWindow()
+            return window.accept(int(n))
+        if txn_id in self._others:
+            return False
+        self._others.add(txn_id)
+        return True
 
 
 class KvStateMachine:
@@ -25,14 +59,13 @@ class KvStateMachine:
 
     def __init__(self) -> None:
         self._data: dict[Any, Any] = {}
-        self._applied: set[str] = set()
+        self._applied = ReplayGuard()
         self.applied_count = 0
 
     def apply(self, txn: Transaction) -> Any:
         """Execute one transaction; duplicates (same txn_id) are no-ops."""
-        if txn.txn_id in self._applied:
+        if not self._applied.first(txn.txn_id):
             return None
-        self._applied.add(txn.txn_id)
         self.applied_count += 1
         op = txn.op
         if op is None:

@@ -7,7 +7,7 @@ from repro.net.faults import LossyLink, PartitionAdversary, partition
 from repro.net.latency import UniformLatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.transport import AckMsg, DataMsg, ReliableTransport, _RecvState
+from repro.net.transport import AckMsg, DataMsg, ReliableTransport, SeqWindow
 from repro.sim import Simulator
 
 
@@ -52,7 +52,7 @@ class TestWrapping:
             ReliableTransport(net, ack_timeout=1.0, max_timeout=0.5)
 
     def test_recv_state_window_is_bounded(self):
-        recv = _RecvState()
+        recv = SeqWindow()
         for seq in range(1, 101):
             assert recv.accept(seq)
         assert recv.contiguous == 100

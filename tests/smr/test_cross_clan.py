@@ -66,6 +66,30 @@ def test_replay_protection():
     assert sm.get("c") == 1
 
 
+@pytest.mark.parametrize("floor_passed", [False, True])
+def test_replayed_prepare_and_commit_are_ignored(floor_passed):
+    """Runtime-issued ids (``<client>:<n>``): a replay is ignored whether its
+    original still sits above the client's watermark or has fallen below."""
+    sm = ShardedStateMachine()
+    ids = [f"shard0:{n}" for n in range(1, 5)]
+    # shard0:1 is held back, so the next three apply out of order.
+    assert sm.apply(ids[1], (PREPARE, "x1", {"a": 1})) == "prepared"
+    assert sm.apply(ids[2], (COMMIT, "x1")) == "committed"
+    assert sm.apply(ids[3], (PREPARE, "x2", {"b": 2})) == "prepared"
+    if floor_passed:
+        assert sm.apply(ids[0], ("set", "c", 3)) == 3
+    assert sm._applied._windows["shard0"].contiguous == (4 if floor_passed else 0)
+    before = sm.state_digest()
+    # Applied again, the PREPARE would re-lock "a" and the COMMIT would
+    # answer "unknown"; ignored, both return None and change nothing.
+    assert sm.apply(ids[1], (PREPARE, "x1", {"a": 1})) is None
+    assert sm.apply(ids[2], (COMMIT, "x1")) is None
+    assert sm.apply(ids[3], (PREPARE, "x2", {"b": 2})) is None
+    assert not sm.is_locked("a") and sm.is_locked("b")
+    assert sm.get("a") == 1 and sm.pending_transactions() == {"x2"}
+    assert sm.state_digest() == before
+
+
 def test_state_digest_covers_locks():
     a, b = ShardedStateMachine(), ShardedStateMachine()
     a.apply("t1", (PREPARE, "x1", {"k": 1}))
