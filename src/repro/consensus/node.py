@@ -135,8 +135,8 @@ class SailfishNode:
 
         self.round: Round = 0
         self.started = False
-        #: Votes per leader round: set of voting vertex sources.
-        self.votes: dict[Round, set[NodeId]] = defaultdict(set)
+        #: Votes per leader round: bitmask of voting vertex sources.
+        self.votes: dict[Round, int] = {}
         #: No-vote signatures collected per round.
         self.no_votes: dict[Round, dict[NodeId, object]] = defaultdict(dict)
         self.no_voted: set[Round] = set()
@@ -409,10 +409,12 @@ class SailfishNode:
                 break
         else:
             return
-        voters = self.votes[prev]
-        if vertex.source not in voters:
-            voters.add(vertex.source)
-            if len(voters) >= self.cfg.quorum:
+        voters = self.votes.get(prev, 0)
+        bit = 1 << vertex.source
+        if not voters & bit:
+            voters |= bit
+            self.votes[prev] = voters
+            if voters.bit_count() >= self.cfg.quorum:
                 self._try_commit(prev)
 
     def _on_vertex_delivered(self, vertex: Vertex) -> None:
@@ -436,7 +438,7 @@ class SailfishNode:
             self._count_vote(v)
             if v.round >= 1 and self.schedule.leader(v.round) == v.source:
                 # A leader vertex arriving can complete a pending commit.
-                if len(self.votes[v.round]) >= self.cfg.quorum:
+                if self.votes.get(v.round, 0).bit_count() >= self.cfg.quorum:
                     self._try_commit(v.round)
         self._try_advance()
 
@@ -449,7 +451,7 @@ class SailfishNode:
             return  # commit completes when the leader vertex attaches
         if not self._leader_vertex_valid(round_):
             return
-        if len(self.votes[round_]) < self.cfg.quorum:
+        if self.votes.get(round_, 0).bit_count() < self.cfg.quorum:
             return
         self._commit_chain(leader_vertex)
 

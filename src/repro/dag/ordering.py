@@ -11,11 +11,9 @@ total orders.
 from __future__ import annotations
 
 from ..errors import DagError
-from ..types import NodeId, Round
+from ..types import Round
 from .store import DagStore
 from .vertex import Vertex
-
-Key = tuple[Round, NodeId]
 
 
 class OrderingEngine:
@@ -24,9 +22,8 @@ class OrderingEngine:
     def __init__(self, store: DagStore) -> None:
         self.store = store
         self.ordered: list[Vertex] = []
-        self._ordered_keys: set[Key] = set()
         #: The ordered set as per-round bitmasks — the stop structure the
-        #: bitmap store prunes with directly (no per-key set probes).
+        #: bitmap store prunes with directly, and what ``is_ordered`` reads.
         self._ordered_masks: dict[Round, int] = {}
         self._last_leader_round: Round = 0
 
@@ -51,14 +48,13 @@ class OrderingEngine:
         history.sort(key=lambda v: (v.round, v.source))
         masks = self._ordered_masks
         for vertex in history:
-            self._ordered_keys.add(vertex.key)
             masks[vertex.round] = masks.get(vertex.round, 0) | (1 << vertex.source)
         self.ordered.extend(history)
         self._last_leader_round = leader.round
         return history
 
     def is_ordered(self, vertex: Vertex) -> bool:
-        return vertex.key in self._ordered_keys
+        return bool(self._ordered_masks.get(vertex.round, 0) >> vertex.source & 1)
 
     @property
     def count(self) -> int:

@@ -13,7 +13,8 @@ orphan tips are all ``int`` bitmasks and every graph query is a bitwise sweep
 over round arrays instead of a per-vertex set walk:
 
 * ``_parents_present`` is two mask subtractions instead of O(edges) dict
-  probes, and the masks are computed once per vertex, not once per retry.
+  probes.  The masks are :meth:`Vertex.edge_masks`, computed once per
+  vertex and shared by every node's store rather than copied into each.
 * ``strong_path_exists`` unions strong masks level by level; the per-anchor
   reachability closure is immutable once the anchor is attached (attachment
   implies the full ancestry is attached and edges are frozen), so it is
@@ -30,16 +31,11 @@ equivalence suite next to it holds this implementation to it bit for bit.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from ..errors import DagError
 from ..types import GENESIS_ROUND, NodeId, Round
 from .vertex import Vertex, VertexRef, genesis_vertex
 
 Key = tuple[Round, NodeId]
-
-#: Weak-edge masks of one vertex, grouped by target round.
-WeakLevels = tuple[tuple[Round, int], ...]
 
 
 class DagStore:
@@ -49,17 +45,13 @@ class DagStore:
         if n < 1:
             raise DagError(f"need at least one party, got {n}")
         self.n = n
-        self._vertices: dict[Key, Vertex] = {}
-        self._by_round: dict[Round, dict[NodeId, Vertex]] = defaultdict(dict)
+        #: The one vertex index: round -> source -> attached vertex, each
+        #: round's dict in attach order.
+        self._by_round: dict[Round, dict[NodeId, Vertex]] = {}
+        self._size = 0
         self._pending: dict[Key, Vertex] = {}
-        #: Edge masks of buffered vertices (computed once, not per retry).
-        self._pending_masks: dict[Key, tuple[int, WeakLevels]] = {}
         #: round -> bitmask of attached sources.
         self._present: dict[Round, int] = {}
-        #: (round, source) -> strong-edge bitmask over round-1 sources.
-        self._strong_mask: dict[Key, int] = {}
-        #: (round, source) -> weak-edge masks grouped by target round.
-        self._weak_levels: dict[Key, WeakLevels] = {}
         #: round -> bitmask of tips: attached vertices with no attached child
         #: yet — candidates for weak edges when this node proposes.
         self._uncovered: dict[Round, int] = {}
@@ -69,7 +61,7 @@ class DagStore:
         #: the deepest round queried and pruned at the commit frontier.
         self._reach: dict[Key, list[int]] = {}
         for source in range(n):
-            self._attach(genesis_vertex(source), 0, ())
+            self._attach(genesis_vertex(source))
 
     # -- insertion -----------------------------------------------------------
 
@@ -80,53 +72,51 @@ class DagStore:
         returned by a later ``add``) once they arrive.  Duplicate positions
         are rejected — the RBC layer guarantees one vertex per (round, source).
         """
-        key = vertex.key
-        if key in self._vertices:
-            existing = self._vertices[key]
+        existing = self.get(vertex.round, vertex.source)
+        if existing is not None:
             if existing.vertex_digest() != vertex.vertex_digest():
-                raise DagError(f"conflicting vertices at {key}")
+                raise DagError(f"conflicting vertices at {vertex.key}")
             return []
+        key = vertex.key
         if key in self._pending:
             return []
-        strong, weak_levels = _edge_masks(vertex)
-        if not self._masks_present(vertex.round, strong, weak_levels):
+        if not self._parents_present(vertex):
             self._pending[key] = vertex
-            self._pending_masks[key] = (strong, weak_levels)
             return []
         attached = [vertex]
-        self._attach(vertex, strong, weak_levels)
+        self._attach(vertex)
         # Attaching one vertex may unblock buffered descendants, recursively.
-        masks = self._pending_masks
         progress = True
         while progress:
             progress = False
             for key, pending in list(self._pending.items()):
-                strong, weak_levels = masks[key]
-                if self._masks_present(pending.round, strong, weak_levels):
+                if self._parents_present(pending):
                     del self._pending[key]
-                    del masks[key]
-                    self._attach(pending, strong, weak_levels)
+                    self._attach(pending)
                     attached.append(pending)
                     progress = True
         return attached
 
-    def _masks_present(self, round_: Round, strong: int, weak_levels: WeakLevels) -> bool:
+    def _parents_present(self, vertex: Vertex) -> bool:
         present = self._present
-        if strong & ~present.get(round_ - 1, 0):
+        strong, weak_levels = vertex.edge_masks()
+        if strong & ~present.get(vertex.round - 1, 0):
             return False
         for r, mask in weak_levels:
             if mask & ~present.get(r, 0):
                 return False
         return True
 
-    def _attach(self, vertex: Vertex, strong: int, weak_levels: WeakLevels) -> None:
+    def _attach(self, vertex: Vertex) -> None:
         round_ = vertex.round
         bit = 1 << vertex.source
-        self._vertices[vertex.key] = vertex
-        self._by_round[round_][vertex.source] = vertex
+        in_round = self._by_round.get(round_)
+        if in_round is None:
+            in_round = self._by_round[round_] = {}
+        in_round[vertex.source] = vertex
+        self._size += 1
         self._present[round_] = self._present.get(round_, 0) | bit
-        self._strong_mask[vertex.key] = strong
-        self._weak_levels[vertex.key] = weak_levels
+        strong, weak_levels = vertex.edge_masks()
         uncovered = self._uncovered
         uncovered[round_] = uncovered.get(round_, 0) | bit
         if strong:
@@ -137,14 +127,15 @@ class DagStore:
     # -- lookups ---------------------------------------------------------------
 
     def get(self, round_: Round, source: NodeId) -> Vertex | None:
-        return self._vertices.get((round_, source))
+        in_round = self._by_round.get(round_)
+        return None if in_round is None else in_round.get(source)
 
     def contains(self, ref: VertexRef) -> bool:
-        vertex = self._vertices.get(ref.key)
+        vertex = self.get(ref.round, ref.source)
         return vertex is not None and vertex.vertex_digest() == ref.digest
 
     def contains_key(self, round_: Round, source: NodeId) -> bool:
-        return (round_, source) in self._vertices
+        return bool(self._present.get(round_, 0) >> source & 1)
 
     def round_vertices(self, round_: Round) -> list[Vertex]:
         return list(self._by_round.get(round_, {}).values())
@@ -156,9 +147,9 @@ class DagStore:
         """Attached tips from rounds < ``round_`` (weak-edge candidates)."""
         out: list[Vertex] = []
         for r in sorted(self._uncovered):
-            if not GENESIS_ROUND < r < round_:
-                continue
             mask = self._uncovered[r]
+            if not mask or not GENESIS_ROUND < r < round_:
+                continue
             in_round = self._by_round[r]
             while mask:
                 low = mask & -mask
@@ -172,7 +163,7 @@ class DagStore:
 
     @property
     def size(self) -> int:
-        return len(self._vertices)
+        return self._size
 
     # -- graph queries -----------------------------------------------------------
 
@@ -196,28 +187,26 @@ class DagStore:
         vertices only — the same vertices the reference BFS expands.
         """
         key = frm.key
-        attached = key in self._vertices
+        attached = self.contains_key(frm.round, frm.source)
         closure = self._reach.get(key)
         if closure is None:
-            strong = self._strong_mask.get(key)
-            if strong is None:
-                strong, _ = _edge_masks(frm)
-            closure = [strong]
+            closure = [frm.edge_masks()[0]]
             if attached:
                 self._reach[key] = closure
         target_index = frm.round - 1 - floor
-        strong_mask = self._strong_mask
+        by_round = self._by_round
         present = self._present
         while len(closure) <= target_index and closure[-1]:
             round_ = frm.round - len(closure)  # round of closure[-1]
             mask = closure[-1]
             if not attached:
                 mask &= present.get(round_, 0)
+            in_round = by_round.get(round_)
             below = 0
             while mask:
                 low = mask & -mask
                 mask ^= low
-                below |= strong_mask[(round_, low.bit_length() - 1)]
+                below |= in_round[low.bit_length() - 1].edge_masks()[0]
             closure.append(below)
         return closure
 
@@ -233,9 +222,8 @@ class DagStore:
         target_round = to.round
         target_bit = 1 << to.source
         levels = self._seed_levels(frm)
-        vertices = self._vertices
-        strong_mask = self._strong_mask
-        weak_levels = self._weak_levels
+        by_round = self._by_round
+        present = self._present
         while levels:
             round_ = max(levels)
             mask = levels.pop(round_)
@@ -245,26 +233,21 @@ class DagStore:
                 if mask & target_bit:
                     return True
                 continue
+            mask &= present.get(round_, 0)  # unattached refs are never expanded
+            in_round = by_round.get(round_)
             while mask:
                 low = mask & -mask
                 mask ^= low
-                source = low.bit_length() - 1
-                if (round_, source) not in vertices:
-                    continue  # unattached refs are never expanded
-                strong = strong_mask[(round_, source)]
+                strong, weak = in_round[low.bit_length() - 1].edge_masks()
                 if strong:
                     levels[round_ - 1] = levels.get(round_ - 1, 0) | strong
-                for r, m in weak_levels[(round_, source)]:
+                for r, m in weak:
                     levels[r] = levels.get(r, 0) | m
         return False
 
     def _seed_levels(self, vertex: Vertex) -> dict[Round, int]:
         """The ``{round: mask}`` frontier holding ``vertex``'s own edges."""
-        strong = self._strong_mask.get(vertex.key)
-        if strong is None:
-            strong, weak = _edge_masks(vertex)
-        else:
-            weak = self._weak_levels[vertex.key]
+        strong, weak = vertex.edge_masks()
         levels: dict[Round, int] = {}
         if strong:
             levels[vertex.round - 1] = strong
@@ -302,9 +285,8 @@ class DagStore:
         if vertex.round > GENESIS_ROUND:
             result.append(vertex)
         levels = self._seed_levels(vertex)
-        vertices = self._vertices
-        strong_mask = self._strong_mask
-        weak_levels = self._weak_levels
+        by_round = self._by_round
+        present = self._present
         while levels:
             round_ = max(levels)
             mask = levels.pop(round_)
@@ -312,20 +294,22 @@ class DagStore:
                 continue
             if stop_masks is not None:
                 mask &= ~stop_masks.get(round_, 0)
+            missing = mask & ~present.get(round_, 0)
+            if missing:
+                source = (missing & -missing).bit_length() - 1
+                raise DagError(
+                    f"history of {vertex.key} missing parent ({round_}, {source})"
+                )
+            in_round = by_round.get(round_)
             while mask:
                 low = mask & -mask
                 mask ^= low
-                source = low.bit_length() - 1
-                v = vertices.get((round_, source))
-                if v is None:
-                    raise DagError(
-                        f"history of {vertex.key} missing parent ({round_}, {source})"
-                    )
+                v = in_round[low.bit_length() - 1]
                 result.append(v)
-                strong = strong_mask[(round_, source)]
+                strong, weak = v.edge_masks()
                 if strong:
                     levels[round_ - 1] = levels.get(round_ - 1, 0) | strong
-                for r, m in weak_levels[(round_, source)]:
+                for r, m in weak:
                     levels[r] = levels.get(r, 0) | m
         return result
 
@@ -340,16 +324,3 @@ class DagStore:
         """
         if any(key[0] < floor for key in self._reach):
             self._reach = {k: v for k, v in self._reach.items() if k[0] >= floor}
-
-
-def _edge_masks(vertex: Vertex) -> tuple[int, WeakLevels]:
-    """(strong bitmask over round-1, weak masks grouped by round)."""
-    strong = 0
-    for ref in vertex.strong_edges:
-        strong |= 1 << ref.source
-    if not vertex.weak_edges:
-        return strong, ()
-    weak: dict[Round, int] = {}
-    for ref in vertex.weak_edges:
-        weak[ref.round] = weak.get(ref.round, 0) | (1 << ref.source)
-    return strong, tuple(weak.items())

@@ -16,6 +16,9 @@ from ..errors import DagError
 from ..net import sizes
 from ..types import GENESIS_ROUND, NodeId, Round
 
+#: Weak-edge masks of one vertex, grouped by target round.
+WeakLevels = tuple[tuple[Round, int], ...]
+
 
 @dataclass(frozen=True, slots=True)
 class VertexRef:
@@ -71,6 +74,13 @@ class Vertex:
         default=None, init=False, repr=False, compare=False
     )
     _ref_cache: VertexRef | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Lazily computed edge_masks() cache: every node's DagStore walks these
+    #: masks, so computing them once per vertex lets all n stores share one
+    #: int and one tuple (docs/PERFORMANCE.md, "twelfth round").  Not part
+    #: of equality or repr.
+    _masks_cache: "tuple[int, WeakLevels] | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -140,6 +150,20 @@ class Vertex:
         if cached is None:
             cached = self.strong_edges + self.weak_edges
             object.__setattr__(self, "_parents_cache", cached)
+        return cached
+
+    def edge_masks(self) -> tuple[int, WeakLevels]:
+        """(strong bitmask over round-1 sources, weak masks grouped by round)."""
+        cached = self._masks_cache
+        if cached is None:
+            strong = 0
+            for ref in self.strong_edges:
+                strong |= 1 << ref.source
+            weak: dict[Round, int] = {}
+            for ref in self.weak_edges:
+                weak[ref.round] = weak.get(ref.round, 0) | (1 << ref.source)
+            cached = (strong, tuple(weak.items()))
+            object.__setattr__(self, "_masks_cache", cached)
         return cached
 
     def wire_size(self) -> int:

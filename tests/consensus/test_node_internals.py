@@ -41,7 +41,20 @@ def test_vote_counting_deduplicates_sources():
     vote_vertex = Vertex(2, 3, None, (leader_vertex.ref(),))
     node._on_first_val(vote_vertex)
     node._on_first_val(vote_vertex)
-    assert node.votes[1] == {3}
+    assert node.votes[1] == 1 << 3
+
+
+def test_reading_a_vote_count_creates_no_entry():
+    deployment = build()
+    node = deployment.nodes[0]
+    refs = tuple(genesis_vertex(i).ref() for i in range(N))
+    leader1 = deployment.schedule.leader(1)
+    # Attaching a leader vertex reads its round's vote count, and so does a
+    # commit attempt; neither may leave an empty entry behind.
+    node._on_vertex_delivered(Vertex(1, leader1, None, refs))
+    node._try_commit(1)
+    assert node.votes == {}
+    assert node.committed_leaders == []
 
 
 def test_no_vote_signature_checked():
@@ -143,7 +156,7 @@ def test_commit_requires_attached_leader_vertex():
     deployment = build()
     node = deployment.nodes[0]
     # Stuff votes without the leader vertex: no commit.
-    node.votes[1] = set(range(5))
+    node.votes[1] = (1 << 5) - 1
     node._try_commit(1)
     assert node.committed_leaders == []
 

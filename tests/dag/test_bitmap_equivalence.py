@@ -134,7 +134,13 @@ def test_ordering_engine_agrees(data):
         layer = sorted((v for v in vertices if v.round == r), key=lambda v: v.source)
         if layer:
             leaders.append(layer[0])
-    bitmap, reference = _fill(n, vertices)
+    shuffled = list(vertices)
+    rng.shuffle(shuffled)
+    bitmap, reference = _fill(n, shuffled)
+    for r in range(rounds + 1):
+        assert [v.key for v in bitmap.round_vertices(r)] == [
+            v.key for v in reference.round_vertices(r)
+        ]
     engine_a = OrderingEngine(bitmap)
     out_a = []
     out_b = []
@@ -146,6 +152,8 @@ def test_ordering_engine_agrees(data):
         history.sort(key=lambda v: (v.round, v.source))
         ordered_b.update(v.key for v in history)
         out_b += [v.key for v in history]
+        for v in vertices:
+            assert engine_a.is_ordered(v) == (v.key in ordered_b), v.key
     assert out_a == out_b
 
 

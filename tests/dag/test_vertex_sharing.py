@@ -1,10 +1,13 @@
-"""A vertex computes its key and its ref once, and every store shares them.
+"""A vertex computes its key, its ref and its edge masks once, and every
+store shares them.
 
-Each simulated node's DagStore keys three tables by ``Vertex.key`` and builds
-its edges from ``Vertex.ref()``; computed per call, that was one key tuple per
-table per node and one ref per node for every vertex (docs/PERFORMANCE.md,
-"Sharing per-copy state").  The caches must stay invisible: equality, hash,
-``repr`` — and so the freeze-after-send guard's digest — ignore them.
+Each simulated node builds its edges from ``Vertex.ref()`` and its DagStore
+walks ``Vertex.edge_masks()``; computed per call or per store, that was one
+ref per node and one strong mask and weak-level tuple per store for every
+vertex (docs/PERFORMANCE.md, "Sharing per-copy state" and "Per-node copies
+of the DAG").  The caches must stay invisible: equality, hash, ``repr`` —
+and so the freeze-after-send guard's digest — pickling and ``replace``
+ignore them.
 """
 
 import pickle
@@ -37,13 +40,21 @@ def test_key_and_ref_are_computed_once():
     assert v.ref() == VertexRef(2, 3, v.vertex_digest())
 
 
+def test_edge_masks_are_computed_once():
+    v = _vertex(weak_edges=(VertexRef(0, 5, b"g" * 32), VertexRef(0, 2, b"h" * 32)))
+    assert v.edge_masks() is v.edge_masks()
+    assert v.edge_masks() == (0b11, ((0, 1 << 5 | 1 << 2),))
+    assert _vertex().edge_masks()[1] == ()
+
+
 def test_caches_leave_equality_hash_and_repr_alone():
     warm, cold = _vertex(), _vertex()
     before = repr(warm)
-    warm.key, warm.ref(), warm.parents()
+    warm.key, warm.ref(), warm.parents(), warm.edge_masks()
     assert repr(warm) == before == repr(cold)
     assert warm == cold and hash(warm) == hash(cold)
-    assert "_key_cache" not in before and "_ref_cache" not in before
+    for cache in ("_key_cache", "_ref_cache", "_masks_cache"):
+        assert cache not in before
 
 
 def test_freeze_guard_digest_does_not_move_when_caches_fill():
@@ -53,7 +64,7 @@ def test_freeze_guard_digest_does_not_move_when_caches_fill():
     guard = FreezeGuard()
     guard.on_send(msg)
     # What every receiving store does to the shared vertex object.
-    v.key, v.ref(), v.parents()
+    v.key, v.ref(), v.parents(), v.edge_masks()
     guard.on_deliver(msg)  # raises on a digest mismatch
     assert guard.checks == 1 and guard.violations_seen == 0
     assert message_digest(msg) == sent
@@ -61,23 +72,27 @@ def test_freeze_guard_digest_does_not_move_when_caches_fill():
 
 def test_replace_starts_with_fresh_caches():
     v = _vertex()
-    v.key, v.ref()
+    v.key, v.ref(), v.edge_masks()
     twin = replace(v, block_digest=b"c" * 32)
     assert twin.key == v.key
     assert twin.ref() != v.ref()
     assert twin.ref().digest == twin.vertex_digest() != v.vertex_digest()
+    fewer = replace(v, strong_edges=v.strong_edges[:1])
+    assert fewer.edge_masks() == (0b1, ()) != v.edge_masks()
 
 
 def test_pickle_round_trip_keeps_consistent_caches():
     for warm in (False, True):
         v = _vertex()
         if warm:
-            v.key, v.ref()
+            v.key, v.ref(), v.edge_masks()
         clone = pickle.loads(pickle.dumps(v))
         assert clone == v and repr(clone) == repr(v)
         assert clone.key == v.key and clone.key is clone.key
         assert clone.ref() == v.ref() and clone.ref() is clone.ref()
         assert clone.ref().digest == clone.vertex_digest()
+        assert clone.edge_masks() == v.edge_masks()
+        assert clone.edge_masks() is clone.edge_masks()
 
 
 def test_every_store_shares_one_key_per_vertex():
@@ -85,13 +100,17 @@ def test_every_store_shares_one_key_per_vertex():
     deployment = Deployment(ClanConfig.baseline(7), make_block=workload.make_block, seed=5)
     deployment.start()
     deployment.run(until=1.5, max_events=2_000_000)
-    keys: dict[tuple, set[int]] = {}
+    keys: dict[tuple, set[tuple[int, int, int]]] = {}
     for node in deployment.nodes:
-        store = node.store
-        for key, vertex in store._vertices.items():
-            if vertex.round == 0:
+        for round_, in_round in node.store._by_round.items():
+            if round_ == 0:
                 continue  # each store makes its own genesis vertices
-            assert key is vertex.key
-            keys.setdefault(key, set()).add(id(key))
+            for source, vertex in in_round.items():
+                key = vertex.key
+                assert key == (round_, source)
+                # One vertex object per position, so one key tuple and one
+                # edge-mask pair, whichever store holds it.
+                shared = (id(vertex), id(key), id(vertex.edge_masks()))
+                keys.setdefault(key, set()).add(shared)
     assert len(keys) > 7 * 3  # several rounds were delivered everywhere
     assert all(len(ids) == 1 for ids in keys.values())
