@@ -22,6 +22,7 @@ from ..consensus.byzantine import (
     WithholdingProposer,
 )
 from ..consensus.deployment import Deployment
+from ..consensus.oracle import order_prefix
 from ..consensus.params import ProtocolParams
 from ..errors import ConfigError, ConsensusError
 from ..net.faults import (
@@ -168,46 +169,32 @@ def run_scenario(
     if suite is not None:
         suite.finish()
 
-    byzantine_ids = {node for node, _ in scenario.byzantine}
     down = scenario.permanently_down
-    honest = [
-        i for i in range(scenario.n) if i not in byzantine_ids and i not in down
-    ]
+    honest = [i for i in deployment.honest_ids if i not in down]
     recovered = [n for n in scenario.recovered_nodes if n in honest]
     checks: list[InvariantCheck] = []
 
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append(InvariantCheck(name, ok, detail))
+
     # -- safety: prefix-consistent, byte-identical committed prefixes -------
     try:
-        logs = {i: deployment.nodes[i].ordered_keys() for i in honest}
-        for (id_a, log_a), (id_b, log_b) in zip(
-            list(logs.items()), list(logs.items())[1:]
-        ):
-            shared = min(len(log_a), len(log_b))
-            if log_a[:shared] != log_b[:shared]:
-                raise ConsensusError(
-                    f"nodes {id_a}/{id_b} diverge within the first {shared} entries"
-                )
-        shared_prefix = min(len(log) for log in logs.values())
-        checks.append(
-            InvariantCheck(
-                "safety",
-                True,
-                f"{len(honest)} honest logs prefix-consistent; "
-                f"common prefix {shared_prefix} vertices",
-            )
+        shared_prefix = order_prefix(deployment.nodes[i] for i in honest)
+        check(
+            "safety", True,
+            f"{len(honest)} honest logs prefix-consistent; "
+            f"common prefix {shared_prefix} vertices",
         )
     except ConsensusError as exc:
         shared_prefix = 0
-        checks.append(InvariantCheck("safety", False, str(exc)))
+        check("safety", False, str(exc))
 
     # -- liveness: progress, and progress after the last fault settles ------
     min_ordered = min(len(deployment.nodes[i].ordered_log) for i in honest)
-    checks.append(
-        InvariantCheck(
-            "liveness.commits",
-            min_ordered >= scenario.min_commits,
-            f"min ordered {min_ordered} (required {scenario.min_commits})",
-        )
+    check(
+        "liveness.commits",
+        min_ordered >= scenario.min_commits,
+        f"min ordered {min_ordered} (required {scenario.min_commits})",
     )
     settle = scenario.settle_time
     stalled = []
@@ -215,16 +202,12 @@ def run_scenario(
         log = deployment.nodes[i].ordered_log
         if not log or log[-1][1] <= settle:
             stalled.append(i)
-    checks.append(
-        InvariantCheck(
-            "liveness.post-settle",
-            not stalled,
-            (
-                f"all honest nodes committed after settle t={settle:g}"
-                if not stalled
-                else f"nodes {stalled} made no commits after settle t={settle:g}"
-            ),
-        )
+    check(
+        "liveness.post-settle",
+        not stalled,
+        f"all honest nodes committed after settle t={settle:g}"
+        if not stalled
+        else f"nodes {stalled} made no commits after settle t={settle:g}",
     )
 
     # -- catch-up: recovered nodes rejoin the frontier ----------------------
@@ -236,18 +219,14 @@ def run_scenario(
             if frontier - deployment.nodes[i].round > scenario.max_round_lag
         ]
         pulls = {i: deployment.nodes[i].sync.vertices_pulled for i in recovered}
-        checks.append(
-            InvariantCheck(
-                "catchup.rejoined",
-                not laggards,
-                (
-                    f"recovered nodes within {scenario.max_round_lag} rounds of "
-                    f"frontier {frontier}; vertices pulled {pulls}"
-                    if not laggards
-                    else f"nodes {laggards} trail frontier {frontier} by more "
-                    f"than {scenario.max_round_lag} rounds"
-                ),
-            )
+        check(
+            "catchup.rejoined",
+            not laggards,
+            f"recovered nodes within {scenario.max_round_lag} rounds of "
+            f"frontier {frontier}; vertices pulled {pulls}"
+            if not laggards
+            else f"nodes {laggards} trail frontier {frontier} by more "
+            f"than {scenario.max_round_lag} rounds",
         )
 
     # -- RBC-mode invariants: fast-path crossover / certified prefixes ------
@@ -268,12 +247,9 @@ def run_scenario(
             ok = (not scenario.extra.get("expect_fast") or fast > 0) and (
                 not scenario.extra.get("expect_fallback") or fallback > 0
             )
-            checks.append(
-                InvariantCheck(
-                    "rbc.crossover",
-                    ok,
-                    f"fast {fast}, fallback {fallback} (reasons {reasons or 'none'})",
-                )
+            check(
+                "rbc.crossover", ok,
+                f"fast {fast}, fallback {fallback} (reasons {reasons or 'none'})",
             )
     elif scenario.rbc_mode == "prefix":
         commits = sum(deployment.nodes[i].prefix_commits for i in honest)
@@ -289,30 +265,24 @@ def run_scenario(
         if scenario.extra.get("expect_prefix"):
             # The point of the scenario: non-empty prefixes commit even
             # though the adversary forces truncation somewhere.
-            checks.append(
-                InvariantCheck(
-                    "prefix.commits",
-                    commits > 0 and truncated > 0,
-                    f"{commits} prefix commits, {truncated} truncated, "
-                    f"{committed} chunks committed / {dropped} dropped",
-                )
+            check(
+                "prefix.commits",
+                commits > 0 and truncated > 0,
+                f"{commits} prefix commits, {truncated} truncated, "
+                f"{committed} chunks committed / {dropped} dropped",
             )
 
     # -- online monitors: zero safety anomalies, ever -----------------------
     if suite is not None:
         safety = suite.safety_anomalies
         counts = suite.counts()
-        checks.append(
-            InvariantCheck(
-                "monitors.safety",
-                not safety,
-                (
-                    f"0 safety anomalies online (others: {counts or 'none'})"
-                    if not safety
-                    else f"{len(safety)} safety anomalies: "
-                    + ", ".join(sorted({a.name for a in safety}))
-                ),
-            )
+        check(
+            "monitors.safety",
+            not safety,
+            f"0 safety anomalies online (others: {counts or 'none'})"
+            if not safety
+            else f"{len(safety)} safety anomalies: "
+            + ", ".join(sorted({a.name for a in safety})),
         )
 
     base = deployment.base_network

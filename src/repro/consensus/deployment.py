@@ -26,6 +26,7 @@ from ..types import NodeId, Round
 from .byzantine import ByzantineBehavior
 from .leader import LeaderSchedule
 from .node import SailfishNode
+from .oracle import order_prefix
 from .params import ProtocolParams
 
 MakeBlock = Callable[[NodeId, Round, float], Block | None]
@@ -145,27 +146,15 @@ class Deployment:
         """Ordered vertex keys per honest node."""
         return {i: self.nodes[i].ordered_keys() for i in self.honest_ids}
 
-    def check_total_order_consistency(self) -> None:
-        """Raise if any two honest nodes' ordered logs conflict (prefix rule)."""
-        logs = list(self.ordered_logs().items())
-        for (id_a, log_a), (id_b, log_b) in zip(logs, logs[1:]):
-            shared = min(len(log_a), len(log_b))
-            if log_a[:shared] != log_b[:shared]:
-                for pos in range(shared):
-                    if log_a[pos] != log_b[pos]:
-                        raise ConsensusError(
-                            f"order divergence at position {pos}: node {id_a} has "
-                            f"{log_a[pos]}, node {id_b} has {log_b[pos]}"
-                        )
-        # zip over consecutive pairs suffices: prefix-consistency is transitive.
+    def check_total_order_consistency(self) -> int:
+        """Raise unless the honest nodes' ordered logs are prefix-consistent;
+        return the length of the prefix they all share."""
+        return order_prefix(self.nodes[i] for i in self.honest_ids)
 
     def min_ordered(self) -> int:
         return min(len(self.nodes[i].ordered_log) for i in self.honest_ids)
 
     def ordered_vertices_everywhere(self) -> list[Vertex]:
         """Vertices ordered by every honest node (the common prefix)."""
-        logs = self.ordered_logs()
-        shared = min(len(log) for log in logs.values())
-        reference = self.honest_ids[0]
-        self.check_total_order_consistency()
-        return self.nodes[reference].ordered_vertices[:shared]
+        shared = self.check_total_order_consistency()
+        return self.nodes[self.honest_ids[0]].ordered_vertices[:shared]

@@ -6,12 +6,12 @@ the simulation:
 * **Stall watchdog** — tracks every honest node's last round entry; when the
   tribe advances while a live node has not entered a round for
   ``stall_factor × leader_timeout``, a ``liveness`` anomaly names the laggard.
-* **Commit-prefix safety monitor** — replays every honest node's ordered
-  vertices against a shared canonical sequence; the first divergence is a
-  ``safety`` anomaly (the invariant the whole protocol exists to uphold).
+* **Commit-prefix safety monitor** — feeds every honest node's ordered
+  vertices to the safety oracle (:mod:`repro.consensus.oracle`); the first
+  divergence is a ``safety`` anomaly.
 * **Clan health monitor** (SMR runtimes) — watches each clan's live-executor
-  margin against the client quorum ``f_c + 1`` on crashes, and each
-  executor's block sequence for execution divergence.
+  margin against the client quorum ``f_c + 1`` on crashes, and feeds each
+  executor's block sequence to its clan's oracle.
 * **Equivocation collector** — surfaces duplicate/conflicting vertex digests
   the RBC layer detects, plus the accountability evidence pools at the end
   of the run, as ``byzantine`` anomalies.
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..consensus.oracle import PrefixOracle, clan_states
 from ..obs.records import AnomalyRecord
 from ..obs.tracer import ensure_tracer
 from .recorder import FlightRecorder
@@ -67,16 +68,11 @@ class MonitorSuite:
         self._last_round: dict[int, tuple[int, float]] = {}
         self._stall_flagged: set[tuple[int, int]] = set()
         self._next_stall_scan = 0.0
-        # Prefix monitor state.
-        self._canonical: list[tuple[int, int]] = []
-        self._position: dict[int, int] = {}
-        self._diverged: set[int] = set()
+        # Safety oracles: ordered vertex keys; executed blocks per clan.
+        self._order = PrefixOracle()
+        self._executed: dict[int, PrefixOracle] = {}
         # Clan health state.
-        self._crashed: set[int] = set()
         self._clan_flagged: set[tuple[int, int]] = set()
-        self._exec_seq: dict[int, list[str]] = {}
-        self._exec_pos: dict[int, int] = {}
-        self._exec_diverged: set[int] = set()
         # Equivocation collector state.
         self._equivocations: set[tuple[int, int]] = set()
         # Prefix-commit observer state: (round, source) pairs already flagged.
@@ -89,8 +85,6 @@ class MonitorSuite:
         if self._deployment is not None:
             raise ValueError("monitor suite already attached")
         self._deployment = deployment
-        #: Nodes down from t=0 crash before the suite could observe it.
-        self._crashed |= set(deployment.crashed)
         honest = set(deployment.honest_ids)
         for node in deployment.nodes:
             node_id = node.node_id
@@ -122,8 +116,8 @@ class MonitorSuite:
         """Hook everything, plus the clan health monitor, into an SMR runtime."""
         self.attach(runtime.deployment)
         self._runtime = runtime
-        for node_id in sorted(runtime.executors):
-            executor = runtime.executors[node_id]
+        self._executed = {i: PrefixOracle() for i in range(runtime.cfg.num_clans)}
+        for executor in runtime.executors.values():
             executor.on_executed = self._on_executed
         return self
 
@@ -164,7 +158,7 @@ class MonitorSuite:
     def _scan_stalls(self, now: float) -> None:
         threshold = self._stall_threshold()
         for node_id in sorted(self._last_round):
-            if node_id in self._crashed:
+            if self._deployment.network.is_crashed(node_id):
                 continue
             round_, entered = self._last_round[node_id]
             if now - entered <= threshold:
@@ -180,59 +174,39 @@ class MonitorSuite:
     # -- commit-prefix safety monitor ---------------------------------------
 
     def _on_ordered(self, node, vertex, now: float, prev) -> None:
-        node_id = node.node_id
-        if node_id not in self._diverged:
-            pos = self._position.get(node_id, 0)
-            key = vertex.key
-            if pos == len(self._canonical):
-                self._canonical.append(key)
-            elif self._canonical[pos] != key:
-                self._diverged.add(node_id)
-                self._raise(
-                    "commit.prefix_divergence", "safety", node_id, now,
-                    position=pos,
-                    expected=list(self._canonical[pos]),
-                    got=list(key),
-                )
-            self._position[node_id] = pos + 1
-            self.recorder.note(
-                node_id, now, "ordered", round=key[0], source=key[1]
+        node_id, key = node.node_id, vertex.key
+        divergence = self._order.observe(node_id, (key,))
+        if divergence is not None:
+            pos, expected = divergence
+            self._raise(
+                "commit.prefix_divergence", "safety", node_id, now,
+                position=pos, expected=list(expected), got=list(key),
             )
+        self.recorder.note(node_id, now, "ordered", round=key[0], source=key[1])
         if prev is not None:
             prev(node, vertex, now)
 
     # -- clan health monitor ------------------------------------------------
 
     def _on_executed(self, node_id: int, block, now: float) -> None:
-        if node_id in self._exec_diverged:
-            return
-        runtime = self._runtime
-        clan_idx = runtime.cfg.clan_index_of(node_id)
+        clan_idx = self._runtime.cfg.clan_index_of(node_id)
         digest = block.payload_digest().hex()
-        seq = self._exec_seq.setdefault(clan_idx, [])
-        pos = self._exec_pos.get(node_id, 0)
-        if pos == len(seq):
-            seq.append(digest)
-        elif seq[pos] != digest:
-            self._exec_diverged.add(node_id)
+        divergence = self._executed[clan_idx].observe(node_id, (digest,))
+        if divergence is not None:
+            pos, expected = divergence
             self._raise(
                 "clan.execution_divergence", "safety", node_id, now,
-                clan=clan_idx, position=pos, expected=seq[pos], got=digest,
+                clan=clan_idx, position=pos, expected=expected, got=digest,
             )
-        self._exec_pos[node_id] = pos + 1
         self.recorder.note(node_id, now, "executed", digest=digest[:12])
 
     def _check_clan_margins(self, now: float) -> None:
         runtime = self._runtime
         if runtime is None:
             return
-        cfg = runtime.cfg
+        cfg, crashed = runtime.cfg, self._deployment.network.is_crashed
         for clan_idx in range(cfg.num_clans):
-            executors = [
-                n for n in sorted(runtime.executors)
-                if cfg.clan_index_of(n) == clan_idx
-            ]
-            live = [n for n in executors if n not in self._crashed]
+            live = [n for n in cfg.clan(clan_idx) if not crashed(n)]
             quorum = cfg.clan_client_quorum(clan_idx)
             margin = len(live) - quorum
             if margin >= 1 or (clan_idx, margin) in self._clan_flagged:
@@ -251,15 +225,12 @@ class MonitorSuite:
 
     def _on_crash(self, node_id: int) -> None:
         now = self._now()
-        self._crashed.add(node_id)
         self.recorder.note(node_id, now, "crash")
         self.recorder.dump("crash", now, nodes=[node_id], node=node_id)
         self._check_clan_margins(now)
 
     def _on_recover(self, node_id: int) -> None:
-        now = self._now()
-        self._crashed.discard(node_id)
-        self.recorder.note(node_id, now, "recover")
+        self.recorder.note(node_id, self._now(), "recover")
 
     # -- equivocation collector ---------------------------------------------
 
@@ -327,19 +298,11 @@ class MonitorSuite:
         runtime = self._runtime
         if runtime is not None:
             for clan_idx in range(runtime.cfg.num_clans):
-                digests = {}
-                for node_id in sorted(runtime.executors):
-                    if runtime.cfg.clan_index_of(node_id) != clan_idx:
-                        continue
-                    if node_id in self._crashed:
-                        continue
-                    digests.setdefault(
-                        runtime.executors[node_id].state_digest().hex(), []
-                    ).append(node_id)
-                if len(digests) > 1:
+                states = clan_states(runtime, clan_idx)
+                if len(states) > 1:
                     self._raise(
                         "clan.state_divergence", "safety", None, now,
                         clan=clan_idx,
-                        states={d[:12]: n for d, n in sorted(digests.items())},
+                        states={d.hex()[:12]: n for d, n in sorted(states.items())},
                     )
         return self.anomalies

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..committees.config import ClanConfig
 from ..consensus.deployment import Deployment
+from ..consensus.oracle import clan_states
 from ..consensus.params import ProtocolParams
 from ..dag.transaction import Transaction
 from ..errors import ExecutionError
@@ -131,18 +132,14 @@ class SmrRuntime:
             # Trace roots open at submission: the id derives from the txn
             # identity, and the client closes the root span at quorum accept.
             tctx = self.tracer.root_ctx(txn_trace_key(txn.txn_id))
+            ids = {}
             if tctx is not None:
                 self.tracer.bind(("txn", txn.txn_id), tctx)
-                self.tracer.counter(
-                    "smr.submit", node=proposer, time=txn.created_at,
-                    txn=txn.txn_id, clan=client.clan_idx,
-                    trace=tctx.trace_id, span=tctx.span_id,
-                )
-            else:
-                self.tracer.counter(
-                    "smr.submit", node=proposer, time=txn.created_at,
-                    txn=txn.txn_id, clan=client.clan_idx,
-                )
+                ids = {"trace": tctx.trace_id, "span": tctx.span_id}
+            self.tracer.counter(
+                "smr.submit", node=proposer, time=txn.created_at,
+                txn=txn.txn_id, clan=client.clan_idx, **ids,
+            )
         return txn
 
     def _respond(self, node_id: NodeId, txn_id: str, result, executed_at: float) -> None:
@@ -163,11 +160,7 @@ class SmrRuntime:
         self.deployment.run(until=until, max_events=max_events)
 
     def check_execution_consistency(self, clan_idx: int = 0) -> None:
-        """Raise unless all live members of a clan reached the same state."""
-        digests = set()
-        for member in self.cfg.clan(clan_idx):
-            if member in self.deployment.crashed or member in self.deployment.byzantine:
-                continue
-            digests.add(self.executors[member].state_digest())
-        if len(digests) > 1:
-            raise ExecutionError(f"clan {clan_idx} replicas diverged: {len(digests)} states")
+        """Raise unless the clan's honest members up at the end agree on state."""
+        states = clan_states(self, clan_idx)
+        if len(states) > 1:
+            raise ExecutionError(f"clan {clan_idx} replicas diverged: {len(states)} states")

@@ -66,12 +66,7 @@ class TestCatchUp:
         assert node.sync.vertices_pulled > 0
         # Caught up: same round neighbourhood and identical committed prefix.
         assert frontier - node.round <= PARAMS.sync_gap_threshold
-        deployment.check_total_order_consistency()
-        logs = deployment.ordered_logs()
-        shortest = min(len(log) for log in logs.values())
-        assert shortest > 100
-        reference = logs[0][:shortest]
-        assert logs[3][:shortest] == reference
+        assert deployment.check_total_order_consistency() > 100
 
     def test_catch_up_is_deterministic(self):
         def run_once():

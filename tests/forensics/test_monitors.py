@@ -100,7 +100,7 @@ def test_stall_watchdog_ignores_crashed_nodes():
     )
     threshold = 2.0 * deployment.params.leader_timeout
     suite._on_round(deployment.nodes[0], 1, 0.0)
-    suite._crashed.add(0)
+    deployment.network.crash(0)
     suite._scan_stalls(threshold + 1.0)
     assert [a for a in suite.anomalies if a.name == "round.stall"] == []
 
