@@ -1,14 +1,10 @@
 #!/usr/bin/env python3
-"""Perf benchmark: core speed (events/sec) + parallel-engine speedup.
+"""Perf benchmark: parallel-engine speedup + a tribe-scale smoke point.
 
-Produces ``BENCH_perf.json`` with
-
-* **core speed** — simulator events per wall second on the smoke
-  configuration (best of ``--trials``), comparable against the
-  pre-optimization figure via ``--baseline-eps``;
-* **grid timing** — one fig5a-shaped (protocol × load) grid run serially and
-  through the parallel engine (``--jobs``), with the identical-results check
-  the engine guarantees (merge by grid index, never completion order).
+Produces ``BENCH_perf.json`` with a **grid timing**: one fig5a-shaped
+(protocol × load) grid run serially and through the parallel engine
+(``--jobs``), with the identical-results check the engine guarantees (merge
+by grid index, never completion order).
 
 Wall-clock speedup only materializes with real cores: ``--check`` asserts
 ``speedup >= --min-speedup`` **only when the machine has >= 4 CPUs** (a
@@ -25,10 +21,12 @@ largest scale without paying for a full n=150 round.
 ``--compare BENCH_perf.json`` additionally gates against a **committed
 baseline** with explicit tolerances: the parallel grid must not be slower
 than serial (speedup >= 1.0, on >= 4-CPU machines), results must stay
-identical, core events/sec must not regress more than
-``--regression-tolerance`` (default 15%) below the committed figure, and the
-n=150 sparse smoke must stay within ``--sparse-tolerance`` (default 35% —
-loose: big-n runs wander more across machines) of its committed figure.
+identical, and the n=150 sparse smoke must stay within
+``--sparse-tolerance`` (default 35% — loose: big-n runs wander more across
+machines) of its committed figure.  There is no absolute serial core-speed
+floor: on a shared host it failed for unchanged code as often as for a
+regression; the kernel-normalised ``python -m benchmarks.perf --compare`` is
+the serial-speed referee.
 
 Usage::
 
@@ -54,7 +52,7 @@ from repro.bench.parallel import (  # noqa: E402
     run_grid,
     shutdown_pool,
 )
-from repro.bench.profiling import SMOKE_CONFIG, TRIBE150_CONFIG  # noqa: E402
+from repro.bench.profiling import TRIBE150_CONFIG  # noqa: E402
 from repro.bench.runner import _simulate  # noqa: E402
 from repro.errors import EventBudgetExceeded  # noqa: E402
 
@@ -64,23 +62,6 @@ from repro.errors import EventBudgetExceeded  # noqa: E402
 #: edge selection.  ``repro profile tribe150 --max-events 2000000``
 #: attributes the same prefix.
 SPARSE_SMOKE_EVENTS = 2_000_000
-
-
-def measure_core_speed(trials: int) -> dict:
-    """Best-of-N events/sec on the smoke config (uncached, in-process)."""
-    eps_trials = []
-    sim_events = 0
-    for _ in range(trials):
-        start = time.perf_counter()
-        metrics = _simulate(SMOKE_CONFIG)
-        wall = time.perf_counter() - start
-        sim_events = metrics.sim_events
-        eps_trials.append(round(metrics.sim_events / wall, 1))
-    return {
-        "sim_events": sim_events,
-        "trials": eps_trials,
-        "best": max(eps_trials),
-    }
 
 
 def measure_sparse_smoke(max_events: int = SPARSE_SMOKE_EVENTS) -> dict:
@@ -129,10 +110,10 @@ def measure_grid(jobs: int, cpus: int) -> dict:
     serial = run_grid(configs, jobs=1, cache=False)
     serial_wall = time.perf_counter() - start
     clear_memory_cache()
-    # The pool is persistent across grids; standing it up is a once-per-
-    # process cost, so fork it outside the timed section.
+    # The executor is shared across grids; forking its workers is a once-
+    # per-process cost, so pay it (one no-op task) outside the timed section.
     if jobs > 1:
-        get_pool(jobs)
+        get_pool(jobs).submit(int).result()
     start = time.perf_counter()
     fanned = run_grid(configs, jobs=jobs, cache=False)
     parallel_wall = time.perf_counter() - start
@@ -150,15 +131,10 @@ def measure_grid(jobs: int, cpus: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_perf.json")
-    parser.add_argument("--trials", type=int, default=3)
     parser.add_argument(
         "--jobs", default=str(min(4, os.cpu_count() or 1)),
         help="workers for the parallel grid run: an integer or 'auto' "
         "(default: min(4, cpus))",
-    )
-    parser.add_argument(
-        "--baseline-eps", type=float, default=None,
-        help="pre-optimization events/sec on the same machine (for the ratio)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -171,12 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare", default=None, metavar="BASELINE_JSON",
         help="committed BENCH_perf.json to gate against: fail on parallel "
-        "speedup < 1.0 (>= 4 CPUs), non-identical results, or core "
-        "events/sec more than --regression-tolerance below the baseline",
-    )
-    parser.add_argument(
-        "--regression-tolerance", type=float, default=0.15,
-        help="allowed fractional core-speed regression vs --compare (0.15 = 15%%)",
+        "speedup < 1.0 (>= 4 CPUs), non-identical results, or an n=150 "
+        "sparse smoke more than --sparse-tolerance below the baseline",
     )
     parser.add_argument(
         "--sparse-tolerance", type=float, default=0.35,
@@ -195,12 +167,10 @@ def main(argv=None) -> int:
     if args.compare:
         with open(args.compare) as fh:
             baseline = json.load(fh)
-    core = measure_core_speed(args.trials)
     grid = measure_grid(jobs, cpus)
     sparse = None if args.skip_sparse_smoke else measure_sparse_smoke()
     result = {
         "cpus": cpus,
-        "core_speed": core,
         "grid": grid,
         # Skipped sections are recorded with their reason, never omitted:
         # --compare on another machine must be able to tell "not measured
@@ -209,16 +179,9 @@ def main(argv=None) -> int:
             sparse if sparse is not None else {"skipped": "--skip-sparse-smoke"}
         ),
     }
-    if args.baseline_eps:
-        result["core_speed"]["baseline"] = args.baseline_eps
-        result["core_speed"]["vs_baseline"] = round(core["best"] / args.baseline_eps, 3)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(
-        f"core speed: {core['best']:,.0f} events/sec "
-        f"(trials: {', '.join(f'{t:,.0f}' for t in core['trials'])})"
-    )
     grid_skipped = "skipped" in grid
     if grid_skipped:
         print(f"grid: skipped — {grid['skipped']}")
@@ -265,20 +228,6 @@ def main(argv=None) -> int:
                 f"parallel engine slower than serial: speedup "
                 f"{grid['speedup']:.2f}x < 1.0x on a {cpus}-CPU machine"
             )
-        committed = baseline.get("core_speed", {}).get("best")
-        if committed:
-            floor = committed * (1.0 - args.regression_tolerance)
-            if core["best"] < floor:
-                failures.append(
-                    f"core speed {core['best']:,.0f} events/sec is more than "
-                    f"{args.regression_tolerance:.0%} below the committed "
-                    f"{committed:,.0f} (floor {floor:,.0f})"
-                )
-            else:
-                print(
-                    f"baseline: {core['best']:,.0f} vs committed "
-                    f"{committed:,.0f} events/sec (floor {floor:,.0f}) — ok"
-                )
         committed_sparse = baseline.get("sparse_smoke", {}).get("events_per_sec")
         if sparse is None or not committed_sparse:
             side = "current run" if sparse is None else "baseline"

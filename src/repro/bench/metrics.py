@@ -37,7 +37,7 @@ class RunMetrics:
     total_bytes: int
     total_messages: int
     #: Simulator events executed during the run — the deterministic
-    #: denominator of the events/sec core-speed metric (scripts/bench_smoke).
+    #: denominator of the events/sec core-speed metric (``repro profile``).
     sim_events: int = 0
     #: Calendar epochs the scheduler sorted (``Simulator.epochs_turned``);
     #: ``sim_events / sim_epochs`` is the occupancy ``EPOCHS_PER_S`` is sized

@@ -1,44 +1,20 @@
-"""Parallel experiment engine: persistent worker pool + content-addressed cache.
+"""Parallel experiment engine: one shared process-pool executor + result cache.
 
 The benchmark suite sweeps (protocol × n × load × seed) grids of *independent*
-discrete-event simulations — embarrassingly parallel work that the serial
-runner pushed through one core.  This module shards any grid across a
-**persistent pool of forked workers** and merges results **by grid index,
-never by completion time**, so a parallel sweep's CSV output is byte-identical
-to a serial one (each simulation owns its seeded RNG streams and shares no
-mutable state).
+discrete-event simulations.  This module fans a grid out over one shared
+:class:`concurrent.futures.ProcessPoolExecutor` (``fork`` context) and merges
+results **by grid index, never by completion time**: each simulation owns its
+seeded RNG streams, so a parallel sweep's CSV is byte-identical to a serial
+one.  ``docs/PERFORMANCE.md`` describes the executor: reused across grids, a
+dead worker's point retried once alone, imported only when a grid fans out.
 
-Pool architecture (see ``docs/PERFORMANCE.md`` for the full story):
+Under the fan-out sits a content-addressed result cache (``results/.cache/``)
+keyed by the full :class:`~repro.bench.runner.ExperimentConfig`, the run
+limits, and a digest of the ``repro`` sources; one directory scan per grid.
 
-* Workers fork **once** per process lifetime and are reused across grids.
-  The first grid is staged in :data:`_GRID_REGISTRY` *before* the fork, so
-  workers inherit it (and the warm interpreter, imported simulation stack,
-  and source-digest memo) through copy-on-write — zero pickling.
-* Later grids ship to each worker at most once (a ``load`` message on first
-  use); every task after that is a compact ``(grid_id, index)`` tuple.
-* Scheduling is demand-driven with one outstanding task per worker, so a
-  crashed worker loses exactly one known point: the pool respawns a
-  replacement, retries the point once, and on a second death records a
-  per-point :class:`GridPointError` instead of hanging or aborting the grid.
-* Results stream back over a queue and merge into an index-ordered slot
-  array as they arrive (cache writes happen immediately, not at a barrier).
-
-On top of the fan-out sits a content-addressed result cache
-(``results/.cache/``): each grid point is keyed by a digest of its full
-:class:`~repro.bench.runner.ExperimentConfig`, the run limits, and a digest
-of the ``repro`` package sources.  Lookups are batched — one directory scan
-per grid, then only the hits are opened — so a cold cache costs one
-``scandir`` instead of one failed ``open`` per point.
-
-Environment knobs (CLI flags take precedence where offered):
-
-* ``REPRO_JOBS`` — default worker count for :func:`run_grid` /
-  :func:`run_tasks`; an integer or ``auto`` (= CPU count).  Nonsensical
-  values (0, negative, garbage) raise :class:`~repro.errors.ConfigError`;
-  values above ``cpu_count × 4`` clamp with a warning.
-* ``REPRO_CACHE`` — ``0`` disables the disk cache (default: enabled).
-* ``REPRO_CACHE_SALT`` — extra key material, for forced invalidation.
-* ``REPRO_RESULTS_DIR`` — relocates ``results/`` (and with it the cache).
+Knobs: ``REPRO_JOBS`` (default worker count, see :func:`resolve_jobs`),
+``REPRO_CACHE=0`` (no disk cache), ``REPRO_CACHE_SALT`` (extra key material)
+and ``REPRO_RESULTS_DIR`` (relocates ``results/`` and with it the cache).
 """
 
 from __future__ import annotations
@@ -46,11 +22,8 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
-import multiprocessing
 import os
-import queue as _queue
 import sys
-from collections import deque
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -62,18 +35,12 @@ from .runner import ExperimentConfig, _simulate
 #: Bump to invalidate every cached result on disk (schema changes).
 CACHE_VERSION = 1
 
-#: In-process result memo (config, max_events) → RunMetrics: identical grid
-#: points simulated once per session even with the disk cache disabled
-#: (fig5c and fig6 share geometry, for example).
+#: In-process memo (config, max_events) → RunMetrics: identical grid points
+#: simulate once per session even without the disk cache (fig5c and fig6
+#: share geometry, for example).
 _MEMORY: dict[tuple[ExperimentConfig, int | None], RunMetrics] = {}
 
 _SOURCE_DIGEST: str | None = None
-
-#: Staged grids, keyed by grid id: ``{gid: (configs_tuple, max_events)}``.
-#: Populated in the parent *before* workers fork (so the first grid travels
-#: by copy-on-write) and shipped lazily to already-running workers.
-_GRID_REGISTRY: dict[int, tuple[tuple, int | None]] = {}
-_GRID_SEQ = 0
 
 #: Hard ceiling multiplier: more workers than ``cpu_count × 4`` only adds
 #: scheduler thrash for CPU-bound simulations.
@@ -86,11 +53,9 @@ JOBS_CEILING_FACTOR = 4
 def resolve_jobs(value: int | str | None = None, source: str = "jobs") -> int:
     """Validated worker count from an int, ``"auto"``, or the environment.
 
-    ``None`` reads ``REPRO_JOBS`` (unset/empty = 1, i.e. serial).  ``"auto"``
-    picks ``os.cpu_count()``.  Zero, negative, and non-numeric values raise
-    :class:`ConfigError` — a mis-sized pool should fail loudly, not silently
-    serialize or fork-bomb.  Values above ``cpu_count × 4`` clamp to the
-    ceiling with a warning on stderr.
+    ``None`` reads ``REPRO_JOBS`` (unset/empty = 1, serial); ``"auto"`` is
+    the CPU count.  Zero, negative, and non-numeric values raise
+    :class:`ConfigError`; values above ``cpu_count × 4`` clamp with a warning.
     """
     cpus = os.cpu_count() or 1
     if value is None:
@@ -125,20 +90,14 @@ def resolve_jobs(value: int | str | None = None, source: str = "jobs") -> int:
     return jobs
 
 
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
-    return resolve_jobs(None)
-
-
 # -- cache ---------------------------------------------------------------------
 
 
 def source_digest() -> str:
     """Digest over every ``repro`` source file (content-addressed cache key).
 
-    Any edit anywhere in the package invalidates cached results — deliberately
-    conservative: a stale cache that masks a code change would silently turn
-    the benchmark suite into a no-op.
+    Any edit anywhere in the package invalidates cached results: a stale hit
+    that masked a code change would turn the benchmark suite into a no-op.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is not None:
@@ -169,11 +128,10 @@ def metrics_from_dict(data: dict) -> RunMetrics:
 class ResultCache:
     """Content-addressed on-disk cache of :class:`RunMetrics`.
 
-    One JSON file per grid point under ``root`` (default
-    ``results/.cache/``), named by the point's key.  Keys cover the config,
-    run limits, package source digest, a schema version, and an optional
-    salt — so a hit is only possible when re-simulating would reproduce the
-    stored result bit for bit.
+    One JSON file per grid point under ``root`` (default ``results/.cache/``)
+    named by its key: config, run limits, source digest, schema version and
+    an optional salt, so a hit is only possible when re-simulating would
+    reproduce the stored result bit for bit.
     """
 
     def __init__(self, root: str | None = None, salt: str | None = None) -> None:
@@ -198,16 +156,6 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    def scan(self) -> set[str]:
-        """Keys present on disk — one directory scan, no per-key stat calls."""
-        try:
-            with os.scandir(self.root) as entries:
-                return {
-                    e.name[:-5] for e in entries if e.name.endswith(".json")
-                }
-        except OSError:
-            return set()
-
     def load(self, key: str) -> RunMetrics | None:
         try:
             with open(self._path(key), encoding="utf-8") as fh:
@@ -219,13 +167,13 @@ class ResultCache:
         return metrics_from_dict(data["metrics"])
 
     def load_many(self, keys: Iterable[str]) -> dict[str, RunMetrics]:
-        """Batched :meth:`load`: one :meth:`scan`, then open only the hits.
-
-        A cold cache costs a single ``scandir`` for the whole grid instead of
-        one failed ``open`` per point; misses are tallied without touching
-        the filesystem again.
-        """
-        present = self.scan()
+        """Batched :meth:`load`: one directory scan, then open only the hits
+        (a cold cache costs one ``scandir``, not one failed ``open`` a key)."""
+        try:
+            with os.scandir(self.root) as entries:
+                present = {e.name[:-5] for e in entries if e.name.endswith(".json")}
+        except OSError:
+            present = set()
         found: dict[str, RunMetrics] = {}
         for key in keys:
             if key not in present:
@@ -257,266 +205,123 @@ def _resolve_cache(cache, cache_dir: str | None, salt: str | None) -> ResultCach
     return ResultCache(root=cache_dir, salt=salt)
 
 
-# -- worker pool ---------------------------------------------------------------
+# -- executor ------------------------------------------------------------------
+
+_POOL, _POOL_JOBS = None, 0  # the shared ProcessPoolExecutor and its size
+#: True in every process this module forks, so a task that itself calls
+#: run_grid/run_tasks runs serially instead of using the parent's executor.
+_IN_WORKER = False
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Worker loop: owns a private task queue, streams results back.
-
-    ``grids`` starts as a fork-time snapshot of the parent's registry —
-    grids staged before this worker forked arrive for free — and grows via
-    ``load`` messages for grids staged later.  Task tuples:
-
-    * ``("grid", index, gid, i)`` — simulate point ``i`` of staged grid ``gid``
-    * ``("call", index, fn, args)`` — generic picklable callable
-    * ``("load", gid, configs, max_events)`` / ``("unload", gid)`` / ``("stop",)``
-    """
-    grids = dict(_GRID_REGISTRY)  # inherited through fork, copy-on-write
-    while True:
-        task = task_q.get()
-        tag = task[0]
-        if tag == "stop":
-            return
-        if tag == "load":
-            grids[task[1]] = (task[2], task[3])
-            continue
-        if tag == "unload":
-            grids.pop(task[1], None)
-            continue
-        index = task[1]
-        try:
-            if tag == "grid":
-                configs, max_events = grids[task[2]]
-                value = _simulate(configs[task[3]], max_events=max_events)
-            else:  # "call"
-                value = task[2](*task[3])
-            result_q.put((worker_id, index, value, None))
-        except BaseException as exc:  # noqa: BLE001 — must reach the parent
-            result_q.put((worker_id, index, None, f"{type(exc).__name__}: {exc}"))
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
 
 
-class _Worker:
-    __slots__ = ("proc", "task_q", "outstanding", "loaded")
-
-
-class WorkerPool:
-    """Persistent pool of forked simulation workers (see module docstring).
-
-    Create via :func:`get_pool` — the module keeps one live pool and reuses
-    it across grids, so the fork (and everything it inherits) is paid once.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = jobs
-        self._ctx = multiprocessing.get_context("fork")
-        # Warm read-only state *before* forking so children inherit it
-        # instead of recomputing per worker: the source-tree digest memo and
-        # (from the caller) the staged first grid.
-        source_digest()
-        self._result_q = self._ctx.Queue()
-        self._workers: dict[int, _Worker] = {}
-        self._next_worker_id = 0
-        self._next_ticket = 0
-        self._closed = False
-        for _ in range(jobs):
-            self._spawn()
-
-    # -- lifecycle --
-
-    def _spawn(self) -> int:
-        wid = self._next_worker_id
-        self._next_worker_id += 1
-        worker = _Worker()
-        worker.task_q = self._ctx.SimpleQueue()
-        worker.outstanding = None
-        # A fork taken now inherits every currently staged grid.
-        worker.loaded = set(_GRID_REGISTRY)
-        worker.proc = self._ctx.Process(
-            target=_worker_main,
-            args=(wid, worker.task_q, self._result_q),
-            daemon=True,
-            name=f"repro-worker-{wid}",
-        )
-        worker.proc.start()
-        self._workers[wid] = worker
-        return wid
-
-    def alive(self) -> bool:
-        return not self._closed and bool(self._workers)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers.values():
-            try:
-                worker.task_q.put(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in self._workers.values():
-            worker.proc.join(timeout=2.0)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-        self._workers.clear()
-
-    # -- grid staging --
-
-    def stage_grid(self, configs: Sequence, max_events: int | None) -> int:
-        global _GRID_SEQ
-        gid = _GRID_SEQ
-        _GRID_SEQ += 1
-        _GRID_REGISTRY[gid] = (tuple(configs), max_events)
-        return gid
-
-    def release_grid(self, gid: int) -> None:
-        _GRID_REGISTRY.pop(gid, None)
-        for worker in self._workers.values():
-            if gid in worker.loaded and worker.proc.is_alive():
-                try:
-                    worker.task_q.put(("unload", gid))
-                except (OSError, ValueError):
-                    pass
-            worker.loaded.discard(gid)
-
-    # -- execution --
-
-    def _assign(self, worker: _Worker, ticket: int, spec: tuple) -> None:
-        if spec[0] == "grid":
-            gid = spec[1]
-            if gid not in worker.loaded:
-                configs, max_events = _GRID_REGISTRY[gid]
-                worker.task_q.put(("load", gid, configs, max_events))
-                worker.loaded.add(gid)
-            task = ("grid", ticket, gid, spec[2])
-        else:
-            task = ("call", ticket, spec[1], spec[2])
-        worker.outstanding = (ticket, spec)
-        worker.task_q.put(task)
-
-    def run_stream(
-        self, tasks: Sequence[tuple[int, tuple]], retries: int = 1
-    ) -> Iterator[tuple[int, Any, str | None]]:
-        """Run ``(index, spec)`` tasks; yield ``(index, value, error)`` as
-        each completes (completion order — callers merge by index).
-
-        Demand-driven: each worker holds exactly one outstanding task, so a
-        worker death loses one known point.  The pool respawns a
-        replacement, re-queues the point up to ``retries`` times, and past
-        that yields an error string instead of a value.
-
-        Tasks travel under pool-unique tickets, so results from a stream the
-        caller abandoned mid-iteration (or duplicates surviving a
-        crash-retry race) are recognized and dropped instead of being
-        misattributed to the current stream's indices.
-        """
-        tickets: dict[int, int] = {}
-        pending: deque = deque()
-        for index, spec in tasks:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            tickets[ticket] = index
-            pending.append((ticket, spec))
-        attempts: dict[int, int] = {}
-        idle = deque(
-            wid
-            for wid, worker in self._workers.items()
-            if worker.outstanding is None
-        )
-        remaining = len(tickets)
-        while remaining:
-            while pending and idle:
-                wid = idle.popleft()
-                worker = self._workers.get(wid)
-                if worker is None or not worker.proc.is_alive():
-                    continue  # reaped below once the queue drains
-                ticket, spec = pending.popleft()
-                self._assign(worker, ticket, spec)
-            try:
-                wid, ticket, value, error = self._result_q.get(timeout=0.25)
-            except _queue.Empty:
-                for ticket, err in self._reap(pending, attempts, retries):
-                    index = tickets.pop(ticket, None)
-                    if index is None:
-                        continue
-                    remaining -= 1
-                    yield index, None, err
-                idle = deque(
-                    wid
-                    for wid, worker in self._workers.items()
-                    if worker.outstanding is None
-                )
-                continue
-            worker = self._workers.get(wid)
-            if worker is not None:
-                worker.outstanding = None
-                idle.append(wid)
-            index = tickets.pop(ticket, None)
-            if index is None:
-                continue  # stale: abandoned stream or crash-retry duplicate
-            remaining -= 1
-            yield index, value, error
-
-    def _reap(
-        self, pending: deque, attempts: dict[int, int], retries: int
-    ) -> list[tuple[int, str]]:
-        """Replace dead workers; re-queue or fail their outstanding points."""
-        failures: list[tuple[int, str]] = []
-        for wid, worker in list(self._workers.items()):
-            if worker.proc.is_alive():
-                continue
-            exit_code = worker.proc.exitcode
-            task = worker.outstanding
-            del self._workers[wid]
-            self._spawn()
-            if task is None:
-                continue
-            ticket, spec = task
-            tried = attempts.get(ticket, 0) + 1
-            attempts[ticket] = tried
-            if tried > retries:
-                failures.append(
-                    (
-                        ticket,
-                        f"worker process died (exit code {exit_code}) "
-                        f"while simulating this point; {tried} attempt(s)",
-                    )
-                )
-            else:
-                pending.appendleft(task)
-        return failures
-
-
-_POOL: WorkerPool | None = None
-
-
-def _fork_ready() -> bool:
-    """Can this process host a fork pool?  (Not itself a daemonic worker.)"""
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-    )
-
-
-def get_pool(jobs: int) -> WorkerPool:
-    """The shared persistent pool, (re)created only when the size changes."""
-    global _POOL
-    if _POOL is not None and (not _POOL.alive() or _POOL.jobs != jobs):
-        _POOL.close()
-        _POOL = None
+def get_pool(jobs: int):
+    """The shared executor, re-created when ``jobs`` changes or it broke."""
+    global _POOL, _POOL_JOBS
+    if _POOL is not None and (_POOL_JOBS != jobs or _POOL._broken):
+        shutdown_pool()
     if _POOL is None:
-        _POOL = WorkerPool(jobs)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("fork")
+        _POOL = ProcessPoolExecutor(jobs, ctx, initializer=_mark_worker)
+        _POOL_JOBS = jobs
     return _POOL
 
 
 def shutdown_pool() -> None:
-    """Stop the shared pool (tests / interpreter exit); next use re-forks."""
+    """Stop the shared executor (tests / interpreter exit); next use re-forks."""
     global _POOL
     if _POOL is not None:
-        _POOL.close()
-        _POOL = None
+        pool, _POOL = _POOL, None
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
+
+
+def _simulate_point(config: ExperimentConfig, max_events: int | None) -> RunMetrics:
+    # Looks ``_simulate`` up at call time: a patch made before the fork holds.
+    return _simulate(config, max_events=max_events)
+
+
+def _fan_out(
+    calls: Sequence[tuple[Callable, tuple]], jobs: int
+) -> Iterator[tuple[int, Any, str | None]]:
+    """Run ``(fn, args)`` calls; yield ``(index, value, error)`` in
+    completion order (callers merge by index).
+
+    Serial runs call inline and let exceptions propagate.  Fanned out, a
+    raising call yields its error, and a call whose future failed because a
+    worker died gets one more attempt in :func:`_retry_alone`.
+    """
+    if jobs <= 1 or len(calls) <= 1 or _IN_WORKER:
+        for index, (fn, args) in enumerate(calls):
+            yield index, fn(*args), None
+        return
+    from concurrent.futures import BrokenExecutor, as_completed
+
+    pool = get_pool(jobs)
+    futures = {}
+    broken: list[int] = []
+    try:
+        for index, (fn, args) in enumerate(calls):
+            try:
+                futures[pool.submit(fn, *args)] = index
+            except BrokenExecutor:
+                broken.append(index)
+        for future in as_completed(futures):
+            exc = future.exception()
+            if isinstance(exc, BrokenExecutor):
+                broken.append(futures[future])
+            elif exc is not None:
+                yield futures[future], None, f"{type(exc).__name__}: {exc}"
+            else:
+                yield futures[future], future.result(), None
+    finally:
+        for future in futures:
+            future.cancel()  # an abandoned stream frees the executor
+    if broken:
+        shutdown_pool()  # broken for good; fork the retries thread-free
+        for index in sorted(broken):
+            yield (index, *_retry_alone(*calls[index]))
+
+
+def _retry_alone(fn: Callable, args: tuple) -> tuple[Any, str | None]:
+    """Second attempt, alone in a forked process, one at a time (a point that
+    died of memory pressure gets the machine to itself): ``(value, error)``."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_run_alone, args=(writer, fn, args), daemon=True)
+    proc.start()
+    writer.close()  # the child holds the only write end: EOF means it died
+    try:
+        with reader:
+            outcome = reader.recv()
+    except EOFError:  # it died before answering
+        outcome = None
+    finally:
+        proc.join()
+    return outcome or (None, (
+        f"worker process died (exit code {proc.exitcode}) "
+        f"while simulating this point; 2 attempt(s)"
+    ))
+
+
+def _run_alone(writer, fn: Callable, args: tuple) -> None:
+    # An exit or interrupt ends the process; the parent reports its code.
+    _mark_worker()
+    try:
+        outcome = (fn(*args), None)
+    except Exception as exc:
+        outcome = (None, f"{type(exc).__name__}: {exc}")
+    writer.send(outcome)
 
 
 # -- grid execution ------------------------------------------------------------
@@ -532,12 +337,9 @@ class GridPointError:
 
 
 class ParallelGridError(RuntimeError):
-    """Raised after a fan-out completes with failed points.
-
-    The grid always runs to completion first; ``records`` holds one
-    :class:`GridPointError` per failed slot and ``results`` the full
-    index-ordered result list (``None`` in failed slots).
-    """
+    """Raised after a fan-out completes with failed points: ``records`` holds
+    one :class:`GridPointError` per failed slot and ``results`` the full
+    index-ordered result list (``None`` in failed slots)."""
 
     def __init__(self, records: list[GridPointError], results: list) -> None:
         lines = ", ".join(f"#{r.index}: {r.error}" for r in records[:4])
@@ -567,14 +369,12 @@ def run_grid(
         max_events: per-run event safety valve, part of the cache key.
         on_error: ``"raise"`` (default) raises :class:`ParallelGridError`
             *after* the grid completes; ``"record"`` leaves a
-            :class:`GridPointError` in each failed slot instead.  Only the
-            fan-out path produces error records — with ``jobs=1`` exceptions
-            propagate directly, as before.
+            :class:`GridPointError` in each failed slot instead.  Serial runs
+            (``jobs=1``) let exceptions propagate directly.
 
-    Cached and duplicate points are never re-simulated; the remaining points
-    fan out across the persistent worker pool and results merge back by
-    index, so the returned list — and any CSV derived from it — is
-    byte-identical to a serial run.
+    Cached and duplicate points are never re-simulated; the rest fan out and
+    merge back by index, so the returned list (and any CSV derived from it)
+    is byte-identical to a serial run.
     """
     if on_error not in ("raise", "record"):
         raise ConfigError(f"on_error must be 'raise' or 'record', got {on_error!r}")
@@ -584,59 +384,36 @@ def run_grid(
     #: memo key → slot indices awaiting that point (dedupes identical configs).
     pending: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
-        memo_key = (config, max_events)
-        hit = _MEMORY.get(memo_key)
-        if hit is not None:
+        hit = _MEMORY.get((config, max_events))
+        if hit is None:
+            pending.setdefault((config, max_events), []).append(index)
+        else:
             results[index] = hit
-            continue
-        pending.setdefault(memo_key, []).append(index)
     keys: dict[tuple, str] = {}
     if store is not None and pending:
         # Batched lookup: one directory scan for the whole grid.
-        keys = {mk: store.key_for(mk[0], mk[1]) for mk in pending}
+        keys = {memo_key: store.key_for(*memo_key) for memo_key in pending}
         found = store.load_many(keys.values())
-        for memo_key, key in keys.items():
-            hit = found.get(key)
-            if hit is None:
-                continue
-            _MEMORY[memo_key] = hit
+        for memo_key in [mk for mk, key in keys.items() if key in found]:
+            hit = _MEMORY[memo_key] = found[keys[memo_key]]
             for slot in pending.pop(memo_key):
                 results[slot] = hit
     records: list[GridPointError] = []
-    if pending:
-        def settle(memo_key: tuple, metrics: RunMetrics) -> None:
+    memo_keys = list(pending)  # one call per *unique* point
+    calls = [(_simulate_point, memo_key) for memo_key in memo_keys]
+    for i, metrics, error in _fan_out(calls, jobs):
+        memo_key = memo_keys[i]
+        if error is None:
             _MEMORY[memo_key] = metrics
             if store is not None:
-                key = keys.get(memo_key) or store.key_for(memo_key[0], memo_key[1])
-                store.store(key, memo_key[0], metrics)
+                store.store(keys[memo_key], memo_key[0], metrics)
             for slot in pending[memo_key]:
                 results[slot] = metrics
-
-        if jobs <= 1 or len(pending) <= 1 or not _fork_ready():
-            for memo_key in pending:
-                settle(memo_key, _simulate(memo_key[0], max_events=max_events))
-        else:
-            pool = get_pool(jobs)
-            gid = pool.stage_grid(configs, max_events)
-            # One task per *unique* point, addressed by its first slot.
-            tasks = [
-                (indices[0], ("grid", gid, indices[0]))
-                for indices in pending.values()
-            ]
-            by_first = {indices[0]: mk for mk, indices in pending.items()}
-            try:
-                for index, metrics, error in pool.run_stream(tasks):
-                    memo_key = by_first[index]
-                    if error is not None:
-                        for slot in pending[memo_key]:
-                            record = GridPointError(slot, memo_key[0], error)
-                            records.append(record)
-                            if on_error == "record":
-                                results[slot] = record
-                        continue
-                    settle(memo_key, metrics)
-            finally:
-                pool.release_grid(gid)
+            continue
+        for slot in pending[memo_key]:
+            records.append(GridPointError(slot, memo_key[0], error))
+            if on_error == "record":
+                results[slot] = records[-1]
     if records and on_error == "raise":
         raise ParallelGridError(sorted(records, key=lambda r: r.index), results)
     return results
@@ -650,28 +427,19 @@ def run_tasks(
 
     ``tasks`` is a sequence of ``(fn, args)`` pairs; ``fn`` must be a
     module-level (picklable) callable returning a picklable value.  Results
-    come back ordered by task index regardless of completion order, through
-    the same persistent pool as :func:`run_grid`.  No caching — callers with
-    cacheable work should express it as a config grid.  A failing task (or a
-    task that kills its worker twice) raises :class:`ParallelGridError`
-    after the batch completes.
+    come back ordered by task index, through the same executor as
+    :func:`run_grid`, uncached.  A failing task (or one that kills its worker
+    twice) raises :class:`ParallelGridError` after the batch completes.
     """
     jobs = resolve_jobs(jobs)
     results: list[Any] = [None] * len(tasks)
-    if jobs <= 1 or len(tasks) <= 1 or not _fork_ready():
-        for index, (fn, args) in enumerate(tasks):
-            results[index] = fn(*args)
-        return results
-    pool = get_pool(jobs)
-    stream = [
-        (index, ("call", fn, tuple(args))) for index, (fn, args) in enumerate(tasks)
-    ]
     records: list[GridPointError] = []
-    for index, value, error in pool.run_stream(stream):
-        if error is not None:
+    calls = [(fn, tuple(args)) for fn, args in tasks]
+    for index, value, error in _fan_out(calls, jobs):
+        if error is None:
+            results[index] = value
+        else:
             records.append(GridPointError(index, None, error))
-            continue
-        results[index] = value
     if records:
         raise ParallelGridError(sorted(records, key=lambda r: r.index), results)
     return results

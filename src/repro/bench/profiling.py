@@ -10,8 +10,7 @@
   smeared over whatever allocated last and no hot-function row shows it — an
   allocation regression on the event path is visible here first — beside
   the process's peak RSS, where a memory regression shows, and
-* the run's core-speed number (simulator events per wall second), the same
-  metric ``scripts/bench_smoke.py`` gates in CI.
+* the run's core-speed number (simulator events per wall second).
 
 ``--max-events N`` profiles the first N events and stops: the report says
 the run was capped and omits the simulated metrics a run that never reached
@@ -45,9 +44,10 @@ from .metrics import RunMetrics
 from .reporting import format_table
 from .runner import ExperimentConfig, _simulate
 
-#: The canonical perf-smoke configuration (also the default profile target):
+#: The canonical smoke configuration (also the default profile target):
 #: small enough for <60 s wall anywhere, big enough to exercise RBC, commit,
-#: and the NIC queueing model.  ``scripts/bench_smoke.py`` runs exactly this.
+#: and the NIC queueing model.  ``tests/bench/test_smoke_pins.py`` pins its
+#: simulated results bit for bit.
 SMOKE_CONFIG = ExperimentConfig(
     protocol="single-clan",
     n=12,
@@ -75,7 +75,7 @@ TRIBE150_CONFIG = ExperimentConfig(
 
 #: Named profile targets: name → (description, config).
 PROFILE_TARGETS: dict[str, tuple[str, ExperimentConfig]] = {
-    "smoke": ("the CI perf-smoke run (single-clan n=12/6, load 250)", SMOKE_CONFIG),
+    "smoke": ("the pinned smoke run (single-clan n=12/6, load 250)", SMOKE_CONFIG),
     "sailfish": (
         "baseline Sailfish at the smoke geometry (all-to-all traffic)",
         ExperimentConfig(

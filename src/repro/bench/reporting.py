@@ -10,6 +10,11 @@ import csv
 import os
 
 
+def ms(seconds: float) -> float:
+    """Seconds to milliseconds, rounded to the microsecond (report cells)."""
+    return round(seconds * 1e3, 3)
+
+
 def format_table(rows: list[dict], title: str = "") -> str:
     """Render dict rows as an aligned text table."""
     if not rows:

@@ -23,8 +23,8 @@ from collections import defaultdict
 from typing import Any, Iterable
 
 from ..obs.metrics import Histogram
-from ..obs.tracer import META_TYPE, TraceFile, Tracer
-from .reporting import format_table
+from ..obs.tracer import TraceFile, Tracer, record_dicts
+from .reporting import format_table, ms
 
 #: The per-hop stages, in pipeline order (attr names on net.hop spans).
 HOP_STAGES = ("nic_wait", "tx", "prop", "cpu_wait", "cpu")
@@ -37,24 +37,6 @@ def load_trace(path: str) -> list[dict[str, Any]]:
     instead — every table in this module accepts it directly.
     """
     return Tracer.read_jsonl_dicts(path)
-
-
-def _records_as_dicts(records: Iterable[Any]) -> Iterable[dict[str, Any]]:
-    """Accept raw dicts, typed records, a Tracer, or a streaming TraceFile.
-
-    ``TraceFile`` is returned as-is: it re-reads the file on every iteration,
-    so each aggregation pass runs in constant memory.
-    """
-    if isinstance(records, Tracer):
-        return records.to_dicts()
-    if isinstance(records, TraceFile):
-        return records
-    rows = []
-    for r in records:
-        row = r if isinstance(r, dict) else r.to_dict()
-        if row.get("type") != META_TYPE:
-            rows.append(row)
-    return rows
 
 
 def dropped_info(records: Iterable[Any]) -> dict[str, Any] | None:
@@ -74,10 +56,6 @@ def dropped_info(records: Iterable[Any]) -> dict[str, Any] | None:
     return None
 
 
-def _ms(value: float) -> float:
-    return round(value * 1e3, 3)
-
-
 def hop_stage_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """Per-stage decomposition of every traced network hop.
 
@@ -86,7 +64,7 @@ def hop_stage_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     fixed-size log-bucket histograms, so memory stays constant no matter how
     many hops the trace holds (multi-GB sweeps included).
     """
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     hists = {stage: Histogram() for stage in HOP_STAGES}
     for row in rows:
         if row.get("type") != "span" or row.get("name") != "net.hop":
@@ -105,10 +83,10 @@ def hop_stage_table(records: Iterable[Any]) -> list[dict[str, Any]]:
             {
                 "stage": stage,
                 "hops": hops,
-                "mean_ms": _ms(hist.sum / hops),
-                "p50_ms": _ms(hist.quantile(0.50)),
-                "p95_ms": _ms(hist.quantile(0.95)),
-                "max_ms": _ms(hist.max),
+                "mean_ms": ms(hist.sum / hops),
+                "p50_ms": ms(hist.quantile(0.50)),
+                "p95_ms": ms(hist.quantile(0.95)),
+                "max_ms": ms(hist.max),
                 "share_%": round(100.0 * hist.sum / grand_total, 1),
             }
         )
@@ -117,7 +95,7 @@ def hop_stage_table(records: Iterable[Any]) -> list[dict[str, Any]]:
 
 def hop_kind_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """NIC wait and tx time attributed per message kind (top talkers first)."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     per_kind: dict[str, dict[str, float]] = defaultdict(
         lambda: {"hops": 0, "bytes": 0, "nic_wait": 0.0, "tx": 0.0}
     )
@@ -146,7 +124,7 @@ def hop_kind_table(records: Iterable[Any]) -> list[dict[str, Any]]:
 
 def span_summary_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """Duration statistics for every span name except raw network hops."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     durations: dict[str, Histogram] = defaultdict(Histogram)
     for row in rows:
         if row.get("type") != "span" or row.get("name") == "net.hop":
@@ -159,10 +137,10 @@ def span_summary_table(records: Iterable[Any]) -> list[dict[str, Any]]:
             {
                 "span": name,
                 "count": hist.count,
-                "mean_ms": _ms(hist.sum / hist.count),
-                "p50_ms": _ms(hist.quantile(0.50)),
-                "p95_ms": _ms(hist.quantile(0.95)),
-                "max_ms": _ms(hist.max),
+                "mean_ms": ms(hist.sum / hist.count),
+                "p50_ms": ms(hist.quantile(0.50)),
+                "p95_ms": ms(hist.quantile(0.95)),
+                "max_ms": ms(hist.max),
             }
         )
     return table
@@ -170,7 +148,7 @@ def span_summary_table(records: Iterable[Any]) -> list[dict[str, Any]]:
 
 def counter_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """Event counts and value sums per counter name."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     counts: dict[str, int] = defaultdict(int)
     sums: dict[str, float] = defaultdict(float)
     for row in rows:
@@ -186,7 +164,7 @@ def counter_table(records: Iterable[Any]) -> list[dict[str, Any]]:
 
 def client_latency_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """Client-observed latency percentiles from ``smr.client_latency``."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     hist = Histogram()
     for row in rows:
         if row.get("type") == "counter" and row.get("name") == "smr.client_latency":
@@ -207,7 +185,7 @@ def client_latency_table(records: Iterable[Any]) -> list[dict[str, Any]]:
 
 def sim_table(records: Iterable[Any]) -> list[dict[str, Any]]:
     """Simulator wall-clock attribution from ``sim.run`` spans."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     table = []
     for row in rows:
         if row.get("type") != "span" or row.get("name") != "sim.run":
@@ -246,7 +224,7 @@ def _header(records: Iterable[Any]) -> str | None:
 
 def format_trace_report(records: Iterable[Any]) -> str:
     """Render the full per-stage report for a trace."""
-    rows = _records_as_dicts(records)
+    rows = record_dicts(records)
     sections = []
     header = _header(records)
     if header:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from ..bench.reporting import format_table
+from ..bench.reporting import format_table, ms
 from ..obs.tracer import TraceFile
 from .provenance import (
     ProvenanceIndex,
@@ -23,10 +23,6 @@ from .provenance import (
     slowest_replicas,
     txn_waterfall,
 )
-
-
-def _ms(value: float) -> float:
-    return round(value * 1e3, 3)
 
 
 class Forensics:
@@ -77,10 +73,10 @@ def attribution_table(forensics: Forensics) -> list[dict[str, Any]]:
         {
             "segment": row["segment"],
             "samples": row["count"],
-            "mean_ms": _ms(row["mean"]),
-            "p50_ms": _ms(row["p50"]),
-            "p99_ms": _ms(row["p99"]),
-            "max_ms": _ms(row["max"]),
+            "mean_ms": ms(row["mean"]),
+            "p50_ms": ms(row["p50"]),
+            "p99_ms": ms(row["p99"]),
+            "max_ms": ms(row["max"]),
             "share_%": round(100.0 * row["share"], 1),
         }
         for row in attribution_rows(forensics.index)
@@ -112,8 +108,8 @@ def commit_table(forensics: Forensics, limit: int = 10) -> list[dict[str, Any]]:
                 "round": commit.round,
                 "proposer": commit.proposer,
                 "txns": len(commit.txns),
-                "total_ms": _ms(sum(segments.values())),
-                **{f"{name}_ms": _ms(dur) for name, dur in segments.items()},
+                "total_ms": ms(sum(segments.values())),
+                **{f"{name}_ms": ms(dur) for name, dur in segments.items()},
             }
         )
     rows.sort(key=lambda r: -r["total_ms"])
@@ -183,11 +179,11 @@ def waterfall_report(forensics: Forensics, ident: str) -> str | None:
             for name, duration in segments.items():
                 bar = "#" * max(0, round(total_width * duration / total))
                 lines.append(
-                    f"      {name:<14} {_ms(duration):>10.3f}  {bar}"
+                    f"      {name:<14} {ms(duration):>10.3f}  {bar}"
                 )
             lines.append(
-                f"      {'total':<14} {_ms(total):>10.3f}  "
-                f"(client latency {_ms(waterfall['client_latency']):.3f}, "
+                f"      {'total':<14} {ms(total):>10.3f}  "
+                f"(client latency {ms(waterfall['client_latency']):.3f}, "
                 f"residual {waterfall['residual']:+.2e})"
             )
     return "\n".join(lines)

@@ -20,28 +20,12 @@ a deterministic run exports a byte-identical file.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
 from .metrics import prometheus_text  # re-exported for CLI convenience
+from .tracer import record_dicts
 
 __all__ = ["perfetto_events", "perfetto_trace", "export_perfetto", "prometheus_text"]
-
-
-def _as_dicts(source: Any) -> Iterable[dict[str, Any]]:
-    """Normalize a Tracer / TraceFile / record list / dict list to dicts."""
-    if hasattr(source, "to_dicts"):
-        return source.to_dicts()
-    if hasattr(source, "records") and callable(source.records):
-        return [r.to_dict() for r in source.records()]
-    out = []
-    for item in source:
-        if isinstance(item, dict):
-            out.append(item)
-        elif hasattr(item, "to_dict"):  # typed TraceRecord instances
-            out.append(item.to_dict())
-        else:
-            raise TypeError(f"cannot export record of type {type(item)!r}")
-    return out
 
 
 def _us(t: float) -> int:
@@ -64,7 +48,7 @@ def perfetto_events(source: Any) -> list[dict[str, Any]]:
         seen_pids.add(pid)
         return pid
 
-    for rec in _as_dicts(source):
+    for rec in record_dicts(source):
         rtype = rec.get("type")
         attrs = rec.get("attrs") or {}
         pid = pid_of(rec.get("node"))

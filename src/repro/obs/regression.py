@@ -25,7 +25,7 @@ import json
 from typing import Any
 
 from .metrics import MetricsRegistry
-from .tracer import TraceFile
+from .tracer import TraceFile, record_dicts
 
 #: Counters whose per-event values are latency samples worth a histogram.
 _VALUE_HISTOGRAM_COUNTERS = frozenset({"smr.client_latency"})
@@ -39,16 +39,8 @@ def summarize_trace(source: Any) -> dict[str, Any]:
     latency histogram.  Output shape is :meth:`MetricsRegistry.to_dict` —
     the archival unit the observatory diffs.
     """
-    if hasattr(source, "to_dicts"):
-        records = source.to_dicts()
-    elif hasattr(source, "records") and callable(source.records):
-        records = [r.to_dict() for r in source.records()]
-    else:
-        records = source
     reg = MetricsRegistry()
-    for rec in records:
-        if not isinstance(rec, dict):
-            rec = rec.to_dict()
+    for rec in record_dicts(source):
         rtype = rec.get("type")
         if rtype == "span":
             reg.observe(rec["name"], rec["end"] - rec["start"])

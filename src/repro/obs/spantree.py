@@ -17,19 +17,13 @@ The join works without any run-specific state:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
+
+from .tracer import record_dicts
 
 #: Span names that must appear in a block's trace for the commit path to be
 #: considered complete, in pipeline order.
 COMMIT_STAGES = ("rbc.e2e", "dag.attach", "consensus.order", "smr.execute")
-
-
-def _as_dicts(source: Any) -> Iterable[dict[str, Any]]:
-    if hasattr(source, "to_dicts"):
-        return source.to_dicts()
-    if hasattr(source, "records") and callable(source.records):
-        return [r.to_dict() for r in source.records()]
-    return (r if isinstance(r, dict) else r.to_dict() for r in source)
 
 
 def span_trees(source: Any) -> dict[int, list[dict[str, Any]]]:
@@ -41,7 +35,7 @@ def span_trees(source: Any) -> dict[int, list[dict[str, Any]]]:
     completeness promise — that is :func:`txn_completeness`'s job).
     """
     by_trace: dict[int, list[dict[str, Any]]] = {}
-    for rec in _as_dicts(source):
+    for rec in record_dicts(source):
         if rec.get("type") != "span":
             continue
         attrs = rec.get("attrs") or {}
@@ -85,7 +79,7 @@ def txn_completeness(source: Any, max_examples: int = 10) -> dict[str, Any]:
     digest_trace: dict[str, int] = {}      # block digest -> trace id
     stages_by_trace: dict[int, set[str]] = {}
 
-    for rec in _as_dicts(source):
+    for rec in record_dicts(source):
         rtype = rec.get("type")
         name = rec.get("name")
         attrs = rec.get("attrs") or {}

@@ -426,6 +426,32 @@ class TraceFile:
                 yield data
 
 
+def record_dicts(source: Any) -> Iterable[dict[str, Any]]:
+    """Record dicts from a Tracer, a TraceFile, typed records, or dicts.
+
+    The one adapter every trace consumer reads through.  A ``TraceFile`` is
+    returned as-is: it re-reads the file on each iteration, so a consumer
+    that makes several passes stays in constant memory.  Anything else
+    becomes a list without meta header lines; an item that is neither a dict
+    nor a typed record raises ``TypeError``.
+    """
+    if isinstance(source, TraceFile):
+        return source
+    if hasattr(source, "to_dicts"):
+        return source.to_dicts()
+    if hasattr(source, "records") and callable(source.records):
+        return [r.to_dict() for r in source.records()]
+    rows = []
+    for item in source:
+        if not isinstance(item, dict):
+            if not hasattr(item, "to_dict"):
+                raise TypeError(f"not a trace record: {type(item)!r}")
+            item = item.to_dict()
+        if item.get("type") != META_TYPE:
+            rows.append(item)
+    return rows
+
+
 def iter_spans(records: Iterable[TraceRecord], name: str | None = None):
     """Yield span records, optionally filtered by name (test/report helper)."""
     for record in records:

@@ -33,10 +33,6 @@ def bench_perf():
 def fast_measures(bench_perf, monkeypatch):
     """Stub the expensive measurements; the CLI/compare logic is under test."""
     monkeypatch.setattr(
-        bench_perf, "measure_core_speed",
-        lambda trials: {"sim_events": 1000, "trials": [100.0], "best": 100.0},
-    )
-    monkeypatch.setattr(
         bench_perf, "measure_grid",
         lambda jobs, cpus: {"skipped": "parallel-vs-serial comparison needs >= 2 CPUs (machine has 1)"},
     )
@@ -71,7 +67,6 @@ def test_compare_tolerates_skipped_grid_on_both_sides(
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps({
         "cpus": 1,
-        "core_speed": {"best": 100.0},
         "grid": {"skipped": "needs >= 2 CPUs"},
         "sparse_smoke": {"skipped": "--skip-sparse-smoke"},
     }))
@@ -86,18 +81,23 @@ def test_compare_tolerates_skipped_grid_on_both_sides(
     assert "OK: perf checks passed" in captured
 
 
-def test_compare_still_gates_core_speed_when_grid_skipped(
+def test_compare_still_gates_sparse_smoke_when_grid_skipped(
     fast_measures, tmp_path, capsys
 ):
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps({
         "cpus": 8,
-        "core_speed": {"best": 1_000_000.0},
         "grid": {"points": 6, "speedup": 3.0, "identical_results": True},
-        "sparse_smoke": {"events_per_sec": 10000.0},
+        "sparse_smoke": {"events_per_sec": 1_000_000.0},
     }))
     out = tmp_path / "perf.json"
     rc = fast_measures.main(["--out", str(out), "--compare", str(baseline)])
     captured = capsys.readouterr()
-    assert rc == 1  # stubbed 100 events/sec is far below the committed figure
-    assert "core speed" in captured.err
+    assert rc == 1  # stubbed 10k events/sec is far below the committed figure
+    assert "sparse smoke" in captured.err
+
+
+def test_output_has_no_core_speed_section(fast_measures, tmp_path):
+    out = tmp_path / "perf.json"
+    assert fast_measures.main(["--out", str(out)]) == 0
+    assert "core_speed" not in json.loads(out.read_text())

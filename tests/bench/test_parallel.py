@@ -191,6 +191,27 @@ class TestWorkerPool:
         assert len(err.records) == 1 and err.records[0].index == 1
         assert err.results[0] is not None  # the healthy point still completed
 
+    def test_point_that_dies_once_completes_on_retry(
+        self, fresh_pool, monkeypatch, tmp_path
+    ):
+        """A worker death costs a retry, not the point: the second attempt
+        runs alone in a fresh process and its result merges by index."""
+        real = parallel._simulate
+        marker = tmp_path / "died-once"
+
+        def flaky(config, max_events=None, tracer=None):
+            if config.seed == 2 and not marker.exists():
+                marker.touch()
+                os._exit(17)
+            return real(config, max_events=max_events, tracer=tracer)
+
+        monkeypatch.setattr(parallel, "_simulate", flaky)
+        fanned = run_grid([GRID[0], GRID[1]], jobs=2, cache=False)
+        assert marker.exists()
+        monkeypatch.setattr(parallel, "_simulate", real)
+        clear_memory_cache()
+        assert fanned == run_grid([GRID[0], GRID[1]], jobs=1, cache=False)
+
     def test_task_exception_reported_not_retried(self, fresh_pool):
         with pytest.raises(ParallelGridError) as excinfo:
             run_tasks([(_task_value, (1,)), (_task_raises, ())], jobs=2)
