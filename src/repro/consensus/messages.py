@@ -126,7 +126,7 @@ class NoVoteCertificate:
     cert: QuorumCertificate
 
     @property
-    def signers(self) -> frozenset[NodeId]:
+    def signers(self) -> int:
         return self.cert.signers
 
     def wire_size(self) -> int:

@@ -343,7 +343,7 @@ class SailfishNode:
         if not isinstance(nvc, NoVoteCertificate) or nvc.round != prev:
             return False
         if not self.params.verify_signatures:
-            return len(nvc.signers) >= self.cfg.quorum
+            return nvc.signers.bit_count() >= self.cfg.quorum
         return (
             nvc.cert.message_digest == no_vote_statement(prev)
             and verify_certificate(self.pki, nvc.cert, self.cfg.quorum)

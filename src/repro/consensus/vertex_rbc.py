@@ -39,7 +39,7 @@ from typing import Callable
 from ..committees.config import ClanConfig
 from ..crypto.certificates import QuorumCertificate
 from ..crypto.evidence import EvidencePool
-from ..crypto.signatures import Pki
+from ..crypto.signatures import Pki, Signature
 from ..dag.block import Block
 from ..dag.vertex import Vertex
 from ..errors import ConsensusError
@@ -87,6 +87,10 @@ class VertexInstance(Instance):
     vertex: Vertex | None = None
     block: Block | None = None
     block_delivered: bool = False
+    #: Two-round: the signature of the first VAL this node admitted, the
+    #: half of a fraud proof a conflicting signed VAL completes (see
+    #: :meth:`VertexRbc._witness`).
+    val_signature: Signature | None = None
 
 
 class VertexRbc(RbcCore):
@@ -294,9 +298,7 @@ class VertexRbc(RbcCore):
         if state is None:
             return
         if self._signed:
-            # Signed VALs are accountability material: two conflicting ones
-            # from the same (origin, round) yield a transferable fraud proof.
-            self.evidence.record(origin, round_, vdigest, msg.signature)
+            self._witness(origin, round_, state, vdigest, msg.signature)
         if state.val_digest is None:
             state.val_digest = vdigest
             state.vertex = vertex
@@ -307,6 +309,31 @@ class VertexRbc(RbcCore):
         self._accept_body(origin, round_, state, msg)
         self._maybe_echo(origin, round_, state)
         self._maybe_finish(origin, round_, state)
+
+    def _witness(
+        self, origin: NodeId, round_: Round, state: VertexInstance,
+        digest_: bytes, signature: Signature,
+    ) -> None:
+        """Signed VALs are accountability material: the instance keeps the
+        first one's signature, and a later one over another statement makes
+        the pair a transferable fraud proof.
+
+        The first signature's digest is the instance's ``val_digest``, or —
+        when a pull set that before any VAL — one of its ``conflicting``
+        digests; the signed statement says which.  A signature over any
+        other statement could make no proof that verifies."""
+        first = state.val_signature
+        if first is None:
+            state.val_signature = signature
+            return
+        if first.message_digest == signature.message_digest:
+            return
+        for signed in (state.val_digest, *sorted(state.conflicting)):
+            if first.message_digest == self._val_statement(origin, round_, signed):
+                self.evidence.record(
+                    origin, round_, (signed, first), (digest_, signature)
+                )
+                return
 
     def _accept_body(
         self, origin: NodeId, round_: Round, state: VertexInstance, msg: VertexValMsg
@@ -432,14 +459,14 @@ class VertexRbc(RbcCore):
         self._maybe_finish(origin, round_, state)
 
     def _lookup_block(self, origin: NodeId, round_: Round) -> Block | None:
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is not None:
             return state.block
         retired = self.retired_payload(origin, round_)
         return retired[1] if retired is not None else None
 
     def _lookup_vertex(self, origin: NodeId, round_: Round) -> Vertex | None:
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is not None:
             return state.vertex
         retired = self.retired_payload(origin, round_)
@@ -464,7 +491,6 @@ class VertexRbc(RbcCore):
     def _on_retire(
         self, origin: NodeId, round_: Round, state: VertexInstance
     ) -> tuple[Vertex, Block | None]:
-        self.evidence.forget(origin, round_)
         return state.vertex, state.block
 
 
@@ -635,7 +661,7 @@ class ChunkedPrefixRbc(VertexRbc):
 
     def held_prefix(self, origin: NodeId, round_: Round) -> int:
         """Contiguous verified chunks held from index 0 (0 without manifest)."""
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is None or state.manifest is None:
             return 0
         chunks = state.chunks
@@ -664,7 +690,7 @@ class ChunkedPrefixRbc(VertexRbc):
     def _request_chunks(self, key: Key, target: NodeId, _want: None) -> bool:
         """One pull attempt: ask ``target`` for the owed prefix's missing
         chunks."""
-        state = self.instances[key]
+        state = self._live(*key)
         if state.owed is None:
             return False
         chunks = state.chunks or ()
@@ -681,7 +707,7 @@ class ChunkedPrefixRbc(VertexRbc):
         mark = (msg.origin, msg.round, msg.index, src)
         if mark in self._chunk_served:
             return  # serve-once per (instance, index, requester)
-        state = self.instances.get((msg.origin, msg.round))
+        state = self._live(msg.origin, msg.round)
         if state is None or state.manifest is None:
             return
         chunk = state.chunks.get(msg.index) if state.chunks else None
@@ -694,7 +720,7 @@ class ChunkedPrefixRbc(VertexRbc):
         self.network.send(self.node_id, src, resp)
 
     def _on_chunk_response(self, src: NodeId, msg: ChunkResponseMsg) -> None:
-        state = self.instances.get((msg.origin, msg.round))
+        state = self._live(msg.origin, msg.round)
         if state is None:
             return
         if msg.manifest is not None and state.manifest is None:

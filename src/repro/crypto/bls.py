@@ -15,16 +15,20 @@ from dataclasses import dataclass
 
 from ..errors import CryptoError
 from ..net import sizes
-from ..types import NodeId
+from ..types import NodeId, parties_of
 from .signatures import Pki, Signature
 
 
 @dataclass(frozen=True, slots=True)
 class MultiSignature:
-    """Aggregate signature over one ``message_digest`` by ``signers``."""
+    """Aggregate signature over one ``message_digest`` by ``signers``.
+
+    ``signers`` is the n-bit signer bitmap the wire format carries (bit p is
+    party p), so a certificate costs one int, not a set, per holder.
+    """
 
     message_digest: bytes
-    signers: frozenset[NodeId]
+    signers: int
     tag: bytes
 
     def wire_size(self, n: int) -> int:
@@ -49,24 +53,26 @@ def aggregate(signatures: list[Signature]) -> MultiSignature:
     if not signatures:
         raise CryptoError("cannot aggregate an empty signature set")
     message_digest = signatures[0].message_digest
-    seen: set[NodeId] = set()
+    signers = 0
     pairs: list[tuple[NodeId, bytes]] = []
     for sig in signatures:
         if sig.message_digest != message_digest:
             raise CryptoError("aggregating signatures over different digests")
-        if sig.signer in seen:
+        bit = 1 << sig.signer
+        if signers & bit:
             raise CryptoError(f"duplicate signer {sig.signer} in aggregate")
-        seen.add(sig.signer)
+        signers |= bit
         pairs.append((sig.signer, sig.tag))
-    return MultiSignature(message_digest, frozenset(seen), _aggregate_tag(pairs))
+    return MultiSignature(message_digest, signers, _aggregate_tag(pairs))
 
 
 def verify_aggregate(pki: Pki, multi: MultiSignature) -> bool:
     """Verify the aggregate in one shot (the typical, all-honest case)."""
     try:
-        expected = _aggregate_tag(
-            [(s, pki.expected_tag(s, multi.message_digest)) for s in multi.signers]
-        )
+        expected = _aggregate_tag([
+            (s, pki.expected_tag(s, multi.message_digest))
+            for s in parties_of(multi.signers)
+        ])
     except CryptoError:
         return False
     return expected == multi.tag

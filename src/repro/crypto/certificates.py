@@ -26,7 +26,8 @@ class QuorumCertificate:
         return self.multi.message_digest
 
     @property
-    def signers(self) -> frozenset[NodeId]:
+    def signers(self) -> int:
+        """The signer bitmap (bit p is party p)."""
         return self.multi.signers
 
     def wire_size(self, n: int) -> int:
@@ -52,9 +53,10 @@ def verify_certificate(
         clan: if given, at least ``clan_quorum`` signers must belong to it
             (the tribe-assisted f_c+1-from-clan condition).
     """
-    if len(cert.signers) < quorum:
+    signers = cert.signers
+    if signers.bit_count() < quorum:
         return False
-    if clan is not None and len(cert.signers & clan) < clan_quorum:
+    if clan is not None and sum(signers >> p & 1 for p in clan) < clan_quorum:
         return False
     return verify_aggregate(pki, cert.multi)
 

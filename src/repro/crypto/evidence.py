@@ -51,38 +51,37 @@ class EquivocationEvidence:
 
 
 class EvidencePool:
-    """Per-node collector: turns observed conflicting signed VALs into proofs."""
+    """Per-node list of equivocation proofs, at most one per instance.
+
+    The pool keeps proofs only.  The first signed VAL of an instance is the
+    RBC instance's own record (``VertexInstance.val_signature``); the RBC
+    hands the pool that pair and a conflicting one when they meet.
+    """
 
     def __init__(self) -> None:
-        #: (origin, round) -> the first (digest, signature) recorded: one
-        #: pair proves a conflict, so a later digest is never stored.
-        self._seen: dict[tuple[NodeId, Round], tuple[bytes, Signature]] = {}
         self.proofs: list[EquivocationEvidence] = []
+        #: ``(origin, round)`` of every proof: one conviction per instance.
         self._convicted: set[tuple[NodeId, Round]] = set()
 
     def record(
-        self, origin: NodeId, round_: Round, digest_: bytes, signature: Signature
+        self,
+        origin: NodeId,
+        round_: Round,
+        first: tuple[bytes, Signature],
+        second: tuple[bytes, Signature],
     ) -> EquivocationEvidence | None:
-        """Record a signed proposal; returns evidence on the first conflict."""
-        if signature.signer != origin:
+        """Two signed ``(digest, signature)`` proposals by ``origin`` for one
+        round; returns the proof when they conflict and it is the first."""
+        if first[1].signer != origin or second[1].signer != origin:
             raise CryptoError("signature does not belong to the claimed origin")
         key = (origin, round_)
-        first = self._seen.get(key)
-        if first is None:
-            self._seen[key] = (digest_, signature)
-            return None
-        if first[0] == digest_ or key in self._convicted:
+        if first[0] == second[0] or key in self._convicted:
             return None
         self._convicted.add(key)
-        (d_a, s_a), (d_b, s_b) = sorted((first, (digest_, signature)))
+        (d_a, s_a), (d_b, s_b) = sorted((first, second))
         proof = EquivocationEvidence(origin, round_, d_a, d_b, s_a, s_b)
         self.proofs.append(proof)
         return proof
-
-    def forget(self, origin: NodeId, round_: Round) -> None:
-        """Drop the signatures recorded for ``(origin, round_)``: its RBC
-        instance retired and takes no VAL any more.  Proofs stay."""
-        self._seen.pop((origin, round_), None)
 
     def convicted(self) -> set[NodeId]:
         """Parties with at least one equivocation proof against them."""

@@ -47,7 +47,9 @@ is the payload policy, a subclass that supplies
 An instance is *live* from the first message for its key, *finished* once
 nothing it may still receive makes it send (:meth:`RbcCore._finished`), and
 *retired* when the GC floor passes its round while it is finished: only its
-key and the policy's pull answer stay (:meth:`RbcCore.gc_below`).
+key and the policy's pull answer stay (:meth:`RbcCore.gc_below`).  Live
+instances sit in one table per round, ``{round: {origin: Instance}}``: a
+row is made once per round, so no instance costs a key tuple.
 
 The policies are :class:`repro.rbc.plain.PlainRbc` (digest to the tribe,
 opaque payload to one fixed clan) and, in
@@ -66,14 +68,16 @@ from ..errors import BroadcastError
 from ..net.message import Message
 from ..net.network import Network
 from ..sim.scheduler import EventHandle, Simulator
-from ..types import NodeId, Round, clan_response_quorum
+from ..types import NodeId, Round, clan_response_quorum, parties_of
 from .base import InstanceKey, payload_digest
 from .messages import CertMsg, EchoMsg, PayloadRequest, PayloadResponse, ReadyMsg
 from .retrieval import RequestFn, Responder, Retriever
 
 COMPLETIONS = ("two-round", "bracha", "optimistic")
 
-#: Party ids are recorded one byte each in ``Instance.echo_order``.
+#: Party ids are recorded one byte each in ``Instance.echo_order``, and a
+#: quorum of them iterates as a ``set`` in ascending order (see
+#: :func:`echoers`) for every tribe up to this size.
 MAX_PARTIES = 256
 
 
@@ -121,8 +125,10 @@ class Instance:
     tally_digest: bytes | None = None
     #: ECHO supporters, as a mask (bit p: party p echoed).
     echo_mask: int = 0
-    #: The same supporters in ECHO-arrival order, one byte each: the order
-    #: pulls ask holders in derives from it (see :func:`echoers`).
+    #: The same supporters in ECHO-arrival order, one byte each, until they
+    #: are ``quorum_size(n)``: the order pulls ask holders in derives from
+    #: it below that size, and from the mask from there on (see
+    #: :func:`echoers`).
     echo_order: bytearray | None = None
     #: Two-round completion: signatures on the ECHO statement, in arrival
     #: order, kept only until the certificate is built or received.
@@ -233,13 +239,18 @@ def echoers(state: Instance, digest_: bytes) -> list[NodeId]:
 
     Every holder list drawn from the ECHO tally is built here, and its
     order is part of the simulation: it is the iteration order of a ``set``
-    filled in ECHO-arrival order — ascending ids once the table has spread
-    out (at 2f+1 supporters it has, for every n ≤ 256), arrival order among
-    ids that share a slot (``{9, 1}`` iterates as ``[9, 1]``).
+    filled in ECHO-arrival order — arrival order among ids that share a
+    slot (``{9, 1}`` iterates as ``[9, 1]``), ascending ids once the table
+    has spread out.  At ``quorum_size(n)`` distinct ids below n it has, for
+    every n ≤ 256 (the table then has more slots than n, so each id owns
+    its slot), which is why the tally drops its arrival record there and
+    this walks the mask instead.
     """
     tally = tally_of(state, digest_)
-    order = tally.echo_order if tally is not None else None
-    return list(set(order)) if order is not None else []
+    if tally is None:
+        return []
+    order = tally.echo_order
+    return list(set(order)) if order is not None else parties_of(tally.echo_mask)
 
 
 class RbcCore:
@@ -326,7 +337,8 @@ class RbcCore:
         self.fallback_timeout = fallback_timeout
         self._quorum = committee.quorum
         self._amplify = committee.ready_amplify
-        self.instances: dict[InstanceKey, Instance] = {}
+        #: Live instances, ``{round: {origin: Instance}}``.
+        self.instances: dict[Round, dict[NodeId, Instance]] = {}
         #: Retired instances, ``{round: {origin: payload}}``: their keys, and
         #: what the policy's pull servers still answer for them (see
         #: :meth:`gc_below`).
@@ -365,12 +377,14 @@ class RbcCore:
     # -- plumbing ----------------------------------------------------------------
 
     def instance(self, origin: NodeId, round_: Round) -> Instance:
-        key = (origin, round_)
-        state = self.instances.get(key)
+        row = self.instances.get(round_)
+        if row is None:
+            row = self.instances[round_] = {}
+        state = row.get(origin)
         if state is None:
-            state = self.instances[key] = self._instance_cls()
+            state = row[origin] = self._instance_cls()
             if round_ < self._floor:
-                self._lingering.append(key)
+                self._lingering.append((origin, round_))
             clan = self._clan_of(origin, round_)
             if clan is not None:
                 state.clan = clan
@@ -380,6 +394,11 @@ class RbcCore:
                     mask = self._clan_masks[clan] = sum(1 << p for p in clan)
                 state.clan_mask = mask
         return state
+
+    def _live(self, origin: NodeId, round_: Round) -> Instance | None:
+        """The live instance at ``(origin, round_)``, or None."""
+        row = self.instances.get(round_)
+        return row.get(origin) if row is not None else None
 
     def _open(self, origin: NodeId, round_: Round) -> Instance | None:
         """The miss path of the voting handlers: the instance, created now,
@@ -478,7 +497,7 @@ class RbcCore:
                     return None
                 if signature.message_digest != self._val_statement(origin, round_, digest_):
                     return None
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is None:
             state = self._open(origin, round_)
             if state is None:
@@ -544,10 +563,11 @@ class RbcCore:
                     return
                 if not self.pki.verify(signature):
                     return
-        # Inlined instance() hit path: ECHOes are the n²-per-round traffic,
-        # and after the first one the instance always exists.
-        state = self.instances.get((msg.origin, msg.round))
-        if state is None:
+        # Inlined _live(): ECHOes are the n²-per-round traffic, and after
+        # the first one the instance always exists.
+        try:
+            state = self.instances[msg.round][msg.origin]
+        except KeyError:
             state = self._open(msg.origin, msg.round)
             if state is None:
                 return
@@ -561,10 +581,15 @@ class RbcCore:
             return
         supporters = tally.echo_mask = supporters | bit
         order = tally.echo_order
-        if order is None:
+        # The arrival record lasts until the quorum, quorum_size(n)
+        # supporters; echoers walks the mask from there on.
+        if order is not None:
+            if len(order) + 1 < self._quorum:
+                order.append(src)
+            else:
+                tally.echo_order = None
+        elif supporters == bit and self._quorum > 1:
             tally.echo_order = bytearray((src,))
-        else:
-            order.append(src)
         if self._signed:
             if state.cert_sent:
                 return  # tally maintained, but the quorum already acted
@@ -624,8 +649,11 @@ class RbcCore:
     def _on_cert(self, src: NodeId, msg: CertMsg) -> None:
         if not self._signed:
             return
-        state = self.instances.get((msg.origin, msg.round))
-        if state is None:
+        # Inlined _live(): every party forwards the certificate once, so
+        # CERTs are n² per round too.
+        try:
+            state = self.instances[msg.round][msg.origin]
+        except KeyError:
             state = self._open(msg.origin, msg.round)
             if state is None:
                 return
@@ -673,7 +701,7 @@ class RbcCore:
     def _on_ready(self, src: NodeId, msg: ReadyMsg) -> None:
         if self._signed:
             return
-        state = self.instances.get((msg.origin, msg.round))
+        state = self._live(msg.origin, msg.round)
         if state is None:
             state = self._open(msg.origin, msg.round)
             if state is None:
@@ -778,7 +806,7 @@ class RbcCore:
             state.fallback_timer = None
 
     def _on_fallback_timeout(self, origin: NodeId, round_: Round) -> None:
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is None:
             return
         state.fallback_timer = None
@@ -826,14 +854,16 @@ class RbcCore:
             return
         lingering = self._lingering
         if len(lingering) >= self._recheck:
-            lingering[:] = [key for key in lingering if not self._retire(key)]
+            lingering[:] = [key for key in lingering if not self._retire(*key)]
             self._recheck = 2 * len(lingering)
         instances = self.instances
         for passed in range(self._floor, round_):
+            row = instances.get(passed)
+            if row is None:
+                continue
             for origin in range(self.n):
-                key = (origin, passed)
-                if key in instances and not self._retire(key):
-                    lingering.append(key)
+                if origin in row and not self._retire(origin, passed):
+                    lingering.append((origin, passed))
         self._floor = round_
 
     def _finished(self, origin: NodeId, round_: Round, state: Instance) -> bool:
@@ -849,13 +879,15 @@ class RbcCore:
             return False
         return self._payload_finished(origin, round_, state)
 
-    def _retire(self, key: InstanceKey) -> bool:
-        """Retire the instance at ``key`` if it is finished."""
-        origin, round_ = key
-        state = self.instances[key]
+    def _retire(self, origin: NodeId, round_: Round) -> bool:
+        """Retire the instance at ``(origin, round_)`` if it is finished."""
+        row = self.instances[round_]
+        state = row[origin]
         if not self._finished(origin, round_, state):
             return False
-        del self.instances[key]
+        del row[origin]
+        if not row:
+            del self.instances[round_]
         retired = self._retired.get(round_)
         if retired is None:
             retired = self._retired[round_] = {}
@@ -867,8 +899,9 @@ class RbcCore:
         for loop in self._loops:
             loop.suspend()
         if self._optimistic:
-            for state in self.instances.values():
-                self._cancel_fallback(state)
+            for row in self.instances.values():
+                for state in row.values():
+                    self._cancel_fallback(state)
 
     def resume_timers(self) -> None:
         """Recovery: restart suspended pulls."""
@@ -877,8 +910,9 @@ class RbcCore:
         if self._optimistic:
             # A recovering node has no idea how long it was down; give up on
             # the fast path for every instance that was in flight.
-            for origin, round_ in sorted(self.instances):
-                state = self.instances[(origin, round_)]
+            keys = sorted((o, r) for r, row in self.instances.items() for o in row)
+            for origin, round_ in keys:
+                state = self.instances[round_][origin]
                 if state.val_digest is not None or _echoed(state):
                     self._fall_back(origin, round_, state, "timeout")
 

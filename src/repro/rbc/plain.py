@@ -27,7 +27,7 @@ from ..crypto.signatures import KeyPair, Pki
 from ..errors import BroadcastError
 from ..net.network import Network
 from ..sim.scheduler import Simulator
-from ..types import NodeId, Round
+from ..types import NodeId, Round, parties_of
 from .base import DeliverFn, Delivery, Membership, payload_digest
 from .core import Instance, RbcCore, ValParts, echoers
 from .messages import (
@@ -201,7 +201,10 @@ class PlainRbc(RbcCore):
         # Clan member without the value: pull it from the clan members that
         # vouched for it — the certificate's signers, else the echoers.  With
         # no holder known yet, later ECHOes trigger the fetch.
-        vouchers = cert.signers if cert is not None else echoers(state, digest_)
+        if cert is not None:
+            vouchers = parties_of(cert.signers)
+        else:
+            vouchers = echoers(state, digest_)
         holders = self._clan_holders(vouchers)
         if holders:
             self._retriever.fetch((origin, round_), holders, digest_)
@@ -223,7 +226,7 @@ class PlainRbc(RbcCore):
             self._deliver(origin, round_, state, digest_)
 
     def _lookup_payload(self, origin: NodeId, round_: Round) -> Any | None:
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         if state is None or not state.payloads:
             return None
         if state.val_digest in state.payloads:
@@ -231,7 +234,7 @@ class PlainRbc(RbcCore):
         return next(iter(state.payloads.values()))
 
     def delivered(self, origin: NodeId, round_: Round) -> bool:
-        state = self.instances.get((origin, round_))
+        state = self._live(origin, round_)
         return bool(state and state.delivered)
 
 

@@ -62,7 +62,7 @@ class PoA:
     created_at: float
 
     @property
-    def signers(self) -> frozenset[NodeId]:
+    def signers(self) -> int:
         return self.cert.signers
 
     def wire_size(self) -> int:

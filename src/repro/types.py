@@ -65,6 +65,20 @@ def clan_max_faults(n_c: int) -> int:
     return (n_c + 1) // 2 - 1
 
 
+def parties_of(mask: int) -> list[NodeId]:
+    """The parties of a supporter mask (bit p is party p), ascending.
+
+    >>> parties_of(0b10110)
+    [1, 2, 4]
+    """
+    parties = []
+    while mask:
+        low = mask & -mask
+        parties.append(low.bit_length() - 1)
+        mask ^= low
+    return parties
+
+
 def clan_response_quorum(n_c: int) -> int:
     """Replies a client needs from a clan: ``f_c + 1`` matching responses."""
     return clan_max_faults(n_c) + 1

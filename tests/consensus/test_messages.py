@@ -75,7 +75,7 @@ def test_no_vote_message_and_certificate():
     cert = build_certificate([PKI.key(i).sign(no_vote_statement(5)) for i in range(7)])
     nvc = NoVoteCertificate(5, cert)
     assert nvc.round == 5
-    assert len(nvc.signers) == 7
+    assert nvc.signers.bit_count() == 7
     assert nvc.wire_size() > 0
 
 

@@ -30,7 +30,7 @@ def _ordered_keys(deployment, nodes):
 
 def _owes(rbc):
     """Whether any decided prefix has not reached its executor yet."""
-    return any(state.owed for state in rbc.instances.values())
+    return any(state.owed for row in rbc.instances.values() for state in row.values())
 
 
 class TestOptimisticMode:

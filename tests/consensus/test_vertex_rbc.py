@@ -156,7 +156,7 @@ def test_val_signed_by_another_party_is_dropped_without_verification():
     )
     deployment.network.send(1, 0, VertexValMsg(vertex, None, forged))
     deployment.run(until=1.0)
-    assert (1, 50) not in deployment.nodes[0].rbc.instances
+    assert deployment.nodes[0].rbc._live(1, 50) is None
     assert deployment.nodes[0].rbc.evidence.proofs == []
 
 

@@ -155,11 +155,12 @@ def test_equivocating_val_raises_byzantine_anomaly():
     deployment.run(until=2.0)
     observer = deployment.nodes[0]
     # Find a VAL node 0 already accepted whose vertex has reorderable edges.
+    table = observer.rbc.instances
     origin, state = next(
-        (key[0], st)
-        for key, st in sorted(observer.rbc.instances.items())
-        if key[0] != 0 and st.vertex is not None
-        and len(st.vertex.strong_edges) > 1
+        (origin, table[round_][origin])
+        for origin, round_ in sorted((o, r) for r, row in table.items() for o in row)
+        if origin != 0 and table[round_][origin].vertex is not None
+        and len(table[round_][origin].vertex.strong_edges) > 1
     )
     vertex = state.vertex
     twin = Vertex(

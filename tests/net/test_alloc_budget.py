@@ -15,7 +15,9 @@ budgeted too: one list per occupied epoch, whatever it holds.
 The RBC instance table is budgeted in bytes instead (``tracemalloc``): it
 holds n² instances per round until the GC floor passes them, so a
 per-digest container there costs n³ memory per round — and a dict of
-atomic keys and values is no tracked object at all.  So is a replica's
+atomic keys and values is no tracked object at all.  A whole node's cost
+per instance is budgeted the same way: the instance, its table slot, the
+evidence of its first signed VAL and its ECHO-arrival record.  So is a replica's
 replay protection: it must cost its clients' reorder window, not one set
 entry per transaction applied over the run.  And every node keeps its own
 DAG store over the whole run, so what a store derives from a vertex is paid
@@ -31,6 +33,9 @@ import tracemalloc
 import pytest
 
 from repro.analysis import sanitizers
+from repro.committees import ClanConfig
+from repro.consensus import Deployment, ProtocolParams, vertex_rbc
+from repro.crypto import evidence
 from repro.crypto.signatures import Signature
 from repro.dag import DagStore, OrderingEngine, Vertex, genesis_vertex
 from repro.dag import ordering as dag_ordering
@@ -48,6 +53,7 @@ from repro.rbc.core import RbcCore
 from repro.rbc.messages import CertMsg, EchoMsg, ReadyMsg
 from repro.sim import Simulator
 from repro.smr import state_machine
+from repro.smr.mempool import SyntheticWorkload
 from repro.smr.state_machine import KvStateMachine
 
 
@@ -205,10 +211,11 @@ def _bytes_allocated_by_the_core() -> int:
 
 
 #: Bytes an instance at n=16 may keep alive with all its votes: the
-#: instance, its key tuple, the supporter mask and the arrival bytearray
-#: (~370 B), and — two-round, until the certificate — one signature list
-#: (~550 B).  A dict per tally costs 64 B empty and ~220 B holding one
-#: digest; the four-dict layout read 920–1,270 B here.
+#: instance, its table slot and the supporter mask (240 B), the arrival
+#: bytearray until the quorum releases it (~310 B before), and — two-round,
+#: until the certificate — one signature list (~490 B).  A dict per tally
+#: costs 64 B empty and ~220 B holding one digest; the four-dict layout
+#: read 920–1,270 B here.
 INSTANCE_BYTES = 640
 
 
@@ -243,9 +250,49 @@ def test_rbc_instance_allocates_no_per_digest_container(completion):
                 assert retained <= INSTANCE_BYTES, (party + 1, retained)
     finally:
         tracemalloc.stop()
-    state = voter.instances[(9, 1)]
+    state = voter.instances[1][9]
     assert state.echoes == {d: (1 << n) - 1} and state.others is None
     assert state.cert_sent == signed and state.echo_sigs is None
+
+
+#: Bytes a node keeps per (origin, round) in a fault-free two-round run at
+#: n=16 once every instance delivered on all n ECHOes: the instance (~260 B),
+#: its share of the per-round table, its supporter mask and its share of
+#: the arena's pooled ECHOes (382 B measured).  A key tuple and table entry
+#: per instance, a second record of the first signed VAL in the evidence
+#: pool and an ECHO-arrival bytearray kept past the quorum read 641 B.
+NODE_INSTANCE_BYTES = 448
+
+
+def test_a_node_keeps_one_record_per_rbc_instance():
+    n, rounds = 16, 2
+    workload = SyntheticWorkload(txns_per_proposal=2)
+    dep = Deployment(
+        ClanConfig.baseline(n), ProtocolParams(max_rounds=rounds),
+        make_block=workload.make_block, seed=2,
+    )
+    files = (core.__file__, vertex_rbc.__file__, evidence.__file__, "<string>")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dep.start()
+        dep.run(until=3.0)
+        retained = _bytes_allocated_in(*files)
+    finally:
+        tracemalloc.stop()
+    per_instance = retained / (n * n * rounds)
+    assert per_instance <= NODE_INSTANCE_BYTES, per_instance
+    states = [
+        state
+        for node in dep.nodes
+        for row in node.rbc.instances.values()
+        for state in row.values()
+    ]
+    assert len(states) == n * n * rounds
+    for state in states:
+        assert state.delivered and state.echo_mask == (1 << n) - 1
+        assert state.echo_order is None and state.val_signature is not None
+    assert all(node.rbc.evidence.proofs == [] for node in dep.nodes)
 
 
 #: Bytes a state machine may keep alive after any prefix of a run from 8

@@ -84,7 +84,7 @@ def test_ready_amplification_completes_stragglers(make_harness):
     assert all(h.deliveries[i] for i in range(N))
     # Every honest node must have sent READY at most once, for one digest.
     for module in h.modules:
-        state = module.instances[(0, 1)]
+        state = module.instances[1][0]
         assert state.ready_digest is not None
 
 
@@ -97,7 +97,7 @@ def test_spoofed_val_ignored(make_harness):
     h.net.send(3, 2, msg)
     h.run()
     assert h.deliveries[2] == []
-    state = h.modules[2].instances.get((0, 1))
+    state = h.modules[2]._live(0, 1)
     assert state is None or state.val_digest is None
 
 
@@ -110,7 +110,7 @@ def test_duplicate_echo_not_double_counted(make_harness):
     for _ in range(5):
         h.net.send(1, 2, EchoMsg(0, 1, d))
     h.run()
-    state = h.modules[2].instances[(0, 1)]
+    state = h.modules[2].instances[1][0]
     assert state.echoes[d] == 1 << 1  # supporter mask: party 1 alone
     assert state.ready_digest is None
 
@@ -123,7 +123,7 @@ def test_duplicate_ready_not_double_counted(make_harness):
     for _ in range(10):
         h.net.send(1, 2, ReadyMsg(0, 1, d))
     h.run()
-    state = h.modules[2].instances[(0, 1)]
+    state = h.modules[2].instances[1][0]
     assert state.readies[d] == 1 << 1
     assert not state.delivered
 
@@ -135,7 +135,7 @@ def test_malformed_val_payload_digest_mismatch(make_harness):
     msg = ValMsg(origin=0, round=1, digest=hash_of(b"other"), payload=b"evil")
     h.net.send(0, 2, msg)
     h.run()
-    state = h.modules[2].instances.get((0, 1))
+    state = h.modules[2]._live(0, 1)
     assert state is None or not state.payloads
 
 

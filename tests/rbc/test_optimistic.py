@@ -60,7 +60,7 @@ class TestFallback:
             module = h.modules[node]
             assert module.fast_deliveries == 0
             assert module.fallback_deliveries == 1
-            assert module.instances[(0, 1)].pessimistic
+            assert module.instances[1][0].pessimistic
         triggers = {reason for m in h.modules[:6] for reason in m.fallbacks}
         assert "timeout" in triggers
         # Fallback happens at the timer, not before.

@@ -91,7 +91,12 @@ def observe(smr):
     for rbc in rbcs:
         # No instance below the floor escapes the walk, including those a
         # late message created after the floor had passed their round.
-        below = {key for key in rbc.instances if key[1] < rbc._floor}
+        below = {
+            (origin, round_)
+            for round_, row in rbc.instances.items()
+            for origin in row
+            if round_ < rbc._floor
+        }
         assert below == set(rbc._lingering)
     retired = sum(len(r) for rbc in rbcs for r in rbc._retired.values())
     passed = retired + sum(len(rbc._lingering) for rbc in rbcs)
@@ -173,7 +178,8 @@ def test_unobservable_under_an_equivocating_proposer(monkeypatch):
     assert any(
         len(state.echoes) > 1
         for i in dep.honest_ids
-        for (origin, _), state in dep.nodes[i].rbc.instances.items()
+        for row in dep.nodes[i].rbc.instances.values()
+        for origin, state in row.items()
         if origin == 1
     )
 
@@ -222,10 +228,10 @@ def test_late_messages_for_a_retired_key_recreate_and_send_nothing(rbc_mode):
     sent, pending = list(stats.messages_sent), dep.sim.pending_events
     for src, msg in late_messages(dep, origin, round_, vertex, block):
         assert rbc.on_message(src, msg)
-        assert (origin, round_) not in rbc.instances, type(msg).__name__
+        assert rbc._live(origin, round_) is None, type(msg).__name__
     assert stats.messages_sent == sent
     assert dep.sim.pending_events == pending
-    assert (origin, round_) not in rbc.evidence._seen
+    assert rbc.evidence.proofs == []
 
 
 def test_pull_servers_answer_retired_keys_as_before(monkeypatch):
@@ -243,7 +249,7 @@ def test_pull_servers_answer_retired_keys_as_before(monkeypatch):
     never_finished(monkeypatch)
     _, keeping = lookups(run_deployment("two-round"))
     retired = [(o, r) for r, per_round in rbc._retired.items() for o in per_round]
-    assert retired and all(key not in rbc.instances for key in retired)
+    assert retired and all(rbc._live(*key) is None for key in retired)
     for key, (vertex, block) in keeping.items():
         got_vertex, got_block = retiring[key]
         assert got_vertex.vertex_digest() == vertex.vertex_digest()
@@ -300,15 +306,15 @@ def test_certified_by_pull_never_echoed_stays_and_echoes_on_late_val():
     ]
     rbc.on_message(2, VertexCertMsg(1, 1, lone.digest, build_certificate(sigs), 4))
     rbc.on_message(1, PayloadResponse(1, 1, lone.digest, lone.vertex, "vertex"))
-    state = rbc.instances[(1, 1)]
+    state = rbc.instances[1][1]
     assert lone.delivered == [lone.vertex] and state.cert_sent and not state.echoed
     rbc.gc_below(5)
-    assert (1, 1) in rbc.instances  # below the floor, kept
+    assert rbc._live(1, 1) is not None  # below the floor, kept
     before = lone.sent()
     lone.val()
     assert state.echoed and lone.sent() == before + 4  # its ECHO, to all
     rbc.gc_below(6)
-    assert (1, 1) not in rbc.instances  # now finished: retired
+    assert rbc._live(1, 1) is None  # now finished: retired
 
 
 def test_fast_path_deliverer_stays_and_answers_late_ready():
@@ -317,16 +323,16 @@ def test_fast_path_deliverer_stays_and_answers_late_ready():
     lone.val()
     for src in range(4):
         rbc.on_message(src, VertexEchoMsg(1, 1, lone.digest, None))
-    state = rbc.instances[(1, 1)]
+    state = rbc.instances[1][1]
     assert lone.delivered == [lone.vertex] and state.ready_digest is None
     assert rbc.fast_deliveries == 1
     rbc.gc_below(5)
-    assert (1, 1) in rbc.instances  # below the floor, kept
+    assert rbc._live(1, 1) is not None  # below the floor, kept
     before = lone.sent()
     rbc.on_message(2, VertexReadyMsg(1, 1, lone.digest))
     assert state.ready_digest == lone.digest and lone.sent() == before + 4
     rbc.gc_below(6)
-    assert (1, 1) not in rbc.instances
+    assert rbc._live(1, 1) is None
 
 
 # -- growth ------------------------------------------------------------------------
@@ -338,4 +344,4 @@ def test_instance_table_is_bounded_by_the_gc_depth(rbc_mode):
     dep = run_deployment(rbc_mode, until=12.0, gc_depth=gc_depth, max_rounds=rounds)
     for node in dep.nodes:
         assert node.round == rounds
-        assert len(node.rbc.instances) <= 4 * (gc_depth + 2)
+        assert sum(map(len, node.rbc.instances.values())) <= 4 * (gc_depth + 2)

@@ -15,6 +15,8 @@ and checks that no quorum, amplification, certificate or replay ever mixes
 them, under every completion rule.
 """
 
+import random
+
 import pytest
 
 from repro.committees import ClanConfig
@@ -37,6 +39,7 @@ from repro.rbc.bracha import BrachaRbc
 from repro.rbc.core import COMPLETIONS, MAX_PARTIES, RbcCore, echoers, tallies, tally_of
 from repro.rbc.messages import CertMsg, EchoMsg, PayloadRequest, ReadyMsg
 from repro.sim import Simulator
+from repro.types import quorum_size
 
 N = 16  # f = 5: ECHO/READY quorum 11
 ORIGIN, ROUND = 5, 1
@@ -98,7 +101,7 @@ def test_colliding_echoers_are_asked_in_arrival_order(mode):
     tribe.echo(9)
     tribe.echo(1)
     tribe.certify()
-    assert tribe.rbc.instances[(ORIGIN, ROUND)].vertex is None
+    assert tribe.rbc.instances[ROUND][ORIGIN].vertex is None
     # An ascending walk of the supporter mask would ask 1 first.
     assert tribe.pull_targets(2) == [9, 1]
 
@@ -112,6 +115,39 @@ def test_a_quorum_of_echoers_is_asked_in_ascending_order(mode):
     tribe.certify()
     # An arrival-order walk would ask 15 first.
     assert tribe.pull_targets(4) == sorted(arrival)[:4]
+
+
+def test_a_quorum_of_distinct_ids_iterates_as_a_set_in_ascending_order():
+    """The rule :func:`echoers` relies on to drop the arrival record at the
+    quorum, pinned on the running interpreter: for every n ≤ 256, any
+    arrival order of at least ``quorum_size(n)`` distinct ids below n
+    iterates as a ``set`` in ascending order."""
+    rng = random.Random(7)
+    for n in range(1, MAX_PARTIES + 1):
+        q = quorum_size(n)
+        for size in sorted({q, (q + n) // 2, n}):
+            # The highest ids collide most in a small table: they come first
+            # in every order but the shuffled ones.
+            top = list(range(n - size, n))
+            orders = [top[::-1], top, *(rng.sample(range(n), size) for _ in range(6))]
+            for order in orders:
+                assert list(set(bytearray(order))) == sorted(order), (n, order)
+
+
+@pytest.mark.parametrize("completion", COMPLETIONS)
+def test_the_arrival_record_is_released_at_the_quorum(completion):
+    voter = Voter(completion)
+    arrival = [15, 9, 1, 12, 3, 7, 14, 2, 10, 4]  # 2f of them
+    voter.echo(D1, *arrival)
+    state = voter.state
+    assert state.echo_order == bytearray(arrival)
+    assert echoers(state, D1) == list(set(arrival))
+    voter.echo(D1, 13)
+    assert state.echo_order is None
+    assert echoers(state, D1) == sorted(arrival + [13]) == list(set(arrival + [13]))
+    voter.echo(D1, 0)
+    assert state.echo_order is None
+    assert echoers(state, D1) == sorted(arrival + [13, 0])
 
 
 def test_tribe_beyond_the_byte_sized_arrival_record_is_rejected():
@@ -171,7 +207,7 @@ class Voter(RbcCore):
 
     @property
     def state(self):
-        return self.instances[(ORIGIN, ROUND)]
+        return self.instances[ROUND][ORIGIN]
 
     def sent(self, cls):
         return [msg for msg in self.network.sent if isinstance(msg, cls)]
@@ -246,7 +282,7 @@ def test_two_round_certificate_holds_the_certified_digests_echoers_only():
     assert [len(sigs) for sigs in _signature_lists(state)] == [3, 2 * F]
     voter.echo(D1, 2 * F + 1)
     [(digest_, cert)] = voter.certified
-    assert digest_ == D1 and cert.signers == frozenset(range(1, 2 * F + 2))
+    assert digest_ == D1 and cert.signers == _mask(range(1, 2 * F + 2))
     assert cert.message_digest == b"echo:" + D1
     assert state.cert_sent and _signature_lists(state) == [None, None]
     # Later ECHOes still count, but keep no signature.

@@ -134,7 +134,7 @@ def test_conflicting_val_recorded_not_followed(make_harness):
     h.net.send(5, 1, ValMsg(5, 1, hash_of(b"first"), None))
     h.net.send(5, 1, ValMsg(5, 1, hash_of(b"second"), None))
     h.run()
-    state = h.modules[1].instances[(5, 1)]
+    state = h.modules[1].instances[1][5]
     assert state.val_digest == hash_of(b"first")
     assert hash_of(b"second") in state.conflicting
 

@@ -69,7 +69,7 @@ def test_echo_with_wrong_signer_rejected(make_harness):
     # Node 3 replays node 2's echo signature as its own.
     h.net.send(3, 1, EchoMsg(0, 1, d, sig))
     h.run()
-    state = h.modules[1].instances.get((0, 1))
+    state = h.modules[1]._live(0, 1)
     assert state is None or not state.echoes.get(d, 0) & 1 << 3
 
 

@@ -39,7 +39,7 @@ def test_poa_forms_after_fc_plus_1_acks():
     assert len(poas[proposer]) == 1
     poa = poas[proposer][0]
     assert poa.block_digest == block.payload_digest()
-    assert len(poa.signers) == cfg.clan_client_quorum(0)
+    assert poa.signers.bit_count() == cfg.clan_client_quorum(0)
     assert poa.verify(pki, cfg)
     # PoA formed at 2δ (push + ack round trip).
     assert sim.now >= 0.1
