@@ -35,9 +35,9 @@ def _latency_breakdown(cfg, crashed=None, leader_timeout=1.0):
     deployment.start()
     deployment.run(until=12.0, max_events=20_000_000)
     deployment.check_total_order_consistency()
-    node = deployment.nodes[deployment.honest_ids[0]]
+    observer = deployment.honest_ids[0]
     leader_lat, other_lat = [], []
-    for vertex, when in node.ordered_log:
+    for vertex, when in deployment.commits.entries(observer):
         if vertex.block_digest is None:
             continue
         created = workload.blocks[vertex.block_digest][1]
@@ -55,7 +55,7 @@ def _latency_breakdown(cfg, crashed=None, leader_timeout=1.0):
         "nonleader_commit_delta": round(
             sum(other_lat) / len(other_lat) / DELTA, 2
         ),
-        "ordered": len(node.ordered_log),
+        "ordered": deployment.commits.count(observer),
     }
 
 

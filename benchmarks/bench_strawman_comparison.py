@@ -62,10 +62,9 @@ def _clan_dag_latency() -> dict:
     )
     deployment.start()
     deployment.run(until=15.0, max_events=10_000_000)
-    node = deployment.nodes[deployment.honest_ids[0]]
     latencies = [
         when - workload.blocks[v.block_digest][1]
-        for v, when in node.ordered_log
+        for v, when in deployment.commits.entries(deployment.honest_ids[0])
         if v.block_digest is not None
     ]
     return {

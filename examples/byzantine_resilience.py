@@ -61,19 +61,20 @@ def main() -> None:
 
     honest = deployment.honest_ids
     rounds = [deployment.nodes[i].round for i in honest]
-    ordered = [len(deployment.nodes[i].ordered_log) for i in honest]
+    commits = deployment.commits  # what every node ordered, and when
+    ordered = [commits.count(i) for i in honest]
     print(f"liveness: honest nodes reached rounds {min(rounds)}..{max(rounds)}, "
           f"ordered >= {min(ordered)} vertices in 20 s")
 
     # The no-vote path fired for the crashed node's leader slots.
-    node = deployment.nodes[honest[0]]
-    nvcs = [v for v in node.ordered_vertices if v.nvc is not None]
+    order = [v for v, _ in commits.entries(honest[0])]
+    nvcs = [v for v in order if v.nvc is not None]
     print(f"no-vote certificates embedded in leader vertices: {len(nvcs)}")
 
     # The withheld blocks were pulled by the rest of the clan.
     withheld = [
         v.block_digest
-        for v in node.ordered_vertices
+        for v in order
         if v.source == withholder and v.block_digest
     ]
     holders = [
@@ -86,7 +87,7 @@ def main() -> None:
           f"{len(holders)} honest clan members via the pull path")
 
     # The equivocator's split vertices never produced divergent deliveries.
-    keys = node.ordered_keys()
+    keys = [v.key for v in order]
     assert len(keys) == len(set(keys))
     print("equivocation: at most one version per (round, source) was ordered")
 

@@ -37,7 +37,7 @@ def main() -> None:
     runtime.deployment.check_total_order_consistency()
     node0 = runtime.deployment.nodes[0]
     print(f"rounds completed: {node0.round}")
-    print(f"vertices ordered: {len(node0.ordered_log)}")
+    print(f"vertices ordered: {runtime.deployment.commits.count(0)}")
     print(f"leaders committed: {len(node0.committed_leaders)}")
 
     # ...all replicas reached the same state...

@@ -55,11 +55,10 @@ def main() -> None:
 
     # The global order interleaves both applications' blocks; every party
     # (whichever clan it serves) agrees on it.
-    node = runtime.deployment.nodes[0]
     clan_of = cfg.clan_index_of
     interleaving = [
         f"r{v.round}:clan{clan_of(v.source)}"
-        for v, _ in node.ordered_log
+        for v, _ in runtime.deployment.commits.entries(0)
         if v.block_digest is not None
     ]
     print(f"\nglobal order interleaves clans: {interleaving[:12]} ...")

@@ -42,10 +42,9 @@ def run(cfg: ClanConfig) -> tuple[Deployment, SyntheticWorkload]:
 
 
 def avg_block_latency(deployment: Deployment, workload: SyntheticWorkload) -> float:
-    node = deployment.nodes[deployment.honest_ids[0]]
     samples = [
         when - workload.blocks[v.block_digest][1]
-        for v, when in node.ordered_log
+        for v, when in deployment.commits.entries(deployment.honest_ids[0])
         if v.block_digest is not None
     ]
     return sum(samples) / len(samples)

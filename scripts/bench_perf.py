@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Perf benchmark: parallel-engine speedup + a tribe-scale smoke point.
 
-Produces ``BENCH_perf.json`` with a **grid timing**: one fig5a-shaped
-(protocol × load) grid run serially and through the parallel engine
-(``--jobs``), with the identical-results check the engine guarantees (merge
-by grid index, never completion order).
+Measures a **grid timing**: one fig5a-shaped (protocol × load) grid run
+serially and through the parallel engine (``--jobs``), with the
+identical-results check the engine guarantees (merge by grid index, never
+completion order).  The report is written only to ``--out`` (the committed
+one is ``BENCH_perf.json``); without it the run writes nothing.
 
 Wall-clock speedup only materializes with real cores: ``--check`` asserts
 ``speedup >= --min-speedup`` **only when the machine has >= 4 CPUs** (a
@@ -130,7 +131,11 @@ def measure_grid(jobs: int, cpus: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_perf.json")
+    parser.add_argument(
+        "--out", default=None, metavar="JSON",
+        help="write the report here (default: write nothing, so a gate run "
+        "against the committed baseline never overwrites it)",
+    )
     parser.add_argument(
         "--jobs", default=str(min(4, os.cpu_count() or 1)),
         help="workers for the parallel grid run: an integer or 'auto' "
@@ -179,9 +184,10 @@ def main(argv=None) -> int:
             sparse if sparse is not None else {"skipped": "--skip-sparse-smoke"}
         ),
     }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    if args.out is not None:
+        with open(args.out, "w") as fh:
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
     grid_skipped = "skipped" in grid
     if grid_skipped:
         print(f"grid: skipped — {grid['skipped']}")
@@ -198,7 +204,8 @@ def main(argv=None) -> int:
             f"{sparse['events_per_sec']:,.0f} events/sec "
             f"({sparse['events']:,} events in {sparse['wall_s']:.1f} s)"
         )
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        print(f"wrote {args.out}")
 
     failures = []
     if (args.check or baseline is not None) and not grid_skipped:

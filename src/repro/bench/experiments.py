@@ -24,16 +24,9 @@ from ..committees.hypergeometric import clan_size_curve, dishonest_majority_prob
 from ..committees.multiclan import equal_partition_prob
 from ..net.latency import GCP_REGIONS, GCP_RTT_MS
 from ..types import max_faults
-from .model import AnalyticalModel, PAPER_LOADS, ModelPoint
+from .model import AnalyticalModel, PAPER_LOADS, PAPER_SCALES, ModelPoint
 from .parallel import run_grid
 from .runner import ExperimentConfig, run_experiment, scaled
-
-#: Paper figure geometries: figure -> (n, single clan size, multi-clan count).
-FIGURE_SCALES = {
-    "fig5a": (50, 32, None),
-    "fig5b": (100, 60, None),
-    "fig5c": (150, 80, 2),
-}
 
 #: Load sweeps used by the simulation benches (a subset of the paper's 13
 #: points, spanning the pre-saturation and post-saturation regimes).
@@ -124,7 +117,7 @@ class FigureGeometry:
 
 
 def figure_geometry(figure: str) -> FigureGeometry:
-    paper_n, paper_clan, clans = FIGURE_SCALES[figure]
+    paper_n, paper_clan, clans = PAPER_SCALES[figure]
     return FigureGeometry(
         figure=figure,
         n=scaled(paper_n, minimum=7),
@@ -248,7 +241,7 @@ def fig5_curve(
 
 def fig5_model_curve(figure: str, loads: list[int] | None = None) -> list[dict]:
     """Fig. 5 panel from the analytical model at exact paper scale."""
-    paper_n, paper_clan, clans = FIGURE_SCALES[figure]
+    paper_n, paper_clan, clans = PAPER_SCALES[figure]
     loads = loads if loads is not None else PAPER_LOADS
     model = AnalyticalModel(n=paper_n)
     rows: list[ModelPoint] = []

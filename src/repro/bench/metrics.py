@@ -84,7 +84,7 @@ def measure_run(
     commit_at: dict[bytes, float] = {}
     seen_by: dict[bytes, int] = {}
     for node_id in honest:
-        for vertex, when in deployment.nodes[node_id].ordered_log:
+        for vertex, when in deployment.commits.entries(node_id):
             digest = vertex.block_digest
             if digest is None:
                 continue

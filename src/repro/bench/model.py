@@ -196,5 +196,6 @@ class AnalyticalModel:
 #: The paper's load sweep (§7 methodology).
 PAPER_LOADS = [1, 32, 63, 125, 250, 500, 1000, 1500, 2000, 3000, 4000, 5000, 6000]
 
-#: Paper configurations: (n, single-clan size, multi-clan count or None).
+#: Paper figure geometries: figure -> (n, single-clan size, multi-clan
+#: count or None).  The model and the simulation benches share this table.
 PAPER_SCALES = {"fig5a": (50, 32, None), "fig5b": (100, 60, None), "fig5c": (150, 80, 2)}

@@ -22,7 +22,6 @@ from ..consensus.byzantine import (
     WithholdingProposer,
 )
 from ..consensus.deployment import Deployment
-from ..consensus.oracle import order_prefix
 from ..consensus.params import ProtocolParams
 from ..errors import ConfigError, ConsensusError
 from ..net.faults import (
@@ -178,8 +177,9 @@ def run_scenario(
         checks.append(InvariantCheck(name, ok, detail))
 
     # -- safety: prefix-consistent, byte-identical committed prefixes -------
+    commits = deployment.commits
     try:
-        shared_prefix = order_prefix(deployment.nodes[i] for i in honest)
+        shared_prefix = commits.shared_prefix(honest)
         check(
             "safety", True,
             f"{len(honest)} honest logs prefix-consistent; "
@@ -190,7 +190,7 @@ def run_scenario(
         check("safety", False, str(exc))
 
     # -- liveness: progress, and progress after the last fault settles ------
-    min_ordered = min(len(deployment.nodes[i].ordered_log) for i in honest)
+    min_ordered = min(commits.count(i) for i in honest)
     check(
         "liveness.commits",
         min_ordered >= scenario.min_commits,
@@ -199,8 +199,8 @@ def run_scenario(
     settle = scenario.settle_time
     stalled = []
     for i in honest:
-        log = deployment.nodes[i].ordered_log
-        if not log or log[-1][1] <= settle:
+        last = commits.last_time(i)
+        if last is None or last <= settle:
             stalled.append(i)
     check(
         "liveness.post-settle",

@@ -2,7 +2,7 @@
 
 This is the entry point tests, examples, and the benchmark harness share:
 build a :class:`Deployment` from a :class:`~repro.committees.ClanConfig`, a
-latency model, and a workload; run the simulator; inspect ordered logs.
+latency model, and a workload; run the simulator; read the commit record.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..types import NodeId, Round
 from .byzantine import ByzantineBehavior
 from .leader import LeaderSchedule
 from .node import SailfishNode
-from .oracle import order_prefix
+from .oracle import PrefixOracle, same_vertex
 from .params import ProtocolParams
 
 MakeBlock = Callable[[NodeId, Round, float], Block | None]
@@ -94,6 +94,8 @@ class Deployment:
             raise ConsensusError(
                 f"{faulty} faulty nodes exceed the bound f={clan_cfg.f}"
             )
+        #: The one commit record every node writes its total order into.
+        self.commits = PrefixOracle(self.crashed | set(self.byzantine), same_vertex)
         self.nodes: list[SailfishNode] = []
         for node_id in range(n):
             node = SailfishNode(
@@ -104,6 +106,7 @@ class Deployment:
                 self.pki,
                 self.schedule,
                 self.params,
+                self.commits,
                 make_block=make_block,
                 clan_schedule=clan_schedule,
             )
@@ -142,19 +145,14 @@ class Deployment:
 
     # -- safety/liveness inspection helpers ------------------------------------
 
-    def ordered_logs(self) -> dict[NodeId, list[tuple[Round, NodeId]]]:
-        """Ordered vertex keys per honest node."""
-        return {i: self.nodes[i].ordered_keys() for i in self.honest_ids}
-
     def check_total_order_consistency(self) -> int:
-        """Raise unless the honest nodes' ordered logs are prefix-consistent;
+        """Raise unless the honest nodes' orders are prefix-consistent;
         return the length of the prefix they all share."""
-        return order_prefix(self.nodes[i] for i in self.honest_ids)
+        return self.commits.shared_prefix(self.honest_ids)
 
     def min_ordered(self) -> int:
-        return min(len(self.nodes[i].ordered_log) for i in self.honest_ids)
+        return min(self.commits.count(i) for i in self.honest_ids)
 
     def ordered_vertices_everywhere(self) -> list[Vertex]:
         """Vertices ordered by every honest node (the common prefix)."""
-        shared = self.check_total_order_consistency()
-        return self.nodes[self.honest_ids[0]].ordered_vertices[:shared]
+        return self.commits.canonical[: self.check_total_order_consistency()]

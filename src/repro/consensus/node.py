@@ -62,11 +62,9 @@ class SailfishNode:
         pki: Pki,
         schedule: LeaderSchedule,
         params: ProtocolParams,
+        commits,
         make_block: Callable[[NodeId, Round, float], Block | None] | None = None,
-        on_ordered: OrderedHook | None = None,
-        on_block_ready: Callable[["SailfishNode", Block], None] | None = None,
         clan_schedule=None,
-        tracer=None,
     ) -> None:
         self.node_id = node_id
         self.cfg = clan_cfg
@@ -80,14 +78,18 @@ class SailfishNode:
         self.pki = pki
         self.schedule = schedule
         self.params = params
+        #: The deployment's commit record (a
+        #: :class:`~repro.consensus.oracle.PrefixOracle`), shared by every
+        #: node: ``_commit_chain`` records each ordered vertex there.
+        self.commits = commits
         self.make_block = make_block
-        self.on_ordered = on_ordered
-        self.on_block_ready = on_block_ready
+        self.on_ordered: OrderedHook | None = None
+        self.on_block_ready: Callable[["SailfishNode", Block], None] | None = None
         #: Hook invoked on every round entry: (node, round, time).  Used by
         #: the forensics stall watchdog; never scheduled, so attaching it
         #: cannot perturb the simulation.
         self.on_round: Callable[["SailfishNode", Round, float], None] | None = None
-        self.tracer = tracer if tracer is not None else network.tracer
+        self.tracer = network.tracer
         self._round_entered_at: float | None = None
 
         #: Sparse-edge mode (Clownfish-style): non-leader vertices reference
@@ -143,8 +145,6 @@ class SailfishNode:
         self.timeout_fired: set[Round] = set()
         self.last_committed_round: Round = 0
         self.committed_leaders: list[Vertex] = []
-        #: (vertex, simulated commit time) in total order.
-        self.ordered_log: list[tuple[Vertex, float]] = []
         #: Blocks available locally, by digest (clan duty).
         self.blocks: dict[bytes, Block] = {}
         self._timer = Timer(sim, params.leader_timeout, self._on_timeout)
@@ -477,14 +477,14 @@ class SailfishNode:
                 chain.append(candidate)
                 current = candidate
         now = self.sim.now
-        ordered = 0
-        first_new = len(self.ordered_log)
+        record = self.commits.record
+        ordered: list[Vertex] = []
         for leader_vertex in reversed(chain):
             newly = self.ordering.order_leader(leader_vertex)
             self.committed_leaders.append(leader_vertex)
-            ordered += len(newly)
+            ordered += newly
             for vertex in newly:
-                self.ordered_log.append((vertex, now))
+                record(self.node_id, vertex, now)
                 if self.on_ordered is not None:
                     self.on_ordered(self, vertex, now)
                 if self._prefix:
@@ -494,12 +494,13 @@ class SailfishNode:
             if verbose:
                 self.tracer.counter(
                     "consensus.commit", node=self.node_id, time=now,
-                    anchor_round=anchor.round, depth=len(chain), ordered=ordered,
+                    anchor_round=anchor.round, depth=len(chain),
+                    ordered=len(ordered),
                 )
             # Per-block ordering events feed the forensics critical path:
             # when did *this node* place each block into the total order?
             # Sampled mode keeps them only for vertices on a sampled trace.
-            for vertex, _ in self.ordered_log[first_new:]:
+            for vertex in ordered:
                 ctx = self.tracer.ctx(
                     ("vdeliv", vertex.round, vertex.source, self.node_id)
                 )
@@ -757,8 +758,9 @@ class SailfishNode:
     # -- inspection --------------------------------------------------------------------
 
     @property
-    def ordered_vertices(self) -> list[Vertex]:
-        return [v for v, _ in self.ordered_log]
-
-    def ordered_keys(self) -> list[tuple[Round, NodeId]]:
-        return [v.key for v, _ in self.ordered_log]
+    def ordered_log(self) -> list[tuple[Vertex, float]]:
+        """``(vertex, commit time)`` in this node's total order, rebuilt from
+        the commit record on every read.  It exists only because the frozen
+        benchmark harness, ``benchmarks/perf/workloads.py``, reads it; code
+        in this repository reads the record (``self.commits``)."""
+        return list(self.commits.entries(self.node_id))

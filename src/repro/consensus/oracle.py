@@ -1,10 +1,12 @@
 """The safety oracle: the SMR guarantee, checked in one place.
 
-* **Prefix consistency** — every honest log is a prefix of one canonical
-  sequence.  Logs are fed whole after a run or entry by entry as they grow;
-  an observer is reported once, at the first position where it departs.
-  Checking each log against one sequence, not neighbours against each
-  other, keeps a short log from hiding two longer logs' divergence.
+* **Prefix consistency** — every honest sequence is a prefix of one
+  canonical sequence, checked entry by entry as the sequences grow; an
+  observer is reported once, at the first position where it departs.
+  Checking each sequence against one canonical sequence, not neighbours
+  against each other, keeps a short one from hiding two longer ones'
+  divergence.  A deployment's oracle is its commit record: what every node
+  ordered and when, with the canonical order kept once.
 * **Clan state agreement** — a clan's executors that are honest and up when
   the run ends hold equal states; one that crashed for good is behind, not
   diverged.
@@ -12,61 +14,93 @@
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable
+import operator
+from array import array
+from collections import defaultdict
+from functools import partial
+from itertools import chain, islice
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from ..errors import ConsensusError
 from ..types import NodeId
 
 
-class PrefixOracle:
-    """One canonical sequence, and how far each observer has followed it."""
+def same_vertex(a, b) -> bool:
+    """The same object, or the same key and the same vertex digest."""
+    return a is b or (a.key == b.key and a.vertex_digest() == b.vertex_digest())
 
-    def __init__(self) -> None:
+
+class PrefixOracle:
+    """One canonical sequence, how far each observer has followed it, and
+    when it recorded each entry.
+
+    An observer in ``outsiders`` (a faulty node) never extends the canonical
+    sequence: it keeps its entries in a tail of its own, as does an observer
+    from the position where it departs.  Entries compare with ``same``.
+    """
+
+    def __init__(
+        self, outsiders: Iterable[Hashable] = (), same: Callable = operator.eq
+    ) -> None:
         self.canonical: list = []
         self.position: dict[Hashable, int] = {}
-        self._diverged: set = set()
+        self.times: dict[Hashable, array] = defaultdict(partial(array, "d"))
+        self._same = same
+        self._outsiders = frozenset(outsiders)
+        self._tails: dict[Hashable, list] = {o: [] for o in self._outsiders}
+        #: Called as ``(observer, position, expected, got, time)`` when an
+        #: observer departs.
+        self.on_divergence: Callable[..., None] | None = None
 
-    def observe(self, observer: Hashable, items: Iterable) -> tuple[int, Any] | None:
-        """Feed ``observer``'s next entries.  The first departure from the
-        canonical sequence is returned as ``(position, expected)``, and the
-        observer is not followed past it."""
-        if observer in self._diverged:
-            return None
+    def record(self, observer: Hashable, item, now: float) -> None:
+        """``observer``'s next entry is ``item``, recorded at ``now``."""
+        self.times[observer].append(now)
+        tail = self._tails.get(observer)
+        if tail is not None:
+            tail.append(item)
+            return
         canonical = self.canonical
         pos = self.position.get(observer, 0)
-        for item in items:
-            if pos == len(canonical):
-                canonical.append(item)
-            elif canonical[pos] != item:
-                self._diverged.add(observer)
-                return pos, canonical[pos]
-            pos += 1
-        self.position[observer] = pos
-        return None
+        if pos == len(canonical):
+            canonical.append(item)
+        elif not self._same(canonical[pos], item):
+            self.position[observer] = pos
+            self._tails[observer] = [item]
+            if self.on_divergence is not None:
+                self.on_divergence(observer, pos, canonical[pos], item, now)
+            return
+        self.position[observer] = pos + 1
 
+    def count(self, observer: Hashable) -> int:
+        return self.position.get(observer, 0) + len(self._tails.get(observer, ()))
 
-def common_prefix(logs: Iterable[tuple[Hashable, Iterable]]) -> int:
-    """Stream each ``(observer, log)`` through one oracle.  Raises
-    :class:`ConsensusError` at the first divergence; otherwise returns the
-    length of the prefix every log shares."""
-    oracle = PrefixOracle()
-    for observer, log in logs:
-        divergence = oracle.observe(observer, log)
-        if divergence is not None:
-            pos, expected = divergence
-            raise ConsensusError(
-                f"order divergence at position {pos}: node {observer} departs "
-                f"from the canonical order, which has {expected}"
-            )
-    return min(oracle.position.values(), default=0)
+    def entries(self, observer: Hashable) -> Iterator[tuple[Any, float]]:
+        """``observer``'s entries in its order, each with its time."""
+        return zip(
+            chain(
+                islice(self.canonical, self.position.get(observer, 0)),
+                self._tails.get(observer, ()),
+            ),
+            self.times.get(observer, ()),
+        )
 
+    def last_time(self, observer: Hashable) -> float | None:
+        times = self.times.get(observer)
+        return times[-1] if times else None
 
-def order_prefix(nodes) -> int:
-    """:func:`common_prefix` over consensus nodes' ordered vertex keys."""
-    return common_prefix(
-        (node.node_id, (vertex.key for vertex, _ in node.ordered_log))
-        for node in nodes
-    )
+    def shared_prefix(self, observers: Iterable[Hashable]) -> int:
+        """Raise :class:`ConsensusError` if one of ``observers`` departed;
+        otherwise return the length of the prefix they all share."""
+        observers = list(observers)
+        for observer in observers:
+            if observer in self._tails and observer not in self._outsiders:
+                pos = self.position[observer]
+                expected = getattr(self.canonical[pos], "key", self.canonical[pos])
+                raise ConsensusError(
+                    f"order divergence at position {pos}: node {observer} departs "
+                    f"from the canonical order, which has {expected}"
+                )
+        return min((self.count(o) for o in observers), default=0)
 
 
 def clan_states(runtime, clan_idx: int) -> dict[bytes, list[NodeId]]:

@@ -21,15 +21,13 @@ class OrderingEngine:
 
     def __init__(self, store: DagStore) -> None:
         self.store = store
-        self.ordered: list[Vertex] = []
+        #: How many vertices this party has ordered (the order itself goes to
+        #: the deployment's commit record).
+        self.count = 0
         #: The ordered set as per-round bitmasks — the stop structure the
         #: bitmap store prunes with directly, and what ``is_ordered`` reads.
         self._ordered_masks: dict[Round, int] = {}
         self._last_leader_round: Round = 0
-
-    @property
-    def last_leader_round(self) -> Round:
-        return self._last_leader_round
 
     def order_leader(self, leader: Vertex) -> list[Vertex]:
         """Order ``leader``'s causal history; returns the newly ordered suffix.
@@ -49,13 +47,9 @@ class OrderingEngine:
         masks = self._ordered_masks
         for vertex in history:
             masks[vertex.round] = masks.get(vertex.round, 0) | (1 << vertex.source)
-        self.ordered.extend(history)
+        self.count += len(history)
         self._last_leader_round = leader.round
         return history
 
     def is_ordered(self, vertex: Vertex) -> bool:
         return bool(self._ordered_masks.get(vertex.round, 0) >> vertex.source & 1)
-
-    @property
-    def count(self) -> int:
-        return len(self.ordered)

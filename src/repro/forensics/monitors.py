@@ -6,9 +6,10 @@ the simulation:
 * **Stall watchdog** — tracks every honest node's last round entry; when the
   tribe advances while a live node has not entered a round for
   ``stall_factor × leader_timeout``, a ``liveness`` anomaly names the laggard.
-* **Commit-prefix safety monitor** — feeds every honest node's ordered
-  vertices to the safety oracle (:mod:`repro.consensus.oracle`); the first
-  divergence is a ``safety`` anomaly.
+* **Commit-prefix safety monitor** — listens on the deployment's commit
+  record (:class:`~repro.consensus.oracle.PrefixOracle`, which every node
+  orders into); an honest node's first departure from its canonical
+  sequence is a ``safety`` anomaly.
 * **Clan health monitor** (SMR runtimes) — watches each clan's live-executor
   margin against the client quorum ``f_c + 1`` on crashes, and feeds each
   executor's block sequence to its clan's oracle.
@@ -68,8 +69,7 @@ class MonitorSuite:
         self._last_round: dict[int, tuple[int, float]] = {}
         self._stall_flagged: set[tuple[int, int]] = set()
         self._next_stall_scan = 0.0
-        # Safety oracles: ordered vertex keys; executed blocks per clan.
-        self._order = PrefixOracle()
+        # Safety oracles of executed blocks, one per clan.
         self._executed: dict[int, PrefixOracle] = {}
         # Clan health state.
         self._clan_flagged: set[tuple[int, int]] = set()
@@ -85,6 +85,7 @@ class MonitorSuite:
         if self._deployment is not None:
             raise ValueError("monitor suite already attached")
         self._deployment = deployment
+        deployment.commits.on_divergence = self._on_divergence
         honest = set(deployment.honest_ids)
         for node in deployment.nodes:
             node_id = node.node_id
@@ -116,7 +117,14 @@ class MonitorSuite:
         """Hook everything, plus the clan health monitor, into an SMR runtime."""
         self.attach(runtime.deployment)
         self._runtime = runtime
-        self._executed = {i: PrefixOracle() for i in range(runtime.cfg.num_clans)}
+        for clan_idx in range(runtime.cfg.num_clans):
+            oracle = self._executed[clan_idx] = PrefixOracle()
+            oracle.on_divergence = (
+                lambda node_id, pos, expected, got, now, clan=clan_idx: self._raise(
+                    "clan.execution_divergence", "safety", node_id, now,
+                    clan=clan, position=pos, expected=expected, got=got,
+                )
+            )
         for executor in runtime.executors.values():
             executor.on_executed = self._on_executed
         return self
@@ -173,16 +181,22 @@ class MonitorSuite:
 
     # -- commit-prefix safety monitor ---------------------------------------
 
+    def _on_divergence(self, node_id, pos: int, expected, got, now: float) -> None:
+        """The commit record's report of an honest node's first departure.
+        ``expected``/``got`` are ``[round, source]``, plus each vertex
+        digest's first 12 hex digits when the keys agree."""
+        expected_id, got_id = list(expected.key), list(got.key)
+        if expected_id == got_id:
+            expected_id.append(expected.vertex_digest().hex()[:12])
+            got_id.append(got.vertex_digest().hex()[:12])
+        self._raise(
+            "commit.prefix_divergence", "safety", node_id, now,
+            position=pos, expected=expected_id, got=got_id,
+        )
+
     def _on_ordered(self, node, vertex, now: float, prev) -> None:
-        node_id, key = node.node_id, vertex.key
-        divergence = self._order.observe(node_id, (key,))
-        if divergence is not None:
-            pos, expected = divergence
-            self._raise(
-                "commit.prefix_divergence", "safety", node_id, now,
-                position=pos, expected=list(expected), got=list(key),
-            )
-        self.recorder.note(node_id, now, "ordered", round=key[0], source=key[1])
+        key = vertex.key
+        self.recorder.note(node.node_id, now, "ordered", round=key[0], source=key[1])
         if prev is not None:
             prev(node, vertex, now)
 
@@ -191,13 +205,7 @@ class MonitorSuite:
     def _on_executed(self, node_id: int, block, now: float) -> None:
         clan_idx = self._runtime.cfg.clan_index_of(node_id)
         digest = block.payload_digest().hex()
-        divergence = self._executed[clan_idx].observe(node_id, (digest,))
-        if divergence is not None:
-            pos, expected = divergence
-            self._raise(
-                "clan.execution_divergence", "safety", node_id, now,
-                clan=clan_idx, position=pos, expected=expected, got=digest,
-            )
+        self._executed[clan_idx].record(node_id, digest, now)
         self.recorder.note(node_id, now, "executed", digest=digest[:12])
 
     def _check_clan_margins(self, now: float) -> None:

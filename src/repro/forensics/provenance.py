@@ -181,12 +181,6 @@ class ProvenanceIndex:
                 return self.commits[key]
         return None
 
-    def commit_of_txn(self, txn_id: str) -> Commit | None:
-        txn = self.txns.get(txn_id)
-        if txn is None or txn.commit_key is None:
-            return None
-        return self.commits.get(txn.commit_key)
-
 
 def build_provenance(rows: Iterable[dict[str, Any]]) -> ProvenanceIndex:
     """One streaming pass over raw record dicts → a provenance index."""

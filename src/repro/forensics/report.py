@@ -42,14 +42,6 @@ class Forensics:
     def safety_anomalies(self) -> list[dict[str, Any]]:
         return [a for a in self.anomalies if a.get("kind") == "safety"]
 
-    def anomaly_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for anomaly in self.anomalies:
-            counts[anomaly.get("kind", "info")] = (
-                counts.get(anomaly.get("kind", "info"), 0) + 1
-            )
-        return counts
-
 
 def build_forensics(source: str | Iterable[dict[str, Any]]) -> Forensics:
     """Build the report model from a trace path or an iterable of dicts."""

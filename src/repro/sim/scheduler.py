@@ -485,10 +485,6 @@ class Simulator:
             self._order = list(range(0, len(kept), 3))
         self._cursor = 0
 
-    def run_until_idle(self, max_events: int | None = None) -> None:
-        """Run until no events remain (alias of ``run()`` with a guard)."""
-        self.run(until=None, max_events=max_events)
-
 
 def _live(slots: list, indices) -> list[int]:
     """The ``indices`` (first slots) of ``slots``' events that are not

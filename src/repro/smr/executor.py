@@ -53,10 +53,6 @@ class Executor:
         #: (node_id, block, time).  Never scheduled — purely synchronous.
         self.on_executed = None
 
-    @property
-    def executes_anything(self) -> bool:
-        return self._my_clan is not None
-
     def on_ordered(self, vertex: Vertex, now: float) -> None:
         """Feed one newly ordered vertex (call in total order)."""
         if vertex.block_digest is None:

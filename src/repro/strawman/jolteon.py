@@ -433,11 +433,3 @@ class JolteonNode:
             self.committed.append((item, now))
             if self.on_commit is not None:
                 self.on_commit(item, now)
-
-    # -- inspection --------------------------------------------------------------------
-
-    def committed_poas(self) -> list[PoA]:
-        result = []
-        for proposal, _ in self.committed:
-            result.extend(proposal.batch)
-        return result

@@ -101,3 +101,23 @@ def test_output_has_no_core_speed_section(fast_measures, tmp_path):
     out = tmp_path / "perf.json"
     assert fast_measures.main(["--out", str(out)]) == 0
     assert "core_speed" not in json.loads(out.read_text())
+
+
+def test_compare_without_out_leaves_the_baseline_untouched(
+    fast_measures, tmp_path, monkeypatch
+):
+    # Run where the committed baseline lives, as a local gate run would.
+    monkeypatch.chdir(tmp_path)
+    baseline = tmp_path / "BENCH_perf.json"
+    baseline.write_text(json.dumps({
+        "cpus": 1,
+        "grid": {"skipped": "needs >= 2 CPUs"},
+        "sparse_smoke": {
+            "n": 150, "edge_mode": "sparse", "events": 1000,
+            "wall_s": 0.1, "events_per_sec": 10000.0,
+        },
+    }, indent=2))
+    before = baseline.read_bytes()
+    assert fast_measures.main(["--check", "--compare", str(baseline)]) == 0
+    assert baseline.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_perf.json"]

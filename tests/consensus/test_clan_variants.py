@@ -91,7 +91,7 @@ def test_single_clan_vertex_only_nodes_still_vote(run):
     outsider = next(i for i in range(10) if i not in cfg.clan(0))
     node = dep.nodes[outsider]
     assert node.round > 10  # fully participates in consensus
-    assert node.ordered_log  # and learns the global order
+    assert dep.commits.count(outsider)  # and learns the global order
 
 
 def test_clan_latency_beats_baseline_under_load(run):
@@ -103,9 +103,8 @@ def test_clan_latency_beats_baseline_under_load(run):
     clan_dep, clan_wl = run(ClanConfig.single_clan(10, 5, seed=1), **kwargs)
 
     def avg_latency(dep, workload):
-        node = dep.nodes[dep.honest_ids[0]]
         samples = []
-        for vertex, committed_at in node.ordered_log:
+        for vertex, committed_at in dep.commits.entries(dep.honest_ids[0]):
             if vertex.block_digest is None:
                 continue
             _, created_at = workload.blocks[vertex.block_digest]

@@ -6,6 +6,7 @@ from repro.committees import ClanConfig
 from repro.consensus import Deployment, ProtocolParams
 from repro.consensus.byzantine import SilentNode
 from repro.errors import ConsensusError
+from repro.forensics.monitors import MonitorSuite
 from repro.smr.mempool import SyntheticWorkload
 
 
@@ -42,25 +43,36 @@ def test_ordered_vertices_everywhere_is_common_prefix():
     deployment.start()
     deployment.run(until=4.0, max_events=5_000_000)
     common = deployment.ordered_vertices_everywhere()
-    shortest = min(len(deployment.nodes[i].ordered_log) for i in range(4))
-    assert len(common) == shortest
+    assert len(common) == deployment.min_ordered()
     for i in range(4):
-        prefix = [v.key for v in deployment.nodes[i].ordered_vertices[: len(common)]]
-        assert prefix == [v.key for v in common]
+        ordered = [v for v, _ in deployment.commits.entries(i)]
+        assert ordered[: len(common)] == common
 
 
 def test_consistency_check_detects_divergence():
     deployment = Deployment(ClanConfig.baseline(4))
+    suite = MonitorSuite().attach(deployment)
     deployment.start()
     deployment.run(until=2.0, max_events=5_000_000)
-    # Forge a divergence on one node's log.
-    node = deployment.nodes[2]
-    assert node.ordered_log
-    vertex, when = node.ordered_log[0]
-    other = deployment.nodes[3].ordered_log[1][0]
-    node.ordered_log[0] = (other, when)
-    with pytest.raises(ConsensusError):
+    commits = deployment.commits
+    pos = commits.count(2)
+    assert pos > 1 and commits.count(3) == pos
+    before = deployment.nodes[2].ordered_log
+    first, second = commits.canonical[0], commits.canonical[1]
+    # Node 3 orders one more vertex; node 2 orders a different one there,
+    # and goes on ordering past its departure.
+    commits.record(3, first, 2.0)
+    commits.record(2, second, 2.0)
+    commits.record(2, first, 2.1)
+    (anomaly,) = suite.safety_anomalies
+    assert (anomaly.name, anomaly.node) == ("commit.prefix_divergence", 2)
+    assert anomaly.attrs == {
+        "position": pos, "expected": list(first.key), "got": list(second.key),
+    }
+    with pytest.raises(ConsensusError, match=f"position {pos}: node 2"):
         deployment.check_total_order_consistency()
+    # The departed node's view is still exactly what it recorded.
+    assert deployment.nodes[2].ordered_log == before + [(second, 2.0), (first, 2.1)]
 
 
 def test_deployment_with_zero_block_factory():

@@ -27,14 +27,13 @@ def test_liveness_with_leader_crash_mid_run(run):
     assert dep.min_ordered() > 30
     # The crashed node's pre-crash vertices may still be ordered; afterwards
     # no vertex from it appears.
-    late = [v for v, t in dep.nodes[0].ordered_log if v.source == 4 and t > 10.0]
+    late = [v for v, t in dep.commits.entries(0) if v.source == 4 and t > 10.0]
     assert all(v.round < 50 for v in late)
 
 
 def test_no_vote_certificates_used_after_leader_crash(run):
     dep, _ = run(ClanConfig.baseline(7), until=20.0, crashed={3})
-    node = dep.nodes[0]
-    nvc_vertices = [v for v in node.ordered_vertices if v.nvc is not None]
+    nvc_vertices = [v for v, _ in dep.commits.entries(0) if v.nvc is not None]
     # Node 3 leads some rounds; every successor leader must embed an NVC.
     assert nvc_vertices, "expected NVC-bearing leader vertices after crashes"
     for vertex in nvc_vertices:
@@ -50,7 +49,7 @@ def test_equivocating_proposer_cannot_split_order(run):
     assert dep.min_ordered() > 20
     # At most one version of each equivocated vertex is ever ordered.
     for i in dep.honest_ids:
-        keys = dep.nodes[i].ordered_keys()
+        keys = [v.key for v, _ in dep.commits.entries(i)]
         assert len(keys) == len(set(keys))
 
 
@@ -75,7 +74,7 @@ def test_silent_node_does_not_block_progress(run):
     dep, _ = run(ClanConfig.baseline(7), until=20.0, byzantine={2: SilentNode()})
     dep.check_total_order_consistency()
     assert dep.min_ordered() > 30
-    assert all(v.source != 2 for v in dep.nodes[0].ordered_vertices)
+    assert all(v.source != 2 for v, _ in dep.commits.entries(0))
 
 
 def test_lazy_voter_delays_but_does_not_stop_commits(run):
@@ -133,7 +132,7 @@ def test_progress_resumes_after_gst():
         params=ProtocolParams(leader_timeout=3.0),
     )
     dep.check_total_order_consistency()
-    post_gst = [t for _, t in dep.nodes[0].ordered_log if t > 6.0]
+    post_gst = [t for _, t in dep.commits.entries(0) if t > 6.0]
     assert len(post_gst) > 20
 
 

@@ -75,10 +75,9 @@ def test_throughput_conservation(seed):
     cfg = ClanConfig.single_clan(10, 5, seed=seed)
     deployment, workload = run(cfg, seed)
     created = sum(count for count, _ in workload.blocks.values())
-    node = deployment.nodes[deployment.honest_ids[0]]
     ordered = sum(
         workload.blocks[v.block_digest][0]
-        for v, _ in node.ordered_log
+        for v, _ in deployment.commits.entries(deployment.honest_ids[0])
         if v.block_digest is not None
     )
     assert ordered <= created

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from repro.committees import ClanConfig
 from repro.consensus import Deployment
-from repro.consensus.oracle import PrefixOracle, common_prefix
+from repro.consensus.oracle import PrefixOracle
+from repro.dag.vertex import Vertex
 from repro.errors import ConsensusError
 from repro.net.faults import ChurnSchedule
 from repro.smr.runtime import SmrRuntime
 
 
 def forge_logs(deployment, logs):
-    for node, keys in zip(deployment.nodes, logs):
-        node.ordered_log = [(SimpleNamespace(key=key), 0.0) for key in keys]
+    """Record each node's log, one stand-in vertex per key."""
+    vertices = {}
+    for node_id, keys in enumerate(logs):
+        for key in keys:
+            vertex = vertices.setdefault(key, SimpleNamespace(key=key))
+            deployment.commits.record(node_id, vertex, 0.0)
 
 
 def test_short_log_between_divergent_logs_is_caught():
@@ -58,13 +63,56 @@ def test_member_that_stays_down_is_not_a_divergent_replica():
     runtime.check_execution_consistency()
 
 
+def feed(oracle, observer, items, now=0.0):
+    for item in items:
+        oracle.record(observer, item, now)
+
+
 def test_diverged_observer_is_reported_once():
     oracle = PrefixOracle()
-    assert oracle.observe("a", "xyz") is None
-    assert oracle.observe("b", "xq") == (1, "y")
-    assert oracle.observe("b", "z") is None
-    assert oracle.observe("c", "xyzw") is None
+    departures = []
+    oracle.on_divergence = lambda *args: departures.append(args)
+    feed(oracle, "a", "xyz")
+    feed(oracle, "b", "xq", now=1.0)
+    assert departures == [("b", 1, "y", "q", 1.0)]
+    feed(oracle, "b", "z")
+    feed(oracle, "c", "xyzw")
+    assert len(departures) == 1
     assert oracle.canonical == list("xyzw")
+    assert [item for item, _ in oracle.entries("b")] == list("xqz")
+
+
+def test_same_key_with_another_digest_is_a_divergence():
+    # Keys alone agree here; the vertices do not.
+    ordered = Vertex(1, 0, b"block-a", ())
+    same = Vertex(1, 0, b"block-a", ())
+    other = Vertex(1, 0, b"block-b", ())
+    oracle = PrefixOracle()
+    departures = []
+    oracle.on_divergence = lambda *args: departures.append(args)
+    oracle.record(0, ordered, 1.0)
+    oracle.record(1, same, 1.1)  # an equal copy follows the canonical entry
+    oracle.record(2, other, 1.2)
+    assert departures == [(2, 0, ordered, other, 1.2)]
+    assert oracle.shared_prefix([0, 1]) == 1
+    with pytest.raises(ConsensusError, match="position 0: node 2"):
+        oracle.shared_prefix([0, 1, 2])
+    assert list(oracle.entries(2)) == [(other, 1.2)]
+
+
+def test_outsiders_keep_their_own_order_and_times():
+    a, b = Vertex(1, 0, None, ()), Vertex(1, 1, None, ())
+    oracle = PrefixOracle(outsiders=[9])
+    oracle.on_divergence = lambda *args: pytest.fail("outsiders never depart")
+    oracle.record(9, b, 0.5)
+    oracle.record(0, a, 1.0)
+    oracle.record(0, b, 2.0)
+    oracle.record(9, a, 2.5)
+    assert oracle.canonical == [a, b]
+    assert list(oracle.entries(0)) == [(a, 1.0), (b, 2.0)]
+    assert list(oracle.entries(9)) == [(b, 0.5), (a, 2.5)]
+    assert (oracle.count(9), oracle.last_time(9), oracle.last_time(3)) == (2, 2.5, None)
+    assert oracle.shared_prefix([0, 9]) == 2
 
 
 # -- property: one canonical sequence == every pair compared ------------------
@@ -105,8 +153,12 @@ def brute_force(logs):
 
 
 def post_hoc(logs):
+    """Feed each log whole, then ask for the shared prefix."""
+    oracle = PrefixOracle()
+    for observer, log in enumerate(logs):
+        feed(oracle, observer, log)
     try:
-        return common_prefix(enumerate(logs))
+        return oracle.shared_prefix(range(len(logs)))
     except ConsensusError:
         return None
 
@@ -114,20 +166,23 @@ def post_hoc(logs):
 def online(logs, order):
     """Feed the logs entry by entry in the interleaving ``order``."""
     oracle = PrefixOracle()
+    departures = []
+    oracle.on_divergence = lambda *args: departures.append(args)
     cursor = [0] * len(logs)
-    diverged = False
     for observer in order:
         entry = logs[observer][cursor[observer]]
         cursor[observer] += 1
-        divergence = oracle.observe(observer, (entry,))
-        if divergence is not None:
-            position, expected = divergence
-            assert position == cursor[observer] - 1
+        reported = len(departures)
+        oracle.record(observer, entry, 0.0)
+        if len(departures) > reported:
+            _, position, expected, got, _ = departures[-1]
+            assert (position, got) == (cursor[observer] - 1, entry)
             assert expected != entry
-            diverged = True
-    if diverged:
+    for observer, log in enumerate(logs):
+        assert [item for item, _ in oracle.entries(observer)] == log
+    if departures:
         return None
-    return min((oracle.position.get(i, 0) for i in range(len(logs))), default=0)
+    return min((oracle.count(i) for i in range(len(logs))), default=0)
 
 
 @settings(max_examples=300, deadline=None)

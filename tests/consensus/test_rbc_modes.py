@@ -25,7 +25,7 @@ from .conftest import run_deployment
 
 
 def _ordered_keys(deployment, nodes):
-    return {i: deployment.nodes[i].ordered_keys() for i in nodes}
+    return {i: [v.key for v, _ in deployment.commits.entries(i)] for i in nodes}
 
 
 def _owes(rbc):
@@ -233,7 +233,9 @@ class TestDeterminism:
                 )
                 dep.start()
                 dep.run(until=5.0, max_events=10_000_000)
-                logs.append([n.ordered_keys() for n in dep.nodes])
+                logs.append(
+                    [[v.key for v, _ in dep.commits.entries(i)] for i in range(4)]
+                )
             assert logs[0] == logs[1], mode
 
 

@@ -36,10 +36,9 @@ def test_every_honest_vertex_eventually_ordered(run):
 def test_leader_commit_latency_is_3_delta(run):
     """Leader vertices commit ~3δ after proposal; non-leaders ~5δ (paper §7)."""
     dep, workload = run(ClanConfig.baseline(7), until=5.0, txns=2)
-    node = dep.nodes[0]
     delta = 0.05
     leader_lat, nonleader_lat = [], []
-    for vertex, committed_at in node.ordered_log:
+    for vertex, committed_at in dep.commits.entries(0):
         if vertex.block_digest is None:
             continue
         _, created_at = workload.blocks[vertex.block_digest]
@@ -59,16 +58,16 @@ def test_leader_commit_latency_is_3_delta(run):
 def test_total_order_has_no_duplicates(run):
     dep, _ = run(ClanConfig.baseline(4), until=5.0)
     for node in dep.nodes:
-        keys = node.ordered_keys()
+        keys = [v.key for v, _ in dep.commits.entries(node.node_id)]
         assert len(keys) == len(set(keys))
 
 
 def test_order_respects_causality(run):
     """A vertex never precedes any of its ancestors in the total order."""
     dep, _ = run(ClanConfig.baseline(4), until=4.0)
-    node = dep.nodes[1]
-    position = {v.key: i for i, v in enumerate(node.ordered_vertices)}
-    for vertex in node.ordered_vertices:
+    ordered = [v for v, _ in dep.commits.entries(1)]
+    position = {v.key: i for i, v in enumerate(ordered)}
+    for vertex in ordered:
         for ref in vertex.parents():
             if ref.round == 0:
                 continue
@@ -78,8 +77,7 @@ def test_order_respects_causality(run):
 
 def test_vertices_carry_quorum_strong_edges(run):
     dep, _ = run(ClanConfig.baseline(7), until=3.0)
-    node = dep.nodes[0]
-    for vertex in node.ordered_vertices:
+    for vertex, _ in dep.commits.entries(0):
         if vertex.round >= 2:
             assert len(vertex.strong_edges) >= dep.cfg.quorum
 
@@ -90,7 +88,7 @@ def test_deterministic_given_seed():
     logs = []
     for _ in range(2):
         dep, _ = run_deployment(ClanConfig.baseline(4), until=3.0, seed=42)
-        logs.append(dep.nodes[0].ordered_keys())
+        logs.append([v.key for v, _ in dep.commits.entries(0)])
     assert logs[0] == logs[1]
 
 

@@ -19,7 +19,7 @@ from .conftest import run_deployment
 
 
 def _ordered_keys(deployment, nodes):
-    return {i: deployment.nodes[i].ordered_keys() for i in nodes}
+    return {i: [v.key for v, _ in deployment.commits.entries(i)] for i in nodes}
 
 
 class TestSparseEdges:
@@ -42,7 +42,7 @@ class TestSparseEdges:
         quorum = dep.cfg.quorum
         checked_sparse = checked_leader = 0
         store = dep.nodes[0].store
-        max_round = max(v.round for v in dep.nodes[0].ordered_vertices)
+        max_round = max(v.round for v, _ in dep.commits.entries(0))
         for r in range(2, max_round):  # round 1 references genesis (full)
             leader = dep.schedule.leader(r)
             for v in store.round_vertices(r):
@@ -76,8 +76,8 @@ class TestSparseEdges:
         dep_a, _ = run(ClanConfig.baseline(8), until=5.0, params=params)
         dep_b, _ = run(ClanConfig.baseline(8), until=5.0, params=params)
         assert _ordered_keys(dep_a, range(8)) == _ordered_keys(dep_b, range(8))
-        va = {v.key: v.strong_edges for v in dep_a.nodes[0].ordered_vertices}
-        vb = {v.key: v.strong_edges for v in dep_b.nodes[0].ordered_vertices}
+        va = {v.key: v.strong_edges for v, _ in dep_a.commits.entries(0)}
+        vb = {v.key: v.strong_edges for v, _ in dep_b.commits.entries(0)}
         assert va == vb
 
     def test_sparse_shrinks_edge_references(self, run):

@@ -80,7 +80,9 @@ def test_ordered_sequence_never_mutates():
     store = DagStore(N)
     layers = build_rounds(store, 3)
     engine = OrderingEngine(store)
-    engine.order_leader(layers[2][0])
-    snapshot = [v.key for v in engine.ordered]
-    engine.order_leader(layers[3][0])
-    assert [v.key for v in engine.ordered][: len(snapshot)] == snapshot
+    first = engine.order_leader(layers[2][0])
+    later = engine.order_leader(layers[3][0])
+    # A later leader only appends: nothing ordered before is ordered again.
+    assert first and later
+    assert not {v.key for v in first} & {v.key for v in later}
+    assert engine.count == len(first) + len(later)

@@ -113,12 +113,12 @@ def test_prefix_divergence_is_a_safety_anomaly():
     suite = MonitorSuite().attach(deployment)
     v1 = SimpleNamespace(key=(1, 0))
     v2 = SimpleNamespace(key=(1, 2))
-    node0, node1 = deployment.nodes[0], deployment.nodes[1]
-    suite._on_ordered(node0, v1, 1.0, None)
-    suite._on_ordered(node1, v1, 1.1, None)  # agrees
-    suite._on_ordered(node0, v2, 1.2, None)
+    record = deployment.commits.record
+    record(0, v1, 1.0)
+    record(1, v1, 1.1)  # agrees
+    record(0, v2, 1.2)
     divergent = SimpleNamespace(key=(1, 3))
-    suite._on_ordered(node1, divergent, 1.3, None)
+    record(1, divergent, 1.3)
     (anomaly,) = suite.safety_anomalies
     assert anomaly.name == "commit.prefix_divergence"
     assert anomaly.node == 1
@@ -126,7 +126,7 @@ def test_prefix_divergence_is_a_safety_anomaly():
     assert anomaly.attrs["expected"] == [1, 2]
     assert anomaly.attrs["got"] == [1, 3]
     # A diverged node is reported once, not once per subsequent vertex.
-    suite._on_ordered(node1, SimpleNamespace(key=(1, 9)), 1.4, None)
+    record(1, SimpleNamespace(key=(1, 9)), 1.4)
     assert len(suite.safety_anomalies) == 1
 
 
@@ -254,10 +254,8 @@ def test_anomalies_mirrored_to_tracer():
     tracer = Tracer()
     deployment = make_deployment()
     suite = MonitorSuite(tracer=tracer).attach(deployment)
-    suite._on_ordered(deployment.nodes[0], SimpleNamespace(key=(1, 0)), 1.0, None)
-    suite._on_ordered(
-        deployment.nodes[1], SimpleNamespace(key=(1, 3)), 1.1, None
-    )
+    deployment.commits.record(0, SimpleNamespace(key=(1, 0)), 1.0)
+    deployment.commits.record(1, SimpleNamespace(key=(1, 3)), 1.1)
     rows = [r for r in tracer.to_dicts() if r["type"] == "anomaly"]
     assert len(rows) == 1
     assert rows[0]["name"] == "commit.prefix_divergence"
@@ -265,3 +263,19 @@ def test_anomalies_mirrored_to_tracer():
     # Non-info anomalies also produce a flight-recorder bundle.
     assert len(suite.recorder.bundles) == 1
     assert suite.recorder.bundles[0]["reason"] == "commit.prefix_divergence"
+
+
+def test_same_key_divergence_names_both_digests():
+    from repro.dag.vertex import Vertex
+
+    deployment = make_deployment()
+    suite = MonitorSuite().attach(deployment)
+    ordered, other = Vertex(1, 0, b"block-a", ()), Vertex(1, 0, b"block-b", ())
+    deployment.commits.record(0, ordered, 1.0)
+    deployment.commits.record(1, other, 1.1)
+    (anomaly,) = suite.safety_anomalies
+    assert anomaly.attrs == {
+        "position": 0,
+        "expected": [1, 0, ordered.vertex_digest().hex()[:12]],
+        "got": [1, 0, other.vertex_digest().hex()[:12]],
+    }

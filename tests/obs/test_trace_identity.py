@@ -57,7 +57,7 @@ def _run(case: str, sample: float | None) -> tuple:
     dep.start()
     dep.run(until=4.0)
     commits = {
-        i: [(vertex.key, at) for vertex, at in dep.nodes[i].ordered_log]
+        i: [(vertex.key, at) for vertex, at in dep.commits.entries(i)]
         for i in dep.honest_ids
     }
     return measure_run(dep, workload, warmup=0.5, end=4.0).__dict__, commits

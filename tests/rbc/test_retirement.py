@@ -77,7 +77,7 @@ def observe(smr):
     stats = dep.network.stats
     seen = {
         "logs": {
-            i: [(v.key, t) for v, t in dep.nodes[i].ordered_log] for i in honest
+            i: [(v.key, t) for v, t in dep.commits.entries(i)] for i in honest
         },
         "traffic": (
             stats.messages_sent, stats.bytes_sent, stats.bytes_received,

@@ -35,7 +35,7 @@ def fingerprint(deployment):
         deployment.sim.processed_events,
         deployment.network.stats.total_bytes,
         deployment.network.stats.total_messages,
-        tuple(deployment.nodes[0].ordered_keys()),
+        tuple(v.key for v, _ in deployment.commits.entries(0)),
         tuple(node.round for node in deployment.nodes),
     )
 

@@ -12,12 +12,16 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 EXAMPLES = {
-    "quickstart.py": ["replica states: consistent", "accepted=True"],
+    "quickstart.py": [
+        "replica states: consistent", "accepted=True", "vertices ordered: ",
+    ],
     "single_clan_scaling.py": ["of baseline", "outsiders order digests only"],
     "shared_sequencer.py": ["global order interleaves clans"],
     "byzantine_resilience.py": [
         "safety: honest total orders are consistent",
+        "no-vote certificates embedded in leader vertices",
         "pull path",
+        "equivocation: at most one version per (round, source) was ordered",
     ],
     "committee_planner.py": ["projected peak stable throughput"],
     "sharded_blockchain.py": ["decision=commit", "consistent on both shards"],
