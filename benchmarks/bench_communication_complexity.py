@@ -19,7 +19,7 @@ from repro.consensus import Deployment, ProtocolParams
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.bracha import TribeBrachaRbc
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 from repro.smr.mempool import SyntheticWorkload
 
@@ -33,7 +33,8 @@ def _rbc_bytes(n: int, clan_size: int) -> dict:
     net = Network(sim, n, latency=UniformLatencyModel(0.01))
     membership = Membership(n, frozenset(range(clan_size)))
     modules = [
-        TribeBrachaRbc(i, membership, net, sim, lambda d: None) for i in range(n)
+        PlainRbc(i, membership, net, sim, None, lambda d: None, "bracha")
+        for i in range(n)
     ]
     modules[0].broadcast(PAYLOAD, 1)
     sim.run(max_events=1_000_000)

@@ -18,8 +18,7 @@ from repro.crypto.signatures import Pki
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.bracha import TribeBrachaRbc
-from repro.rbc.two_round import TribeTwoRoundRbc
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 from repro.smr.mempool import SyntheticWorkload
 
@@ -30,7 +29,7 @@ CLAN = frozenset(range(10))
 DELTA = 0.05
 
 
-def _run_primitive(protocol_cls, needs_pki):
+def _run_primitive(completion):
     sim = Simulator()
     net = Network(sim, N, latency=UniformLatencyModel(DELTA))
     membership = Membership(N, CLAN)
@@ -43,14 +42,10 @@ def _run_primitive(protocol_cls, needs_pki):
 
         return cb
 
-    modules = []
-    for i in range(N):
-        if needs_pki:
-            modules.append(
-                protocol_cls(i, membership, net, sim, pki, on_deliver(i))
-            )
-        else:
-            modules.append(protocol_cls(i, membership, net, sim, on_deliver(i)))
+    modules = [
+        PlainRbc(i, membership, net, sim, pki, on_deliver(i), completion)
+        for i in range(N)
+    ]
     modules[0].broadcast(b"x" * 1024, 1)
     sim.run(max_events=1_000_000)
     clan_lat = [deliveries[i] for i in CLAN]
@@ -66,9 +61,9 @@ def _run_primitive(protocol_cls, needs_pki):
 def _primitive_rows():
     rows = []
     rows.append({"protocol": "tribe-bracha (Fig.2, 3 rounds)",
-                 **_run_primitive(TribeBrachaRbc, needs_pki=False)})
+                 **_run_primitive("bracha")})
     rows.append({"protocol": "tribe-two-round (Fig.3, 2 rounds)",
-                 **_run_primitive(TribeTwoRoundRbc, needs_pki=True)})
+                 **_run_primitive("two-round")})
     return rows
 
 

@@ -4,8 +4,8 @@ The optimistic protocol bets on the good case: when all n parties ECHO the
 same digest it delivers in 2δ (VAL+ECHO), one message delay ahead of the
 3δ READY path — but every bet it loses costs a fallback timeout.  This bench
 measures where the bet stops paying: a loss-rate × Byzantine sweep of mean
-honest delivery latency for :class:`~repro.rbc.bracha.OptimisticRbc`
-against :class:`~repro.rbc.bracha.TribeBrachaRbc` on identical
+honest delivery latency for :class:`~repro.rbc.plain.PlainRbc` under the
+``optimistic`` completion against the ``bracha`` one (Fig. 2) on identical
 networks (reliable transport over seeded lossy links).
 
 A second lane runs the ``slow-proposer-prefix`` chaos scenario end to end:
@@ -20,7 +20,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.transport import ReliableTransport
 from repro.rbc.base import Membership
-from repro.rbc.bracha import OptimisticRbc, TribeBrachaRbc
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 
 from .conftest import emit, run_once
@@ -55,19 +55,13 @@ def _run_primitive(protocol: str, drop_prob: float, silent_byz: int, seed: int):
 
         return cb
 
-    modules = []
-    for i in range(N):
-        if protocol == "optimistic":
-            modules.append(
-                OptimisticRbc(
-                    i, membership, transport, sim, on_deliver(i),
-                    fallback_timeout=FALLBACK_TIMEOUT,
-                )
-            )
-        else:
-            modules.append(
-                TribeBrachaRbc(i, membership, transport, sim, on_deliver(i))
-            )
+    modules = [
+        PlainRbc(
+            i, membership, transport, sim, None, on_deliver(i), protocol,
+            fallback_timeout=FALLBACK_TIMEOUT,
+        )
+        for i in range(N)
+    ]
     # Silent parties receive but never echo/ready: in the optimistic mode a
     # single one forces *every* instance off the all-n fast path.
     for i in silent:

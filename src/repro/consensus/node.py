@@ -110,7 +110,6 @@ class SailfishNode:
             on_block=self._on_block_delivered,
             mode=params.rbc_mode,
             verify_signatures=params.verify_signatures,
-            retry_timeout=params.retry_timeout,
             fallback_timeout=params.fallback_timeout,
             schedule=clan_schedule,
             tracer=self.tracer,

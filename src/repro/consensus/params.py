@@ -23,7 +23,6 @@ class ProtocolParams:
         verify_signatures: verify every signature structurally.  Disabling
             this is a benchmark-only shortcut for all-honest runs; the CPU
             cost model still charges verification time in simulated time.
-        retry_timeout: initial retry interval for block/vertex pulls.
         max_rounds: stop proposing after this round (0 = unlimited); the
             benchmark harness uses it to bound runs.
         catchup: enable the crash-recovery/lagging-node DAG synchronizer
@@ -55,7 +54,6 @@ class ProtocolParams:
     rbc_mode: str = "two-round"
     leader_timeout: float = 1.5
     verify_signatures: bool = True
-    retry_timeout: float = 0.25
     max_rounds: int = 0
     catchup: bool = True
     sync_gap_threshold: int = 5
@@ -80,8 +78,6 @@ class ProtocolParams:
             raise ConfigError("edge_fanout cannot be negative")
         if self.leader_timeout <= 0:
             raise ConfigError("leader_timeout must be positive")
-        if self.retry_timeout <= 0:
-            raise ConfigError("retry_timeout must be positive")
         if self.max_rounds < 0:
             raise ConfigError("max_rounds cannot be negative")
         if self.sync_gap_threshold < 1:

@@ -1,23 +1,18 @@
 """Merged vertex+block reliable broadcast (§5).
 
 One RBC instance per (proposer, round) carries the vertex to the whole tribe
-and the block only to the proposer's clan.  The voting — ECHO/READY/CERT
-tallies, the echo-quorum rule, the three completion rules — is
-:class:`repro.rbc.core.RbcCore`; this module holds the two payload policies
-of the merged RBC.
+and the block only to the proposer's clan.  The voting and the clan-payload
+rules (ECHO, delivery, pulls, retirement) are
+:class:`repro.rbc.core.RbcCore`'s; this module holds the two payload
+policies of the merged RBC.
 
-**Clan-only block** (:class:`VertexRbc`):
-
-* VAL to a clan member of the proposer's clan = vertex + block; VAL to
-  everyone else = vertex alone (it embeds the block digest).
-* A clan member ECHOes only after holding *both* vertex and block; everyone
-  else after holding the vertex.
-* The instance's clan — found from ``schedule.cfg_at(round)`` — gates the
-  ECHO quorum whenever the origin may attach a block, so an honest clan
-  member provably holds it.
-* Vertex delivery never waits for the block: consensus progresses and commits
-  on vertices; missing blocks are pulled off the critical path and delivered
-  to clan members when they arrive.
+**Clan-only block** (:class:`VertexRbc`): the VAL to the proposer's clan
+carries vertex + block, to everyone else the vertex alone (it embeds the
+block digest).  The tribe-wide part is the vertex, with its own pull; the
+instance's clan — from ``schedule.cfg_at(round)`` — gates the ECHO quorum
+whenever the origin may attach a block.  Vertex delivery never waits for
+the block: consensus commits on vertices, and a missing block is pulled off
+the critical path.
 
 **Chunked prefix** (:class:`ChunkedPrefixRbc`): the block travels as
 per-chunk messages bound to the vertex via a manifest digest
@@ -45,7 +40,8 @@ from ..dag.vertex import Vertex
 from ..errors import ConsensusError
 from ..net.network import Network
 from ..obs.ctx import TraceCtx, block_trace_key
-from ..rbc.core import Instance, RbcCore, ValParts, echoers
+from ..rbc.base import InstanceKey
+from ..rbc.core import COMPLETIONS, Instance, RbcCore, ValParts, echoers
 from ..rbc.messages import PayloadRequest, PayloadResponse
 from ..rbc.prefix import (
     BlockChunk,
@@ -67,26 +63,14 @@ from .messages import (
     vertex_val_statement,
 )
 
-Key = tuple[NodeId, Round]
-
-#: ``rbc_mode`` → completion rule.  "prefix" certifies vertices Bracha-style
-#: and additionally selects the chunked-prefix policy.
-_COMPLETION_OF_MODE = {
-    "two-round": "two-round",
-    "bracha": "bracha",
-    "optimistic": "optimistic",
-    "prefix": "bracha",
-}
-
 
 @dataclass(slots=True)
 class VertexInstance(Instance):
-    """Per-(proposer, round) dissemination state: the voting state plus the
-    vertex (certified by ``val_digest``/``quorum_digest``) and its block."""
+    """Per-(proposer, round) dissemination state: the voting state, the
+    block as its payload, plus the vertex (certified by ``val_digest``/
+    ``quorum_digest``)."""
 
     vertex: Vertex | None = None
-    block: Block | None = None
-    block_delivered: bool = False
     #: Two-round: the signature of the first VAL this node admitted, the
     #: half of a fraud proof a conflicting signed VAL completes (see
     #: :meth:`VertexRbc._witness`).
@@ -132,22 +116,22 @@ class VertexRbc(RbcCore):
         on_block: Callable[[Block], None],
         mode: str = "two-round",
         verify_signatures: bool = True,
-        retry_timeout: float = 0.25,
         fallback_timeout: float = 0.5,
         schedule=None,
         tracer=None,
     ) -> None:
-        if mode not in _COMPLETION_OF_MODE:
+        if mode not in (*COMPLETIONS, "prefix"):
             raise ConsensusError(f"unknown RBC mode {mode!r}")
-        self.cfg = clan_cfg
         #: Round -> ClanConfig (epoch rotation); static wrapper by default.
         if schedule is None:
             from ..committees.rotation import StaticSchedule
 
             schedule = StaticSchedule(clan_cfg)
         self.schedule = schedule
+        # "prefix" certifies vertices Bracha-style.
         super().__init__(
-            node_id, clan_cfg, network, sim, pki, _COMPLETION_OF_MODE[mode],
+            node_id, clan_cfg, network, sim, pki,
+            "bracha" if mode == "prefix" else mode,
             verify_signatures, fallback_timeout, tracer,
         )
         self.mode = mode
@@ -159,12 +143,11 @@ class VertexRbc(RbcCore):
         self.vertices_broadcast = 0
         self.strong_refs_sent = 0
         self.weak_refs_sent = 0
-        self.retry_timeout = retry_timeout
-        self._block_retriever = self._pull_plane(
-            "block", self._on_pulled_block, self._lookup_block, retry_timeout
+        self._payload_pull = self._pull_plane(
+            "block", self._on_pulled_payload, self._lookup_payload
         )
         self._vertex_retriever = self._pull_plane(
-            "vertex", self._on_pulled_vertex, self._lookup_vertex, retry_timeout
+            "vertex", self._on_pulled_vertex, self._lookup_vertex
         )
         #: Accountability: transferable equivocation proofs from signed VALs.
         self.evidence = EvidencePool()
@@ -299,16 +282,14 @@ class VertexRbc(RbcCore):
             return
         if self._signed:
             self._witness(origin, round_, state, vdigest, msg.signature)
-        if state.val_digest is None:
-            state.val_digest = vdigest
+        if not self._follow_val(origin, round_, state, vdigest):
+            return
+        if state.vertex is None:
             state.vertex = vertex
             self.on_first_val(vertex)
-        elif state.val_digest != vdigest:
-            self._conflict(origin, round_, state, vdigest)
-            return
-        self._accept_body(origin, round_, state, msg)
-        self._maybe_echo(origin, round_, state)
-        self._maybe_finish(origin, round_, state)
+        self._take_payload(
+            origin, round_, state, self._accept_body(origin, round_, state, msg)
+        )
 
     def _witness(
         self, origin: NodeId, round_: Round, state: VertexInstance,
@@ -337,33 +318,26 @@ class VertexRbc(RbcCore):
 
     def _accept_body(
         self, origin: NodeId, round_: Round, state: VertexInstance, msg: VertexValMsg
-    ) -> None:
-        """Keep the clan-only part of a VAL if it matches the vertex."""
+    ) -> Block | None:
+        """The VAL's clan-only part, if it is the block its vertex names (the
+        block digest binds proposer and round)."""
         block = msg.block
-        if block is not None and state.block is None:
-            if (
-                block.proposer == origin
-                and block.round == round_
-                and msg.vertex.block_digest is not None
-                and block.payload_digest() == msg.vertex.block_digest
-            ):
-                state.block = block
+        if block is not None and state.payload is None and (
+            block.payload_digest() == msg.vertex.block_digest
+        ):
+            return block
+        return None
 
-    def _holds_body(self, origin: NodeId, round_: Round, state: VertexInstance) -> bool:
-        """May this node vouch?  Clan members only once they hold the block."""
-        return (
-            state.block is not None
-            or state.vertex.block_digest is None
-            or not self.serves_block(origin, round_)
-        )
+    # -- the tribe-wide part: the vertex ------------------------------------------
 
-    def _maybe_echo(self, origin: NodeId, round_: Round, state: VertexInstance) -> None:
-        if state.echoed or state.vertex is None:
-            return
-        if self._holds_body(origin, round_, state):
-            self._vote(origin, round_, state)
-
-    # -- completion -----------------------------------------------------------------
+    def _payload_want(
+        self, origin: NodeId, round_: Round, state: VertexInstance, digest_: bytes
+    ) -> bytes | None:
+        """The block of the held vertex, on a member of the proposer's clan."""
+        vertex = state.vertex
+        if vertex is None or vertex.block_digest is None:
+            return None
+        return vertex.block_digest if self.serves_block(origin, round_) else None
 
     def _certified(
         self, origin: NodeId, round_: Round, digest_: bytes, state: VertexInstance,
@@ -379,65 +353,29 @@ class VertexRbc(RbcCore):
             if holders:
                 self._vertex_retriever.fetch((origin, round_), holders, digest_)
             return
-        self._maybe_finish(origin, round_, state)
+        self._settle(origin, round_, state, cert)
 
-    def _maybe_finish(self, origin: NodeId, round_: Round, state: VertexInstance) -> None:
-        if state.quorum_digest is None or state.vertex is None:
-            return
-        if state.vertex.vertex_digest() != state.quorum_digest:
-            return
-        if not state.delivered:
-            delivered = self._mark_delivered(origin, round_, state)
-            if delivered is not None:
-                # Downstream stages on this node (DAG attach, ordering)
-                # parent under the local delivery span, giving the trace a
-                # per-node causal chain rather than a flat fan-out.
-                self.tracer.bind(("vdeliv", round_, origin, self.node_id), delivered)
-            self.on_vertex(state.vertex)
-        self._deliver_body(origin, round_, state)
+    def _head_certified(self, state: VertexInstance) -> bool:
+        vertex = state.vertex
+        return vertex is not None and vertex.vertex_digest() == state.quorum_digest
 
-    def _deliver_body(self, origin: NodeId, round_: Round, state: VertexInstance) -> None:
-        """The vertex is delivered: hand the block to the clan, or pull it."""
-        if state.block_delivered or state.vertex.block_digest is None:
-            return
-        if not self.serves_block(origin, round_):
-            return
-        if state.block is None:
-            self._holder_certified(origin, round_, state.quorum_digest, state)
-            return
-        state.block_delivered = True
+    def _deliver_head(self, origin: NodeId, round_: Round, state: VertexInstance) -> None:
+        """Vertex delivery never waits for the block."""
+        delivered = self._mark_delivered(origin, round_, state)
+        if delivered is not None:
+            # Downstream stages on this node (DAG attach, ordering) parent
+            # under the local delivery span, giving the trace a per-node
+            # causal chain rather than a flat fan-out.
+            self.tracer.bind(("vdeliv", round_, origin, self.node_id), delivered)
+        self.on_vertex(state.vertex)
+
+    def _deliver_payload(
+        self, origin: NodeId, round_: Round, state: VertexInstance
+    ) -> None:
         if self.tracer.enabled:
             start = state.val_at if state.val_at is not None else self.sim.now
             self._phase_span("rbc.block_e2e", start, origin, round_, state)
-        self.on_block(state.block)
-
-    def _holder_certified(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: VertexInstance
-    ) -> None:
-        """Pull the missing block from echoing clan members (§5: as early as
-        the ECHO quorum, before the READY quorum completes)."""
-        if state.block is not None or state.block_delivered:
-            return
-        if state.vertex is None or state.vertex.block_digest is None:
-            return
-        if state.clan is None or not self.serves_block(origin, round_):
-            return
-        holders = [
-            p
-            for p in echoers(state, digest_)
-            if p in state.clan and p != self.node_id
-        ]
-        if holders:
-            self._block_retriever.fetch(
-                (origin, round_), holders, state.vertex.block_digest
-            )
-
-    def _on_pulled_block(self, origin: NodeId, round_: Round, block: Block) -> None:
-        state = self.instance(origin, round_)
-        if state.block is None:
-            state.block = block
-        self._maybe_echo(origin, round_, state)
-        self._maybe_finish(origin, round_, state)
+        self.on_block(state.payload)
 
     def _on_pulled_vertex(self, origin: NodeId, round_: Round, vertex: Vertex) -> None:
         state = self.instance(origin, round_)
@@ -456,14 +394,7 @@ class VertexRbc(RbcCore):
             if self.on_equivocation is not None:
                 self.on_equivocation(origin, round_, len(state.conflicting))
             state.vertex = vertex
-        self._maybe_finish(origin, round_, state)
-
-    def _lookup_block(self, origin: NodeId, round_: Round) -> Block | None:
-        state = self._live(origin, round_)
-        if state is not None:
-            return state.block
-        retired = self.retired_payload(origin, round_)
-        return retired[1] if retired is not None else None
+        self._settle(origin, round_, state)
 
     def _lookup_vertex(self, origin: NodeId, round_: Round) -> Vertex | None:
         state = self._live(origin, round_)
@@ -474,24 +405,10 @@ class VertexRbc(RbcCore):
 
     # -- retirement ------------------------------------------------------------------
 
-    def _payload_finished(
-        self, origin: NodeId, round_: Round, state: VertexInstance
-    ) -> bool:
-        """The held vertex is the certified one, and the block is delivered
-        or not this node's to hold: a late VAL or ECHO starts no pull."""
-        vertex = state.vertex
-        if vertex is None or vertex.vertex_digest() != state.quorum_digest:
-            return False
-        return (
-            state.block_delivered
-            or vertex.block_digest is None
-            or not self.serves_block(origin, round_)
-        )
-
     def _on_retire(
         self, origin: NodeId, round_: Round, state: VertexInstance
     ) -> tuple[Vertex, Block | None]:
-        return state.vertex, state.block
+        return state.vertex, state.payload
 
 
 # -- chunked prefix -------------------------------------------------------------
@@ -528,7 +445,7 @@ class ChunkedPrefixRbc(VertexRbc):
         # pull is an owed prefix (fetch_prefix opens it, _notify_chunks
         # closes it), and the executor drains blocks in total order, so
         # however far the GC floor has passed its round it must not drop.
-        self._chunk_pull = self._pull_loop(self._request_chunks, self.retry_timeout)
+        self._chunk_pull = self._pull_loop(self._request_chunks)
         #: Serve-once marks of the chunk server: (origin, round, index, requester).
         self._chunk_served: set[tuple[NodeId, Round, int, NodeId]] = set()
 
@@ -562,20 +479,19 @@ class ChunkedPrefixRbc(VertexRbc):
         if msg.manifest is not None and state.manifest is None:
             self._try_accept_manifest(origin, round_, state, msg.manifest)
 
-    def _holds_body(self, origin: NodeId, round_: Round, state: PrefixInstance) -> bool:
+    def _holds_payload(self, origin: NodeId, round_: Round, state: PrefixInstance) -> bool:
+        # Certification must not wait for the block tail: vouch on the
+        # manifest.
         return (
             state.manifest is not None
             or not state.vertex.block_chunks
             or not self.serves_block(origin, round_)
         )
 
-    def _deliver_body(self, origin: NodeId, round_: Round, state: PrefixInstance) -> None:
-        pass
-
-    def _holder_certified(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: PrefixInstance
+    def _payload_want(
+        self, origin: NodeId, round_: Round, state: PrefixInstance, digest_: bytes
     ) -> None:
-        pass
+        return None  # blocks arrive through fetch_prefix, never on_block
 
     def _try_accept_manifest(
         self, origin: NodeId, round_: Round, state: PrefixInstance,
@@ -687,7 +603,7 @@ class ChunkedPrefixRbc(VertexRbc):
         if state.owed is not None and holders:
             self._chunk_pull.fetch(key, holders)
 
-    def _request_chunks(self, key: Key, target: NodeId, _want: None) -> bool:
+    def _request_chunks(self, key: InstanceKey, target: NodeId, _want: None) -> bool:
         """One pull attempt: ask ``target`` for the owed prefix's missing
         chunks."""
         state = self._live(*key)
@@ -736,9 +652,7 @@ class ChunkedPrefixRbc(VertexRbc):
 
     # -- housekeeping ---------------------------------------------------------------
 
-    def _payload_finished(
-        self, origin: NodeId, round_: Round, state: PrefixInstance
-    ) -> bool:
+    def _finished(self, origin: NodeId, round_: Round, state: PrefixInstance) -> bool:
         # The chunk server and held_prefix answer from the instance: keep it.
         return False
 

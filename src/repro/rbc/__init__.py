@@ -3,16 +3,13 @@
 One instance state machine (:mod:`repro.rbc.core`) multiplexes instances
 keyed by ``(origin, round)`` over the simulated network; a completion rule
 (two-round certificate, Bracha READY, optimistic fast path) and a payload
-policy configure it.  This package holds the plain policy
-(:mod:`repro.rbc.plain`) and its public configurations:
-
-* :mod:`repro.rbc.bracha` — READY completions: :class:`TribeBrachaRbc` (the
-  paper's Fig. 2: payload only to the clan, digest to the rest),
-  :class:`BrachaRbc` (classic Bracha, payload to everyone) and
-  :class:`OptimisticRbc` (2δ fast path on all-n ECHO agreement).
-* :mod:`repro.rbc.two_round` — certificate completion:
-  :class:`TribeTwoRoundRbc` (the paper's Fig. 3) and :class:`TwoRoundRbc`
-  (Abraham et al., payload to everyone).
+policy configure it, and the clan-payload rules — when a clan member may
+ECHO, when it delivers the payload, whom it pulls it from — are the core's,
+for every policy.  This package holds the plain policy
+(:class:`~repro.rbc.plain.PlainRbc`): ``PlainRbc(..., "bracha")`` is the
+paper's Fig. 2, ``"two-round"`` its Fig. 3 and ``"optimistic"`` the 2δ fast
+path; over ``Membership.whole_tribe(n)`` they are classic Bracha and Abraham
+et al.'s round-optimal RBC.
 
 The merged vertex+block RBC of §5 (:mod:`repro.consensus.vertex_rbc`) is the
 same core under the clan-only block and chunked-prefix policies;
@@ -24,22 +21,15 @@ members known to hold it (:mod:`repro.rbc.retrieval`), exactly as §3 allows.
 """
 
 from .base import Delivery, Membership
-from .bracha import BrachaRbc, OptimisticRbc, TribeBrachaRbc
 from .core import RbcCore
 from .plain import PlainRbc
 from .prefix import BlockChunk, ChunkManifest, assemble_prefix, split_block
-from .two_round import TribeTwoRoundRbc, TwoRoundRbc
 
 __all__ = [
     "Delivery",
     "Membership",
     "RbcCore",
     "PlainRbc",
-    "BrachaRbc",
-    "TribeBrachaRbc",
-    "TwoRoundRbc",
-    "TribeTwoRoundRbc",
-    "OptimisticRbc",
     "BlockChunk",
     "ChunkManifest",
     "assemble_prefix",

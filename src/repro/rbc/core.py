@@ -30,31 +30,27 @@ Totality: parties that miss the all-n condition fall back by timer, the
 fast-path deliverer answers an incoming READY with its own.
 
 The completion is resolved to two booleans at construction; handlers
-branch on those, never on the mode string.  Everything that differs between
-the tribe-assisted primitives of Fig. 2/3 and the merged vertex RBC of §5
-is the payload policy, a subclass that supplies
+branch on those, never on the mode string.  The clan-payload rules are
+written here once as well, for every policy: when a clan member may ECHO
+(:meth:`RbcCore._maybe_echo`), what a VAL's or a pulled payload does
+(:meth:`RbcCore._take_payload`), when the payload is delivered and whom it
+is pulled from (:meth:`RbcCore._settle`, :meth:`RbcCore._pull`), and when a
+delivered instance retires (:meth:`RbcCore._finished`).  A payload policy —
+:class:`repro.rbc.plain.PlainRbc`, and the clan-only block and chunked
+prefix policies of :mod:`repro.consensus.vertex_rbc` — supplies
 
 * the message classes and signed statements (class attributes below);
 * ``_clan_of`` — which clan's ECHOes gate an instance;
-* ``_on_val`` — what a VAL carries, and when this node holds enough to
-  vouch for it (it then asks the core to :meth:`RbcCore._vote`);
-* ``_holder_certified`` — the ECHO quorum proves an honest clan member
-  holds the payload, so a pull may start early (§5);
-* ``_certified`` — the digest is certified: deliver, or pull from whom;
-* ``_payload_finished``/``_on_retire`` — may a delivered instance
-  retire below the GC floor, and what its pull servers keep answering.
+* the tribe-wide part: ``_on_val`` parses a VAL; ``_payload_want`` names
+  the payload digest the held part commits this node to (None: none);
+  ``_certified``/``_head_certified`` fetch and check it; and
+  ``_deliver_head``/``_deliver_payload`` hand both parts on.
 
 An instance is *live* from the first message for its key, *finished* once
-nothing it may still receive makes it send (:meth:`RbcCore._finished`), and
-*retired* when the GC floor passes its round while it is finished: only its
-key and the policy's pull answer stay (:meth:`RbcCore.gc_below`).  Live
+nothing it may still receive makes it send, and *retired* when the GC floor
+passes its round while it is finished (:meth:`RbcCore.gc_below`).  Live
 instances sit in one table per round, ``{round: {origin: Instance}}``: a
 row is made once per round, so no instance costs a key tuple.
-
-The policies are :class:`repro.rbc.plain.PlainRbc` (digest to the tribe,
-opaque payload to one fixed clan) and, in
-:mod:`repro.consensus.vertex_rbc`, the clan-only block and chunked-prefix
-policies of the merged RBC.
 """
 
 from __future__ import annotations
@@ -92,6 +88,17 @@ class Tally:
     ready_mask: int = 0
 
 
+@dataclass(frozen=True, slots=True)
+class Clan:
+    """One clan as the instances it gates read it, built once per clan."""
+
+    members: frozenset[NodeId]
+    #: f_c + 1: the ECHOes the echo-quorum rule requires from the clan.
+    quorum: int
+    #: The members as a supporter mask (bit p is party p).
+    mask: int
+
+
 @dataclass(slots=True)
 class Instance:
     """Voting state of one ``(origin, round)`` instance.
@@ -100,8 +107,8 @@ class Instance:
     network across digests, and quorum checks must never mix them.  An
     honest run sees one digest per instance, and there are n² instances per
     round, so that digest's tally is kept inline rather than in a
-    per-digest container.  Policies subclass this with the payload they
-    hold.
+    per-digest container.  Policies subclass this with their tribe-wide
+    part.
     """
 
     #: Digest of the first VAL seen — the only one this node ever vouches for.
@@ -113,12 +120,13 @@ class Instance:
     quorum_digest: bytes | None = None
     #: The policy delivered the certified value (Integrity: at most once).
     delivered: bool = False
-    #: The clan whose ECHOes gate this instance (None: no clan condition),
-    #: and the f_c+1 of them the echo-quorum rule requires.
-    clan: frozenset[NodeId] | None = None
-    clan_quorum: int = 0
-    #: The clan as a supporter mask (bit p is party p).
-    clan_mask: int = 0
+    #: The clan whose ECHOes gate this instance (None: no clan condition).
+    clan: Clan | None = None
+    #: The clan-only payload held: the first VAL's, or a pulled one.
+    payload: Any = None
+    #: The payload is delivered, or the certified instance owes this node
+    #: none: nothing the payload rules do is left.
+    payload_done: bool = False
     #: The first digest any ECHO or READY named.  Its votes live in the
     #: four fields below, the same four a :class:`Tally` holds for every
     #: further digest (see :func:`tally_of`).
@@ -154,16 +162,6 @@ class Instance:
     #: Causal trace context of this instance (None when unsampled or tracing
     #: is off); inherited from the VAL and stamped onto what this node sends.
     ctx: Any | None = None
-
-    @property
-    def echoes(self) -> dict[bytes, int]:
-        """``{digest: ECHO supporter mask}``, for tests and forensics."""
-        return {d: t.echo_mask for d, t in tallies(self) if t.echo_mask}
-
-    @property
-    def readies(self) -> dict[bytes, int]:
-        """``{digest: READY supporter mask}``, for tests and forensics."""
-        return {d: t.ready_mask for d, t in tallies(self) if t.ready_mask}
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,31 +267,39 @@ class RbcCore:
     def _clan_of(self, origin: NodeId, round_: Round) -> frozenset[NodeId] | None:
         raise NotImplementedError
 
-    def _holder_certified(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
-    ) -> None:
+    def dispatch_table(self) -> dict:
+        """Exact-class ``{message class: handler}`` table of this module."""
+        raise NotImplementedError
+
+    def _payload_want(
+        self, origin: NodeId, round_: Round, state: Instance, digest_: bytes
+    ) -> bytes | None:
+        """The digest of the clan-only payload this node must hold once
+        ``digest_`` is certified (None: it owes none, or cannot tell yet)."""
         raise NotImplementedError
 
     def _certified(
         self, origin: NodeId, round_: Round, digest_: bytes, state: Instance,
         cert: QuorumCertificate | None,
     ) -> None:
+        """The completion rule certified ``digest_``."""
+        self._settle(origin, round_, state, cert)
+
+    def _head_certified(self, state: Instance) -> bool:
+        """Does this node hold the certified tribe-wide part?"""
+        return True
+
+    def _deliver_head(self, origin: NodeId, round_: Round, state: Instance) -> None:
         raise NotImplementedError
 
-    def dispatch_table(self) -> dict:
-        """Exact-class ``{message class: handler}`` table of this module."""
+    def _deliver_payload(self, origin: NodeId, round_: Round, state: Instance) -> None:
         raise NotImplementedError
 
-    def _payload_finished(self, origin: NodeId, round_: Round, state: Instance) -> bool:
-        """Is the payload part of a delivered instance done, so that nothing
-        it may still receive makes the policy send?  A policy that does not
-        say keeps its instances."""
-        return False
-
-    def _on_retire(self, origin: NodeId, round_: Round, state: Instance) -> Any:
-        """The instance leaves the table: what the policy's pull servers
-        answer for it from now on (see :meth:`retired_payload`)."""
-        raise NotImplementedError
+    def _on_retire(self, origin: NodeId, round_: Round, state: Instance) -> tuple:
+        """The instance leaves the table: what the pull servers answer for it
+        from now on, ``(tribe-wide part, payload)`` (see
+        :meth:`retired_payload`)."""
+        return None, state.payload
 
     # -- construction ----------------------------------------------------------
 
@@ -349,8 +355,8 @@ class RbcCore:
         self._floor: Round = 0
         self._lingering: list[InstanceKey] = []
         self._recheck = 0
-        #: Clan -> its supporter mask, shared by every instance of the clan.
-        self._clan_masks: dict[frozenset[NodeId], int] = {}
+        #: Members -> the clan record every instance of the clan shares.
+        self._clans: dict[frozenset[NodeId], Clan] = {}
         # Optimistic-completion statistics: deliveries through each path and
         # fallback-trigger counts by reason ("conflict"/"timeout"/"ready").
         self.fast_deliveries = 0
@@ -385,14 +391,15 @@ class RbcCore:
             state = row[origin] = self._instance_cls()
             if round_ < self._floor:
                 self._lingering.append((origin, round_))
-            clan = self._clan_of(origin, round_)
-            if clan is not None:
+            members = self._clan_of(origin, round_)
+            if members is not None:
+                clan = self._clans.get(members)
+                if clan is None:
+                    clan = self._clans[members] = Clan(
+                        members, clan_response_quorum(len(members)),
+                        sum(1 << p for p in members),
+                    )
                 state.clan = clan
-                state.clan_quorum = clan_response_quorum(len(clan))  # f_c + 1
-                mask = self._clan_masks.get(clan)
-                if mask is None:
-                    mask = self._clan_masks[clan] = sum(1 << p for p in clan)
-                state.clan_mask = mask
         return state
 
     def _live(self, origin: NodeId, round_: Round) -> Instance | None:
@@ -422,9 +429,9 @@ class RbcCore:
         handler(src, msg)
         return True
 
-    def _pull_loop(self, request: RequestFn, retry_timeout: float) -> Retriever:
+    def _pull_loop(self, request: RequestFn) -> Retriever:
         """Open a pull loop whose attempts ``request`` sends."""
-        loop = Retriever(self.sim, request, retry_timeout)
+        loop = Retriever(self.sim, request)
         self._loops.append(loop)
         return loop
 
@@ -433,7 +440,6 @@ class RbcCore:
         channel: str,
         on_payload: Callable[[NodeId, Round, Any], None],
         lookup: Callable[[NodeId, Round], Any | None],
-        retry_timeout: float,
     ) -> Retriever:
         """Open a payload plane (§3: download a missing value from its
         holders); its fetches ``want`` the payload digest."""
@@ -443,7 +449,7 @@ class RbcCore:
             send(node_id, target, PayloadRequest(key[0], key[1], digest_, channel))
             return True
 
-        loop = self._pull_loop(request, retry_timeout)
+        loop = self._pull_loop(request)
         responder = Responder(self.node_id, self.network, lookup, channel=channel)
         self._pulls[channel] = (loop, responder, on_payload)
         return loop
@@ -511,15 +517,22 @@ class RbcCore:
             self._arm_fallback(origin, round_, state)
         return state
 
-    def _conflict(
+    def _follow_val(
         self, origin: NodeId, round_: Round, state: Instance, digest_: bytes
-    ) -> None:
-        """A VAL for a second digest: record it, never follow it."""
+    ) -> bool:
+        """Honour the first VAL only: True when ``digest_`` is its digest.  A
+        VAL for a second digest is recorded, never followed."""
+        if state.val_digest is None:
+            state.val_digest = digest_
+            return True
+        if state.val_digest == digest_:
+            return True
         state.conflicting |= {digest_}
         if self.on_equivocation is not None:
             self.on_equivocation(origin, round_, len(state.conflicting))
         if self._optimistic and not state.pessimistic:
             self._fall_back(origin, round_, state, "conflict")
+        return False
 
     def _vote(self, origin: NodeId, round_: Round, state: Instance) -> None:
         """Multicast this node's one ECHO for ``state.val_digest``."""
@@ -592,7 +605,11 @@ class RbcCore:
             tally.echo_order = bytearray((src,))
         if self._signed:
             if state.cert_sent:
-                return  # tally maintained, but the quorum already acted
+                # The quorum already acted, but a member still missing the
+                # certified payload learns one more holder.
+                if not state.payload_done and state.quorum_digest == digest_:
+                    self._settle(msg.origin, msg.round, state)
+                return
             sigs = tally.echo_sigs
             if sigs is None:
                 tally.echo_sigs = [signature]
@@ -624,9 +641,8 @@ class RbcCore:
         supporters = tally.echo_mask
         if supporters.bit_count() < self._quorum:
             return
-        if state.clan is not None and (
-            (supporters & state.clan_mask).bit_count() < state.clan_quorum
-        ):
+        clan = state.clan
+        if clan is not None and (supporters & clan.mask).bit_count() < clan.quorum:
             return
         if self._signed:
             if state.cert_sent:
@@ -660,9 +676,9 @@ class RbcCore:
         if state.quorum_digest is not None:
             return
         if self.verify:
-            if not verify_certificate(
-                self.pki, msg.cert, self._quorum, state.clan, state.clan_quorum
-            ):
+            clan = state.clan
+            members, needed = (clan.members, clan.quorum) if clan else (None, 0)
+            if not verify_certificate(self.pki, msg.cert, self._quorum, members, needed):
                 return
             expected = self._echo_statement(msg.origin, msg.round, msg.digest)
             if msg.cert.message_digest != expected:
@@ -745,6 +761,97 @@ class RbcCore:
         if state.quorum_digest is None:
             state.quorum_digest = digest_
         self._certified(origin, round_, digest_, state, cert)
+
+    # -- the clan payload (PROTOCOLS.md, "Payload rules") -------------------------
+
+    def _holds_payload(self, origin: NodeId, round_: Round, state: Instance) -> bool:
+        """May this node vouch for its first VAL?  A member of the instance's
+        clan only once it holds the payload (Fig. 2 step 2)."""
+        return state.payload is not None or (
+            self._payload_want(origin, round_, state, state.val_digest) is None
+        )
+
+    def _maybe_echo(self, origin: NodeId, round_: Round, state: Instance) -> None:
+        if not state.echoed and state.val_digest is not None and (
+            self._holds_payload(origin, round_, state)
+        ):
+            self._vote(origin, round_, state)
+
+    def _take_payload(
+        self, origin: NodeId, round_: Round, state: Instance, payload: Any
+    ) -> None:
+        """The first VAL is in with ``payload``, its clan-only part (None: it
+        carried none): keep it, vote if this node now may, and settle — a VAL
+        that arrives after the certificate delivers at once."""
+        if payload is not None and state.payload is None:
+            state.payload = payload
+        self._maybe_echo(origin, round_, state)
+        self._settle(origin, round_, state)
+
+    def _on_pulled_payload(self, origin: NodeId, round_: Round, payload: Any) -> None:
+        """A pulled payload matches the digest it was asked for: it replaces
+        what the node held, and it counts as the VAL's (ECHO after pull)."""
+        state = self.instance(origin, round_)
+        state.payload = payload
+        self._take_payload(origin, round_, state, None)
+
+    def _settle(
+        self, origin: NodeId, round_: Round, state: Instance,
+        cert: QuorumCertificate | None = None,
+    ) -> None:
+        """Deliver what the certified instance owes this node: the tribe-wide
+        part, then — on a member of its clan — the payload, pulled while the
+        node holds none that matches."""
+        if state.payload_done or state.quorum_digest is None:
+            return
+        if not self._head_certified(state):
+            return
+        if not state.delivered:
+            self._deliver_head(origin, round_, state)
+        want = self._payload_want(origin, round_, state, state.quorum_digest)
+        if want is not None:
+            payload = state.payload
+            if payload is None or payload_digest(payload) != want:
+                self._pull(origin, round_, state, state.quorum_digest, want, cert)
+                return
+        state.payload_done = True
+        if want is not None:
+            self._deliver_payload(origin, round_, state)
+
+    def _holder_certified(
+        self, origin: NodeId, round_: Round, digest_: bytes, state: Instance
+    ) -> None:
+        """§5: the ECHO quorum on ``digest_`` proves that an honest clan
+        member holds its payload, so a member missing it pulls now, ahead of
+        the READY quorum."""
+        if state.payload is None and not state.payload_done:
+            want = self._payload_want(origin, round_, state, digest_)
+            if want is not None:
+                self._pull(origin, round_, state, digest_, want)
+
+    def _pull(
+        self, origin: NodeId, round_: Round, state: Instance, digest_: bytes,
+        want: bytes, cert: QuorumCertificate | None = None,
+    ) -> None:
+        """Pull payload ``want`` from the clan members that vouched for
+        ``digest_``: the certificate's clan signers, else the clan echoers.
+        With no holder known yet, a later ECHO names one."""
+        clan = state.clan
+        if cert is not None:
+            vouchers = parties_of(cert.signers & clan.mask)
+        else:
+            vouchers = [p for p in echoers(state, digest_) if p in clan.members]
+        holders = [p for p in vouchers if p != self.node_id]
+        if holders:
+            self._payload_pull.fetch((origin, round_), holders, want)
+
+    def _lookup_payload(self, origin: NodeId, round_: Round) -> Any | None:
+        """What the payload server answers for ``(origin, round_)``."""
+        state = self._live(origin, round_)
+        if state is not None:
+            return state.payload
+        retired = self.retired_payload(origin, round_)
+        return retired[1] if retired is not None else None
 
     def _mark_delivered(self, origin: NodeId, round_: Round, state: Instance):
         """The policy is delivering: close the instance's timers and spans.
@@ -872,12 +979,13 @@ class RbcCore:
         It delivered and echoed (a late VAL makes a non-echoer echo), its
         fallback timer is off, and its completion is done: the certificate
         sent, or its own READY (an optimistic fast-path deliverer answers a
-        late READY with one) — and so is the policy's payload part."""
+        late READY with one) — and so is its payload, so that a late VAL or
+        ECHO starts no pull."""
         if not state.delivered or not state.echoed or state.fallback_timer is not None:
             return False
         if not (state.cert_sent if self._signed else state.ready_digest is not None):
             return False
-        return self._payload_finished(origin, round_, state)
+        return state.payload_done
 
     def _retire(self, origin: NodeId, round_: Round) -> bool:
         """Retire the instance at ``(origin, round_)`` if it is finished."""
@@ -918,6 +1026,6 @@ class RbcCore:
 
 
 __all__ = [
-    "COMPLETIONS", "MAX_PARTIES", "Instance", "RbcCore", "Tally", "ValParts",
+    "COMPLETIONS", "MAX_PARTIES", "Clan", "Instance", "RbcCore", "Tally", "ValParts",
     "echoers", "tallies", "tally_of",
 ]

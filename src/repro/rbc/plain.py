@@ -12,24 +12,25 @@ One opaque payload per instance and one fixed clan (:class:`Membership`):
    sender withheld it (:mod:`repro.rbc.retrieval`) — and everyone else
    delivers H(m): exactly one :class:`Delivery` per instance.
 
-The public classes are this policy under each completion:
-:mod:`repro.rbc.bracha` (Fig. 2, classic Bracha, the optimistic fast path)
-and :mod:`repro.rbc.two_round` (Fig. 3, Abraham et al.).
+The tribe-wide part is the digest itself, so it is held once certified; the
+payload rules are the core's.  ``PlainRbc(..., completion)`` is the paper's
+Fig. 2 (``"bracha"``), Fig. 3 (``"two-round"``) or the optimistic fast path
+over ``membership``; with ``Membership.whole_tribe(n)`` it is classic Bracha
+or Abraham et al.'s round-optimal RBC, the primitives existing DAG-based BFT
+SMR builds on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from ..crypto.certificates import QuorumCertificate
 from ..crypto.signatures import KeyPair, Pki
 from ..errors import BroadcastError
 from ..net.network import Network
 from ..sim.scheduler import Simulator
-from ..types import NodeId, Round, parties_of
+from ..types import NodeId, Round
 from .base import DeliverFn, Delivery, Membership, payload_digest
-from .core import Instance, RbcCore, ValParts, echoers
+from .core import Instance, RbcCore, ValParts
 from .messages import (
     CertMsg,
     EchoMsg,
@@ -65,12 +66,6 @@ def val_parts(
     )
 
 
-@dataclass(slots=True)
-class PlainInstance(Instance):
-    #: Full payloads received (via VAL or pull), keyed by digest.
-    payloads: dict[bytes, Any] = field(default_factory=dict)
-
-
 class PlainRbc(RbcCore):
     """Per-node module of the plain policy under ``completion``.
 
@@ -78,7 +73,6 @@ class PlainRbc(RbcCore):
     benchmark shortcut.
     """
 
-    _instance_cls = PlainInstance
     _echo_cls = EchoMsg
     _ready_cls = ReadyMsg
     _cert_cls = CertMsg
@@ -94,7 +88,6 @@ class PlainRbc(RbcCore):
         pki: Pki | None,
         on_deliver: DeliverFn,
         completion: str,
-        retry_timeout: float = 0.5,
         fallback_timeout: float = 0.5,
         tracer=None,
     ) -> None:
@@ -106,8 +99,8 @@ class PlainRbc(RbcCore):
         self.in_clan = node_id in membership.clan
         self.on_deliver = on_deliver
         self.deliveries: list[Delivery] = []
-        self._retriever = self._pull_plane(
-            "payload", self._on_pulled_payload, self._lookup_payload, retry_timeout
+        self._payload_pull = self._pull_plane(
+            "payload", self._on_pulled_payload, self._lookup_payload
         )
         network.register(node_id, self.on_message)
 
@@ -141,10 +134,8 @@ class PlainRbc(RbcCore):
 
     def on_message(self, src: NodeId, msg: object) -> None:
         """Network entry point; an RBC-only endpoint knows all its messages."""
-        handler = self._dispatch.get(msg.__class__)
-        if handler is None:
+        if not super().on_message(src, msg):
             raise BroadcastError(f"unexpected message {type(msg).__name__}")
-        handler(src, msg)
 
     def _on_val(self, src: NodeId, msg: ValMsg) -> None:
         origin, round_, digest_ = msg.origin, msg.round, msg.digest
@@ -153,89 +144,37 @@ class PlainRbc(RbcCore):
         state = self._admit_val(origin, round_, digest_, msg)
         if state is None:
             return
-        if msg.payload is not None:
-            if payload_digest(msg.payload) != digest_:
-                return  # malformed: advertised digest does not match payload
-            state.payloads.setdefault(digest_, msg.payload)
-        if state.val_digest is None:
-            state.val_digest = digest_
-        elif state.val_digest != digest_:
-            self._conflict(origin, round_, state, digest_)
-            return  # equivocation: honour only the first VAL
-        if state.echoed:
-            # A repeated VAL may carry the value a certified instance awaits.
-            certified = state.quorum_digest
-            if certified in state.payloads and not state.delivered:
-                self._deliver(origin, round_, state, certified)
-            return
-        # Clan members vouch only for values they hold; others echo on the
-        # digest alone.
-        if self.in_clan and digest_ not in state.payloads:
-            return
-        self._vote(origin, round_, state)
+        payload = msg.payload
+        if payload is not None and payload_digest(payload) != digest_:
+            return  # malformed: advertised digest does not match payload
+        if self._follow_val(origin, round_, state, digest_):
+            self._take_payload(origin, round_, state, payload)
 
-    # -- delivery and retrieval -----------------------------------------------
+    # -- the tribe-wide part: the digest ----------------------------------------
 
-    def _clan_holders(self, parties) -> list[NodeId]:
-        return [p for p in parties if p in self.membership.clan]
+    def _payload_want(
+        self, origin: NodeId, round_: Round, state: Instance, digest_: bytes
+    ) -> bytes | None:
+        return digest_ if self.in_clan else None
 
-    def _holder_certified(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: PlainInstance
-    ) -> None:
-        # §5 optimization: a clan member missing the payload starts the
-        # download as soon as the ECHO quorum certifies an honest holder.
-        if self.in_clan and digest_ not in state.payloads and not state.delivered:
-            self._retriever.fetch(
-                (origin, round_), self._clan_holders(echoers(state, digest_)), digest_
-            )
+    def _deliver_head(self, origin: NodeId, round_: Round, state: Instance) -> None:
+        # A clan member's one Delivery carries m: it waits for the payload.
+        if not self.in_clan:
+            self._deliver_payload(origin, round_, state)
 
-    def _certified(
-        self, origin: NodeId, round_: Round, digest_: bytes, state: PlainInstance,
-        cert: QuorumCertificate | None,
-    ) -> None:
-        if state.delivered:
-            return
-        if not self.in_clan or digest_ in state.payloads:
-            self._deliver(origin, round_, state, digest_)
-            return
-        # Clan member without the value: pull it from the clan members that
-        # vouched for it — the certificate's signers, else the echoers.  With
-        # no holder known yet, later ECHOes trigger the fetch.
-        if cert is not None:
-            vouchers = parties_of(cert.signers)
-        else:
-            vouchers = echoers(state, digest_)
-        holders = self._clan_holders(vouchers)
-        if holders:
-            self._retriever.fetch((origin, round_), holders, digest_)
-
-    def _deliver(
-        self, origin: NodeId, round_: Round, state: PlainInstance, digest_: bytes
-    ) -> None:
+    def _deliver_payload(self, origin: NodeId, round_: Round, state: Instance) -> None:
+        """The one :class:`Delivery`: m on the clan, H(m) elsewhere."""
         self._mark_delivered(origin, round_, state)
-        payload = state.payloads.get(digest_)
-        delivery = Delivery(origin, round_, payload, digest_, payload is not None)
+        payload = state.payload if self.in_clan else None
+        delivery = Delivery(origin, round_, payload, state.quorum_digest, self.in_clan)
         self.deliveries.append(delivery)
         self.on_deliver(delivery)
 
-    def _on_pulled_payload(self, origin: NodeId, round_: Round, payload: Any) -> None:
-        state = self.instance(origin, round_)
-        digest_ = payload_digest(payload)
-        state.payloads.setdefault(digest_, payload)
-        if state.quorum_digest == digest_ and not state.delivered:
-            self._deliver(origin, round_, state, digest_)
-
-    def _lookup_payload(self, origin: NodeId, round_: Round) -> Any | None:
-        state = self._live(origin, round_)
-        if state is None or not state.payloads:
-            return None
-        if state.val_digest in state.payloads:
-            return state.payloads[state.val_digest]
-        return next(iter(state.payloads.values()))
-
     def delivered(self, origin: NodeId, round_: Round) -> bool:
         state = self._live(origin, round_)
-        return bool(state and state.delivered)
+        if state is None:
+            return self.retired_payload(origin, round_) is not None
+        return state.delivered
 
 
-__all__ = ["PlainInstance", "PlainRbc", "val_parts"]
+__all__ = ["PlainRbc", "val_parts"]

@@ -21,8 +21,10 @@ from ..types import NodeId, Round
 from .base import InstanceKey
 from .messages import PayloadRequest, PayloadResponse
 
-#: Capped exponential backoff between attempts: retries persist for eventual
-#: delivery without flooding the network when every holder is slow or faulty.
+#: First retry interval of every RBC pull.  Capped exponential backoff
+#: between attempts: retries persist for eventual delivery without flooding
+#: the network when every holder is slow or faulty.
+RETRY_TIMEOUT = 0.25
 BACKOFF = 1.5
 MAX_RETRY_TIMEOUT = 30.0
 
@@ -35,14 +37,9 @@ class Retriever:
     """Per-node pull loop: rotates over known holders until the owner calls
     :meth:`done`."""
 
-    def __init__(
-        self, sim: Simulator, request: RequestFn, retry_timeout: float = 0.5
-    ) -> None:
-        if retry_timeout <= 0:
-            raise BroadcastError("retry timeout must be positive")
+    def __init__(self, sim: Simulator, request: RequestFn) -> None:
         self.sim = sim
         self.request = request
-        self.retry_timeout = retry_timeout
         self._pending: dict[InstanceKey, dict] = {}
 
     def fetch(self, key: InstanceKey, holders: list[NodeId], want: Any = None) -> None:
@@ -64,7 +61,7 @@ class Retriever:
             "holders": list(holders),
             "next": 0,
             "timer": None,
-            "timeout": self.retry_timeout,
+            "timeout": RETRY_TIMEOUT,
         }
         self._request(key)
 
@@ -122,22 +119,20 @@ class Retriever:
 
 
 class Responder:
-    """Per-node pull server with per-requester rate limiting."""
+    """Per-node pull server: each requester is answered once per instance."""
 
     def __init__(
         self,
         node_id: NodeId,
         network: Network,
         lookup: Callable[[NodeId, Round], Any | None],
-        max_responses_per_requester: int = 1,
         channel: str = "payload",
     ) -> None:
         self.node_id = node_id
         self.network = network
         self.lookup = lookup
-        self.max_responses = max_responses_per_requester
         self.channel = channel
-        self._served: dict[tuple[InstanceKey, NodeId], int] = {}
+        self._served: set[tuple[InstanceKey, NodeId]] = set()
 
     def gc_below(self, round_: Round) -> int:
         """Forget rate-limit records for instances older than ``round_``.
@@ -146,22 +141,18 @@ class Responder:
         traffic *within* an instance's lifetime; once the instance's round is
         committed and garbage-collected they are dead weight.  Returns the
         number of entries collected."""
-        stale = [key for key in self._served if key[0][1] < round_]
-        for key in stale:
-            del self._served[key]
+        stale = {key for key in self._served if key[0][1] < round_}
+        self._served -= stale
         return len(stale)
 
     def on_request(self, src: NodeId, msg: PayloadRequest) -> None:
-        if msg.channel != self.channel:
-            return
         key = ((msg.origin, msg.round), src)
-        served = self._served.get(key, 0)
-        if served >= self.max_responses:
+        if key in self._served:
             return  # rate-limited: Byzantine requesters cannot amplify traffic
         payload = self.lookup(msg.origin, msg.round)
         if payload is None:
             return
-        self._served[key] = served + 1
+        self._served.add(key)
         self.network.send(
             self.node_id,
             src,

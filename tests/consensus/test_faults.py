@@ -11,6 +11,7 @@ from repro.consensus.byzantine import (
     WithholdingProposer,
 )
 from repro.net.adversary import PartialSynchronyAdversary
+from repro.rbc.core import tallies
 
 
 def test_liveness_with_f_crashed_from_start(run):
@@ -64,7 +65,10 @@ def test_equivocating_proposer_detected(run):
             # Evidence of equivocation: conflicting VALs seen directly, or
             # ECHOes for two different digests within one instance.
             state = row.get(3)
-            if state is not None and (state.conflicting or len(state.echoes) > 1):
+            if state is not None and (
+                state.conflicting
+                or sum(1 for _, tally in tallies(state) if tally.echo_mask) > 1
+            ):
                 flagged += 1
                 break
     assert flagged >= 1  # at least one honest node observed the equivocation

@@ -189,6 +189,12 @@ class _Voter(RbcCore):
     def _certified(self, origin, round_, digest_, state, cert):
         pass
 
+    def _payload_want(self, origin, round_, state, digest_):
+        return None
+
+    def _deliver_head(self, origin, round_, state):
+        pass
+
     def dispatch_table(self):
         return {EchoMsg: self._on_echo}
 
@@ -251,7 +257,7 @@ def test_rbc_instance_allocates_no_per_digest_container(completion):
     finally:
         tracemalloc.stop()
     state = voter.instances[1][9]
-    assert state.echoes == {d: (1 << n) - 1} and state.others is None
+    assert core.tally_of(state, d).echo_mask == (1 << n) - 1 and state.others is None
     assert state.cert_sent == signed and state.echo_sigs is None
 
 

@@ -15,7 +15,8 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.obs import Tracer
 from repro.obs.tracer import iter_spans
-from repro.rbc.bracha import BrachaRbc
+from repro.rbc.base import Membership
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 
 PHASES = ("rbc.val_to_echo", "rbc.echo_to_ready", "rbc.ready_to_deliver")
@@ -32,7 +33,9 @@ def run_bracha(n, seed, senders):
     for i in range(n):
         def cb(d, i=i):
             deliveries[i].append(d)
-        modules.append(BrachaRbc(i, n, net, sim, cb))
+        modules.append(
+            PlainRbc(i, Membership.whole_tribe(n), net, sim, None, cb, "bracha")
+        )
     for round_, sender in enumerate(senders, start=1):
         modules[sender % n].broadcast(f"payload-{round_}".encode(), round_)
     sim.run(max_events=2_000_000)

@@ -1,7 +1,7 @@
 """Tests for classic Bracha RBC (the baseline primitive)."""
 
 
-from repro.rbc.bracha import BrachaRbc
+from repro.rbc.core import tally_of
 from repro.rbc.messages import EchoMsg, ReadyMsg, ValMsg
 
 
@@ -9,7 +9,7 @@ N = 7  # f = 2, quorum = 5
 
 
 def test_validity_all_deliver(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     h.modules[0].broadcast(b"hello", 1)
     h.run()
     for i in range(N):
@@ -17,7 +17,7 @@ def test_validity_all_deliver(make_harness):
 
 
 def test_integrity_single_delivery_per_instance(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     h.modules[0].broadcast(b"hello", 1)
     h.modules[0].broadcast(b"world", 2)
     h.run()
@@ -27,7 +27,7 @@ def test_integrity_single_delivery_per_instance(make_harness):
 
 
 def test_concurrent_senders_all_deliver(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     for s in range(N):
         h.modules[s].broadcast(f"m{s}".encode(), 1)
     h.run()
@@ -40,7 +40,7 @@ def test_concurrent_senders_all_deliver(make_harness):
 
 def test_no_delivery_without_quorum_of_honest(make_harness):
     # Crash all but 4 of 7 nodes (less than quorum 5): no one can deliver.
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     for i in range(4, N):
         h.net.crash(i)
     h.modules[0].broadcast(b"x", 1)
@@ -50,7 +50,7 @@ def test_no_delivery_without_quorum_of_honest(make_harness):
 
 
 def test_delivery_with_f_crashes(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     h.net.crash(5)
     h.net.crash(6)
     h.modules[0].broadcast(b"x", 1)
@@ -63,7 +63,7 @@ def test_equivocation_no_conflicting_deliveries(make_harness):
     """A Byzantine sender splits the tribe; agreement must still hold."""
     from repro.rbc.byzantine import send_equivocating_vals
 
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     assignments = {i: (b"A" if i < 4 else b"B") for i in range(1, N)}
     send_equivocating_vals(h.net, 0, 1, assignments, h.membership)
     h.run()
@@ -78,7 +78,7 @@ def test_equivocation_no_conflicting_deliveries(make_harness):
 
 def test_ready_amplification_completes_stragglers(make_harness):
     """A node that missed all ECHOs still delivers via f+1 READY amplification."""
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     h.modules[0].broadcast(b"x", 1)
     h.run()
     assert all(h.deliveries[i] for i in range(N))
@@ -90,7 +90,7 @@ def test_ready_amplification_completes_stragglers(make_harness):
 
 def test_spoofed_val_ignored(make_harness):
     """VAL claiming origin 0 but transmitted by 3 is dropped (auth channels)."""
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     from repro.crypto.hashing import digest as hash_of
 
     msg = ValMsg(origin=0, round=1, digest=hash_of(b"evil"), payload=b"evil")
@@ -102,7 +102,7 @@ def test_spoofed_val_ignored(make_harness):
 
 
 def test_duplicate_echo_not_double_counted(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     from repro.crypto.hashing import digest as hash_of
 
     d = hash_of(b"v")
@@ -111,12 +111,12 @@ def test_duplicate_echo_not_double_counted(make_harness):
         h.net.send(1, 2, EchoMsg(0, 1, d))
     h.run()
     state = h.modules[2].instances[1][0]
-    assert state.echoes[d] == 1 << 1  # supporter mask: party 1 alone
+    assert tally_of(state, d).echo_mask == 1 << 1  # party 1 alone
     assert state.ready_digest is None
 
 
 def test_duplicate_ready_not_double_counted(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     from repro.crypto.hashing import digest as hash_of
 
     d = hash_of(b"v")
@@ -124,24 +124,24 @@ def test_duplicate_ready_not_double_counted(make_harness):
         h.net.send(1, 2, ReadyMsg(0, 1, d))
     h.run()
     state = h.modules[2].instances[1][0]
-    assert state.readies[d] == 1 << 1
+    assert tally_of(state, d).ready_mask == 1 << 1
     assert not state.delivered
 
 
 def test_malformed_val_payload_digest_mismatch(make_harness):
-    h = make_harness(BrachaRbc, N)
+    h = make_harness("bracha", N)
     from repro.crypto.hashing import digest as hash_of
 
     msg = ValMsg(origin=0, round=1, digest=hash_of(b"other"), payload=b"evil")
     h.net.send(0, 2, msg)
     h.run()
     state = h.modules[2]._live(0, 1)
-    assert state is None or not state.payloads
+    assert state is None or state.payload is None
 
 
 def test_good_case_latency_three_hops(make_harness):
     """Honest sender: delivery takes VAL + ECHO + READY = 3 one-way delays."""
-    h = make_harness(BrachaRbc, N, latency=0.1)
+    h = make_harness("bracha", N, latency=0.1)
     h.modules[0].broadcast(b"x", 1)
     h.run()
     for i in range(N):

@@ -14,34 +14,30 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
 from repro.rbc.messages import CertMsg, EchoMsg, ReadyMsg, ValMsg
-from repro.rbc.bracha import TribeBrachaRbc
-from repro.rbc.two_round import TribeTwoRoundRbc
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 
 N = 10
 CLAN = frozenset(range(5))
 
 
-def run_protocol(protocol):
+def run_protocol(completion):
     sim = Simulator()
     net = Network(sim, N, latency=UniformLatencyModel(0.02), track_kinds=True)
     membership = Membership(N, CLAN)
     pki = Pki(N, seed=1)
     modules = []
     for i in range(N):
-        if protocol is TribeBrachaRbc:
-            modules.append(TribeBrachaRbc(i, membership, net, sim, lambda d: None))
-        else:
-            modules.append(
-                TribeTwoRoundRbc(i, membership, net, sim, pki, lambda d: None)
-            )
+        modules.append(
+            PlainRbc(i, membership, net, sim, pki, lambda d: None, completion)
+        )
     modules[0].broadcast(b"x" * 1000, 1)
     sim.run(max_events=500_000)
     return net.stats
 
 
 def test_bracha_message_counts():
-    stats = run_protocol(TribeBrachaRbc)
+    stats = run_protocol("bracha")
     counts = stats.messages_by_kind
     assert counts["ValMsg"] == N  # one VAL per recipient (incl. self-clan)
     assert counts["EchoMsg"] == N * N  # every party broadcasts one ECHO
@@ -50,7 +46,7 @@ def test_bracha_message_counts():
 
 
 def test_two_round_message_counts():
-    stats = run_protocol(TribeTwoRoundRbc)
+    stats = run_protocol("two-round")
     counts = stats.messages_by_kind
     assert counts["ValMsg"] == N
     assert counts["EchoMsg"] == N * N
@@ -60,8 +56,8 @@ def test_two_round_message_counts():
 
 
 def test_two_round_bytes_include_signatures():
-    bracha = run_protocol(TribeBrachaRbc).bytes_by_kind
-    signed = run_protocol(TribeTwoRoundRbc).bytes_by_kind
+    bracha = run_protocol("bracha").bytes_by_kind
+    signed = run_protocol("two-round").bytes_by_kind
     # Signed ECHOes are exactly one signature larger per message.
     per_echo_plain = bracha["EchoMsg"] / (N * N)
     per_echo_signed = signed["EchoMsg"] / (N * N)
@@ -69,7 +65,7 @@ def test_two_round_bytes_include_signatures():
 
 
 def test_payload_bytes_confined_to_clan():
-    stats = run_protocol(TribeBrachaRbc)
+    stats = run_protocol("bracha")
     val_bytes = stats.bytes_by_kind["ValMsg"]
     # 5 full copies (1000 B payload + digest + header) + 5 digest-only VALs.
     full = 5 * (40 + 32 + 1000)

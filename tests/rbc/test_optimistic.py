@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.rbc.byzantine import send_equivocating_vals, silence
-from repro.rbc.bracha import OptimisticRbc, TribeBrachaRbc
 
 DELTA = 0.05
 
 
 class TestFastPath:
     def test_good_case_delivers_everywhere(self, make_harness):
-        h = make_harness(OptimisticRbc, n=7, latency=DELTA)
+        h = make_harness("optimistic", n=7, latency=DELTA)
         h.modules[0].broadcast(b"hello", 1)
         h.run()
         for node in range(7):
@@ -25,7 +24,7 @@ class TestFastPath:
     def test_good_case_is_two_rounds(self, make_harness):
         # Fast path: VAL (δ) + ECHO (δ) = 2δ; Bracha pays the READY hop too.
         times = {}
-        for protocol in (OptimisticRbc, TribeBrachaRbc):
+        for protocol in ("optimistic", "bracha"):
             h = make_harness(protocol, n=7, latency=DELTA)
             at = {}
 
@@ -36,11 +35,11 @@ class TestFastPath:
             h.modules[0].broadcast(b"payload", 1)
             h.run()
             times[protocol] = at["t"]
-        assert times[OptimisticRbc] == pytest.approx(2 * DELTA)
-        assert times[TribeBrachaRbc] == pytest.approx(3 * DELTA)
+        assert times["optimistic"] == pytest.approx(2 * DELTA)
+        assert times["bracha"] == pytest.approx(3 * DELTA)
 
     def test_tribe_outside_clan_delivers_digest_only(self, make_harness):
-        h = make_harness(OptimisticRbc, n=7, clan=range(4), latency=DELTA)
+        h = make_harness("optimistic", n=7, clan=range(4), latency=DELTA)
         h.modules[0].broadcast(b"clan-payload", 3)
         h.run()
         assert h.delivered_values(2) == [(0, 3, b"clan-payload", True)]
@@ -51,7 +50,7 @@ class TestFastPath:
 
 class TestFallback:
     def test_silent_party_forces_timeout_fallback(self, make_harness):
-        h = make_harness(OptimisticRbc, n=7, latency=DELTA, fallback_timeout=0.4)
+        h = make_harness("optimistic", n=7, latency=DELTA, fallback_timeout=0.4)
         silence(h.modules[6])
         h.modules[0].broadcast(b"slow", 1)
         h.run()
@@ -69,7 +68,7 @@ class TestFallback:
     def test_ready_join_propagates_fallback(self, make_harness):
         # Party 0 times out early; its READY converts everyone else without
         # waiting for their (much longer) local timers.
-        h = make_harness(OptimisticRbc, n=4, latency=DELTA, fallback_timeout=10.0)
+        h = make_harness("optimistic", n=4, latency=DELTA, fallback_timeout=10.0)
         h.modules[0].fallback_timeout = 0.3
         silence(h.modules[3])
         delivered_at = {}
@@ -91,7 +90,7 @@ class TestFallback:
         assert h.modules[2].fallbacks == {"ready": 1}
 
     def test_equivocation_falls_back_and_never_delivers(self, make_harness):
-        h = make_harness(OptimisticRbc, n=7, latency=DELTA, fallback_timeout=0.4)
+        h = make_harness("optimistic", n=7, latency=DELTA, fallback_timeout=0.4)
         assignments = {
             p: (b"value-a" if p % 2 == 0 else b"value-b") for p in range(7)
         }
@@ -111,7 +110,7 @@ class TestFallback:
         # a 2f+1 READY quorum that can never form.
         from repro.rbc.messages import EchoMsg
 
-        h = make_harness(OptimisticRbc, n=4, latency=DELTA, fallback_timeout=0.3)
+        h = make_harness("optimistic", n=4, latency=DELTA, fallback_timeout=0.3)
         inner = h.modules[3].on_message
         eaten = []
 
@@ -143,7 +142,7 @@ class TestFallback:
     def test_fast_path_unaffected_by_other_instances_fallback(self, make_harness):
         # Fallback state is per-instance: a conflicted round must not drag a
         # clean one off its fast path.
-        h = make_harness(OptimisticRbc, n=4, latency=DELTA, fallback_timeout=0.4)
+        h = make_harness("optimistic", n=4, latency=DELTA, fallback_timeout=0.4)
         assignments = {p: (b"a" if p % 2 == 0 else b"b") for p in range(4)}
         send_equivocating_vals(h.net, 0, 1, assignments, h.membership)
         h.modules[1].broadcast(b"clean", 1)

@@ -36,7 +36,7 @@ from repro.net.adversary import TargetedDelayAdversary
 from repro.net.faults import ChurnSchedule, LossyLink
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
-from repro.rbc.core import RbcCore
+from repro.rbc.core import RbcCore, tallies
 from repro.rbc.messages import PayloadRequest, PayloadResponse
 from repro.sim import Simulator
 from repro.smr.mempool import SyntheticWorkload
@@ -176,7 +176,7 @@ def test_unobservable_under_an_equivocating_proposer(monkeypatch):
     # Honest parties saw ECHOes for both of its vertices.
     dep = smr.deployment
     assert any(
-        len(state.echoes) > 1
+        sum(1 for _, tally in tallies(state) if tally.echo_mask) > 1
         for i in dep.honest_ids
         for row in dep.nodes[i].rbc.instances.values()
         for origin, state in row.items()
@@ -239,7 +239,7 @@ def test_pull_servers_answer_retired_keys_as_before(monkeypatch):
         rbc = dep.nodes[0].rbc
         return rbc, {
             (origin, round_): (
-                rbc._lookup_vertex(origin, round_), rbc._lookup_block(origin, round_)
+                rbc._lookup_vertex(origin, round_), rbc._lookup_payload(origin, round_)
             )
             for round_ in range(1, 8)
             for origin in range(4)

@@ -20,7 +20,7 @@ from repro.rbc.messages import (
     PayloadResponse,
     ReadyMsg,
 )
-from repro.rbc.retrieval import Retriever
+from repro.rbc.retrieval import RETRY_TIMEOUT, Retriever
 from repro.sim import Simulator
 
 PAYLOAD = b"the-block"
@@ -37,16 +37,16 @@ def make_loop(answer=True):
         calls.append((sim.now, key, target, want))
         return answer
 
-    return sim, Retriever(sim, request, retry_timeout=0.2), calls
+    return sim, Retriever(sim, request), calls
 
 
 def test_fetch_rotates_to_next_holder_on_timeout():
     sim, loop, calls = make_loop()
     loop.fetch((9, 1), [1, 2], want=b"d")
-    sim.run(until=0.6)
-    # First attempt at once, retries after 0.2 s and then 0.2 * 1.5 s.
+    sim.run(until=2.5 * RETRY_TIMEOUT + 0.01)
+    # First attempt at once, retries after RETRY_TIMEOUT and then 1.5 times it.
     assert [(t, target) for t, _, target, _ in calls] == [
-        (0.0, 1), (0.2, 2), (pytest.approx(0.5), 1),
+        (0.0, 1), (RETRY_TIMEOUT, 2), (pytest.approx(2.5 * RETRY_TIMEOUT), 1),
     ]
     assert {want for *_, want in calls} == {b"d"}
 
@@ -90,7 +90,7 @@ def test_backoff_growth_bounded():
     sim, loop, calls = make_loop()
     loop.fetch((9, 1), [1])
     sim.run(until=300.0)
-    # Capped exponential backoff: far fewer requests than 300s/0.2s.
+    # Capped exponential backoff: far fewer requests than 300 s / RETRY_TIMEOUT.
     assert len(calls) < 40
     gaps = [b[0] - a[0] for a, b in zip(calls, calls[1:])]
     assert max(gaps) == pytest.approx(30.0)
@@ -125,7 +125,7 @@ def test_retriever_suspend_and_resume():
     assert [(key, target) for _, key, target, _ in calls[2:]] == [
         ((9, 5), 2), ((9, 1), 2),
     ]
-    sim.run(until=5.3)
+    sim.run(until=5.0 + 1.5 * RETRY_TIMEOUT)
     assert len(calls) == 6  # and the retry timers run again
 
 
@@ -149,7 +149,6 @@ class Puller(RbcCore):
                 channel,
                 lambda o, r, p, c=channel: self.got.append((c, o, r, p)),
                 lambda o, r: store.get((o, r)),
-                0.2,
             )
             for channel in channels
         }

@@ -1,8 +1,9 @@
-"""Guard: the RBC voting state machine and its pull loop are written once.
+"""Guard: the RBC voting state machine, its clan-payload rules and its pull
+loop are written once.
 
 The Fig. 2/3 family and the §5 merged vertex RBC are payload policies over
-``repro.rbc.core``; a second definition of a voting handler anywhere under
-``src/repro`` means a copy has crept back in.  Likewise every RBC pull —
+``repro.rbc.core``; a second definition of a voting handler or a payload
+rule anywhere under ``src/repro`` means a copy has crept back in.  Likewise every RBC pull —
 payload, block, vertex, chunks — runs on ``repro.rbc.retrieval.Retriever``:
 a retry timer or a capped backoff in the merged RBC or the node is a second
 pull loop.  (``consensus/sync.py`` keeps its own: it pulls one moving round
@@ -33,6 +34,40 @@ def test_voting_handlers_are_defined_once_in_the_core():
                     where = os.path.relpath(path, SRC).replace(os.sep, "/")
                     defined[node.name].append(where)
     assert defined == {name: ["rbc/core.py"] for name in HANDLERS}
+
+
+#: The clan-payload rules: when a clan member may ECHO, what a VAL's or a
+#: pulled payload does, when the payload is delivered and whom it is pulled
+#: from, and when a delivered instance retires.
+PAYLOAD_RULES = (
+    "_maybe_echo", "_holds_payload", "_take_payload", "_on_pulled_payload",
+    "_settle", "_holder_certified", "_pull", "_lookup_payload", "_finished",
+)
+
+
+def test_payload_rules_are_defined_once_in_the_core():
+    # Only the chunked prefix, whose blocks reach the node through the
+    # certified-prefix commit path, vouches on its manifest and keeps its
+    # instances.
+    defined = {name: [] for name in PAYLOAD_RULES}
+    for folder, _, files in os.walk(SRC):
+        for filename in files:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(folder, filename)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            where = os.path.relpath(path, SRC).replace(os.sep, "/")
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name in defined:
+                        defined[node.name].append(f"{where}::{cls.name}")
+    prefix = "consensus/vertex_rbc.py::ChunkedPrefixRbc"
+    expected = {name: ["rbc/core.py::RbcCore"] for name in PAYLOAD_RULES}
+    expected["_holds_payload"] = expected["_finished"] = [prefix, "rbc/core.py::RbcCore"]
+    assert {name: sorted(found) for name, found in defined.items()} == expected
 
 
 def _trees(*folders):

@@ -35,9 +35,9 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.obs.tracer import NULL_TRACER
 from repro.rbc.base import Membership
-from repro.rbc.bracha import BrachaRbc
 from repro.rbc.core import COMPLETIONS, MAX_PARTIES, RbcCore, echoers, tallies, tally_of
 from repro.rbc.messages import CertMsg, EchoMsg, PayloadRequest, ReadyMsg
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 from repro.types import quorum_size
 
@@ -153,9 +153,13 @@ def test_the_arrival_record_is_released_at_the_quorum(completion):
 def test_tribe_beyond_the_byte_sized_arrival_record_is_rejected():
     sim = Simulator()
     n = MAX_PARTIES
-    BrachaRbc(n - 1, n, Network(sim, n), sim, lambda d: None)  # id 255 fits
+    tribe = Membership.whole_tribe(n)
+    PlainRbc(n - 1, tribe, Network(sim, n), sim, None, lambda d: None, "bracha")  # id 255 fits
     with pytest.raises(BroadcastError, match="one byte"):
-        BrachaRbc(0, n + 1, Network(sim, n + 1), sim, lambda d: None)
+        PlainRbc(
+            0, Membership.whole_tribe(n + 1), Network(sim, n + 1), sim, None,
+            lambda d: None, "bracha",
+        )
 
 
 # -- two digests in one instance ---------------------------------------------
@@ -202,6 +206,12 @@ class Voter(RbcCore):
     def _certified(self, origin, round_, digest_, state, cert):
         self.certified.append((digest_, cert))
 
+    def _payload_want(self, origin, round_, state, digest_):
+        return None
+
+    def _deliver_head(self, origin, round_, state):
+        pass
+
     def dispatch_table(self):
         return {EchoMsg: self._on_echo, ReadyMsg: self._on_ready, CertMsg: self._on_cert}
 
@@ -226,6 +236,14 @@ def _mask(parties):
     return sum(1 << p for p in parties)
 
 
+def _echo_masks(state):
+    return {d: t.echo_mask for d, t in tallies(state) if t.echo_mask}
+
+
+def _ready_masks(state):
+    return {d: t.ready_mask for d, t in tallies(state) if t.ready_mask}
+
+
 @pytest.mark.parametrize("completion", COMPLETIONS)
 def test_two_digests_keep_separate_masks_and_echoers(completion):
     voter = Voter(completion)
@@ -233,7 +251,7 @@ def test_two_digests_keep_separate_masks_and_echoers(completion):
     voter.echo(D1, 9, 1, 2, 12)
     state = voter.state
     assert state.tally_digest == D2 and list(state.others) == [D1]
-    assert state.echoes == {D2: _mask((7, 3, 5)), D1: _mask((9, 1, 2, 12))}
+    assert _echo_masks(state) == {D2: _mask((7, 3, 5)), D1: _mask((9, 1, 2, 12))}
     assert tally_of(state, D1).echo_order == bytearray((9, 1, 2, 12))
     assert sorted(echoers(state, D2)) == [3, 5, 7]
     assert sorted(echoers(state, D1)) == [1, 2, 9, 12]
@@ -248,11 +266,12 @@ def test_ready_first_claims_the_inline_slot_and_echoes_still_certify(completion)
     state = voter.state
     if completion == "two-round":
         # The signed rule takes no READY: ECHOes name the first digest.
-        assert state.tally_digest == D1 and state.readies == {}
+        assert state.tally_digest == D1 and _ready_masks(state) == {}
         assert [digest_ for digest_, _ in voter.certified] == [D1]
     else:
         assert state.tally_digest == D2 and list(state.others) == [D1]
-        assert state.readies == {D2: 1 << 4} and state.echoes == {D1: state.others[D1].echo_mask}
+        assert _ready_masks(state) == {D2: 1 << 4}
+        assert _echo_masks(state) == {D1: state.others[D1].echo_mask}
         assert voter.holder_certified == [D1]
         assert [msg.digest for msg in voter.sent(ReadyMsg)] == [D1]
         assert state.ready_digest == D1
@@ -267,7 +286,9 @@ def test_ready_amplification_counts_each_digest_alone(completion):
     assert voter.sent(ReadyMsg) == [] and voter.state.ready_digest is None
     voter.ready(D2, 2 * F + 1)
     assert [msg.digest for msg in voter.sent(ReadyMsg)] == [D2]
-    assert voter.state.readies == {D1: _mask(range(1, F + 1)), D2: _mask(range(F + 1, 2 * F + 2))}
+    assert _ready_masks(voter.state) == {
+        D1: _mask(range(1, F + 1)), D2: _mask(range(F + 1, 2 * F + 2)),
+    }
 
 
 def _signature_lists(state):
@@ -287,7 +308,7 @@ def test_two_round_certificate_holds_the_certified_digests_echoers_only():
     assert state.cert_sent and _signature_lists(state) == [None, None]
     # Later ECHOes still count, but keep no signature.
     voter.echo(D2, 12)
-    assert state.echoes[D2] == _mask((12, 13, 14, 15))
+    assert tally_of(state, D2).echo_mask == _mask((12, 13, 14, 15))
     assert _signature_lists(state) == [None, None]
 
 

@@ -2,7 +2,6 @@
 
 
 from repro.net.adversary import TargetedDelayAdversary
-from repro.rbc.bracha import TribeBrachaRbc
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
 
 N = 10  # f = 3, quorum = 7
@@ -10,7 +9,7 @@ CLAN = frozenset({0, 1, 2, 3, 4})  # n_c = 5, f_c = 2, clan_quorum = 3
 
 
 def test_validity_clan_gets_value_others_get_digest(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     h.modules[0].broadcast(b"payload", 1)
     h.run()
     for i in range(N):
@@ -29,7 +28,7 @@ def test_validity_clan_gets_value_others_get_digest(make_harness):
 def test_sender_outside_clan_can_broadcast(make_harness):
     # The primitive itself allows any designated sender; clan restriction on
     # proposers is a consensus-layer rule.
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     h.modules[7].broadcast(b"from-outside", 2)
     h.run()
     for i in CLAN:
@@ -37,7 +36,7 @@ def test_sender_outside_clan_can_broadcast(make_harness):
 
 
 def test_integrity_one_delivery_per_origin_round(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     h.modules[1].broadcast(b"a", 1)
     h.run()
     for i in range(N):
@@ -51,7 +50,7 @@ def test_echo_quorum_requires_clan_members(make_harness):
     so no honest party delivers even though 7 tribe ECHOs are impossible
     anyway; crash only clan members to isolate the clan condition.
     """
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     for i in (2, 3, 4):
         h.net.crash(i)
     h.modules[0].broadcast(b"x", 1)
@@ -63,7 +62,7 @@ def test_echo_quorum_requires_clan_members(make_harness):
 
 def test_delivery_with_non_clan_crashes(make_harness):
     """Crashing f non-clan members leaves 7 parties: exactly quorum."""
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     for i in (7, 8, 9):
         h.net.crash(i)
     h.modules[0].broadcast(b"x", 1)
@@ -74,7 +73,7 @@ def test_delivery_with_non_clan_crashes(make_harness):
 
 def test_withholding_sender_triggers_pull(make_harness):
     """Sender gives the value to only 3 clan members; the other 2 pull it."""
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     send_withholding_vals(
         h.net, 9, 1, b"secret", h.membership, receive_full=[0, 1, 2]
     )
@@ -90,7 +89,7 @@ def test_withholding_sender_triggers_pull(make_harness):
 
 def test_equivocation_never_splits_clan(make_harness):
     """Byzantine sender equivocates; no two honest parties deliver different values."""
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     assignments = {}
     for i in range(N):
         if i == 9:
@@ -107,7 +106,7 @@ def test_equivocation_never_splits_clan(make_harness):
 def test_agreement_under_adversarial_delay(make_harness):
     """A clan member cut off during dissemination still delivers eventually."""
     adversary = TargetedDelayAdversary({4}, extra=30.0, until=5.0)
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN, adversary=adversary)
+    h = make_harness("bracha", N, clan=CLAN, adversary=adversary)
     h.modules[0].broadcast(b"x", 1)
     h.run()
     assert h.deliveries[4]
@@ -118,7 +117,7 @@ def test_slow_clan_member_downloads_value(make_harness):
     """VALs to one clan member are hugely delayed; READY quorum forms without
     it and the retrieval path supplies the payload."""
     adversary = TargetedDelayAdversary({3}, extra=100.0, until=0.001)
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN, adversary=adversary)
+    h = make_harness("bracha", N, clan=CLAN, adversary=adversary)
     h.modules[0].broadcast(b"v", 1)
     # Run well past the protocol completion but before the delayed VAL (t=100).
     h.run(until=50.0)
@@ -127,7 +126,7 @@ def test_slow_clan_member_downloads_value(make_harness):
 
 
 def test_conflicting_val_recorded_not_followed(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     from repro.crypto.hashing import digest as hash_of
     from repro.rbc.messages import ValMsg
 
@@ -142,12 +141,12 @@ def test_conflicting_val_recorded_not_followed(make_harness):
 def test_communication_cost_scales_with_clan(make_harness):
     """Sender bytes: ℓ to clan members, κ-sized to the rest (§3 complexity)."""
     big = bytes(100_000)
-    h_clan = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h_clan = make_harness("bracha", N, clan=CLAN)
     h_clan.modules[0].broadcast(big, 1)
     h_clan.run()
     clan_sender_bytes = h_clan.net.stats.bytes_sent[0]
 
-    h_full = make_harness(TribeBrachaRbc, N, clan=frozenset(range(N)))
+    h_full = make_harness("bracha", N, clan=frozenset(range(N)))
     h_full.modules[0].broadcast(big, 1)
     h_full.run()
     full_sender_bytes = h_full.net.stats.bytes_sent[0]
@@ -157,7 +156,7 @@ def test_communication_cost_scales_with_clan(make_harness):
 
 
 def test_deliveries_recorded_on_module(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN)
+    h = make_harness("bracha", N, clan=CLAN)
     h.modules[2].broadcast(b"z", 3)
     h.run()
     assert h.modules[0].delivered(2, 3)

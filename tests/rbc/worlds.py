@@ -23,24 +23,28 @@ from repro.dag.transaction import Transaction
 from repro.dag.vertex import Vertex, genesis_vertex
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.bracha import OptimisticRbc, TribeBrachaRbc
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
 from repro.rbc.core import COMPLETIONS
-from repro.rbc.two_round import TribeTwoRoundRbc
+from repro.rbc.plain import PlainRbc
 from repro.sim import Simulator
 
 POLICIES = ("plain", "clan-only block")
 
 
 class World:
-    def __init__(self, policy, completion, n, clan, latency_model, seed=0):
+    def __init__(
+        self, policy, completion, n, clan, latency_model, seed=0, adversary=None
+    ):
         """``latency_model`` is a factory: it must be called after the
         simulator exists, which starts a fresh RNG-sanitizer run."""
         self.policy, self.completion = policy, completion
         self.n = n
         self.clan = frozenset(clan)
         self.sim = Simulator()
-        self.net = Network(self.sim, n, latency=latency_model(), track_kinds=True)
+        self.net = Network(
+            self.sim, n, latency=latency_model(), adversary=adversary,
+            track_kinds=True,
+        )
         self.pki = Pki(n, seed=seed)
         self.digests = {i: [] for i in range(n)}
         self.payloads = {i: [] for i in range(n)}
@@ -59,12 +63,10 @@ class World:
             if d.full:
                 self.payloads[i].append((self.sim.now, bytes(d.payload)))
 
-        args = (i, self.membership, self.net, self.sim)
-        if self.completion == "bracha":
-            return TribeBrachaRbc(*args, on_deliver)
-        if self.completion == "two-round":
-            return TribeTwoRoundRbc(*args, self.pki, on_deliver)
-        return OptimisticRbc(*args, on_deliver)
+        return PlainRbc(
+            i, self.membership, self.net, self.sim, self.pki, on_deliver,
+            self.completion,
+        )
 
     def _vertex_module(self, i):
         module = VertexRbc(

@@ -29,9 +29,8 @@ def test_membership_from_clan_config():
 def test_every_public_module_has_docstrings():
     """Spot-check that core public classes carry documentation."""
     from repro.consensus import Deployment, SailfishNode
-    from repro.rbc import TribeBrachaRbc, TribeTwoRoundRbc
+    from repro.rbc import PlainRbc
     from repro.smr import Client, Executor, SmrRuntime
 
-    for obj in (Deployment, SailfishNode, TribeBrachaRbc, TribeTwoRoundRbc,
-                Client, Executor, SmrRuntime):
+    for obj in (Deployment, SailfishNode, PlainRbc, Client, Executor, SmrRuntime):
         assert obj.__doc__, obj
