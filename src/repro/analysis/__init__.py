@@ -1,17 +1,10 @@
-"""Determinism & protocol-invariant analysis.
-
-Two halves, one contract:
-
-* :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — the static
-  AST pass behind ``python -m repro analyze`` (DET/MSG/SIM rule pack,
-  inline suppressions, committed baseline).
-* :mod:`repro.analysis.sanitizers` — opt-in runtime checks
-  (``REPRO_SANITIZE=1``): freeze-after-send, RNG stream-collision
-  detection, scheduler tie-order audit.
+"""Opt-in runtime sanitizers (``REPRO_SANITIZE=1``): freeze-after-send,
+RNG stream-collision detection and the scheduler tie-order audit
+(:mod:`repro.analysis.sanitizers`, ``docs/ANALYSIS.md``).
 
 This package init stays import-light on purpose: the scheduler, network,
 and RNG layers import :mod:`~repro.analysis.sanitizers` on their hot
-construction paths, and must not drag the whole rule engine with it.
+construction paths.
 """
 
 from . import sanitizers

@@ -1,4 +1,5 @@
-"""Opt-in runtime sanitizers, the dynamic twin of ``python -m repro analyze``.
+"""Opt-in runtime sanitizers: determinism and message invariants, checked
+while the protocol runs.
 
 Enabled by ``REPRO_SANITIZE=1`` in the environment; when the variable is
 unset nothing here is instantiated — the hooks in the scheduler, network,
@@ -173,16 +174,6 @@ def begin_run() -> None:
 def stream_count() -> int:
     """Streams registered since the last run boundary (for tests)."""
     return len(_exclusive_streams) + len(_shared_streams)
-
-
-def observed_streams() -> list[tuple[tuple[str, ...], bool]]:
-    """Every stream derived since the last run boundary, as
-    ``(labels, shared)`` pairs — the runtime inventory RNG001's static
-    inventory is cross-checked against (``tests/analysis``)."""
-    return sorted(
-        [(labels, False) for _seed, labels in _exclusive_streams]
-        + [(labels, True) for _seed, labels in _shared_streams]
-    )
 
 
 # -- scheduler tie-order audit ------------------------------------------------

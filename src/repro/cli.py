@@ -2,9 +2,6 @@
 
 Commands:
 
-* ``analyze`` — determinism & protocol-invariant static analysis
-  (``docs/ANALYSIS.md``): DET/MSG/SIM rule pack, inline suppressions,
-  committed baseline; exits non-zero on any non-baselined finding.
 * ``stats`` — committee statistics (Fig. 1 / §6.2 machinery).
 * ``run`` — simulate one protocol configuration and print metrics.
 * ``sweep`` — a load sweep (one Fig. 5-style curve) for one protocol.
@@ -314,142 +311,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default analysis targets, relative to the working directory.
-ANALYZE_DEFAULT_PATHS = ("src/repro",)
-
-#: Default committed baseline file (used when present).
-ANALYZE_DEFAULT_BASELINE = "analysis_baseline.json"
-
-
-def _git_changed_files(targets: list[str]) -> list[str] | None:
-    """Python files under ``targets`` that differ from the git merge-base
-    with the main branch (plus untracked files) — the ``--changed`` lane.
-    Returns ``None`` when git is unavailable or this is not a work tree.
-    """
-    import os
-    import subprocess
-
-    def git(*cmd: str) -> str | None:
-        try:
-            proc = subprocess.run(
-                ["git", *cmd], capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        return proc.stdout if proc.returncode == 0 else None
-
-    base = None
-    for ref in ("origin/main", "main", "origin/master", "master"):
-        out = git("merge-base", "HEAD", ref)
-        if out:
-            base = out.strip()
-            break
-    diff = git("diff", "--name-only", base) if base else git("diff", "--name-only", "HEAD")
-    if diff is None:
-        return None
-    untracked = git("ls-files", "--others", "--exclude-standard") or ""
-    changed = set()
-    prefixes = tuple(t.rstrip("/") + "/" for t in targets)
-    for name in (*diff.splitlines(), *untracked.splitlines()):
-        name = name.strip()
-        if not name.endswith(".py") or not os.path.exists(name):
-            continue
-        if name in targets or name.startswith(prefixes):
-            changed.add(name)
-    return sorted(changed)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .analysis.engine import (
-        Analyzer,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from .analysis.project import load_project
-
-    paths = args.paths or list(ANALYZE_DEFAULT_PATHS)
-    # The interprocedural rules need the whole program even when only a
-    # subset of files is being reported on, so the project context is always
-    # built over the full target set (content-addressed cache keyed on the
-    # source digest keeps repeat builds cheap).
-    project = load_project(paths)
-    if args.changed:
-        changed = _git_changed_files(paths)
-        if changed is None:
-            print("analyze --changed requires git and a work tree")
-            return 2
-        if not changed:
-            print("no changed python files under " + " ".join(paths))
-            return 0
-        analysis_paths = changed
-    else:
-        analysis_paths = paths
-    analyzer = Analyzer(project=project)
-    findings = analyzer.run(analysis_paths)
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(ANALYZE_DEFAULT_BASELINE):
-        baseline_path = ANALYZE_DEFAULT_BASELINE
-    if args.write_baseline:
-        target = baseline_path or ANALYZE_DEFAULT_BASELINE
-        write_baseline(findings, target)
-        print(
-            f"baseline written to {target} ({len(findings)} findings — "
-            "fill in each entry's justification before committing)"
-        )
-        return 0
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    split = apply_baseline(findings, baseline)
-
-    if args.sarif:
-        from .analysis.sarif import write_sarif
-
-        write_sarif(args.sarif, split.new, analyzer.rules)
-
-    if args.json:
-        payload = {
-            "version": 1,
-            "files": analyzer.files_analyzed,
-            "suppressed": analyzer.suppressed,
-            "baseline": baseline_path,
-            "findings": [
-                {**f.to_json(), "baselined": f in split.baselined}
-                for f in findings
-            ],
-            "new_count": len(split.new),
-            "baselined_count": len(split.baselined),
-            "stale_baseline": [
-                {"rule": rule, "path": path, "snippet": snippet}
-                for rule, path, snippet in split.stale
-            ],
-            "parse_errors": [
-                {"path": path, "error": error}
-                for path, error in analyzer.parse_errors
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for finding in split.new:
-            print(finding.format())
-        for rule, path, snippet in split.stale:
-            print(
-                f"stale baseline entry: {rule} at {path} "
-                f"({snippet!r} no longer found — prune it)"
-            )
-        for path, error in analyzer.parse_errors:
-            print(f"parse error: {path}: {error}")
-        print(
-            f"{analyzer.files_analyzed} files: {len(split.new)} new finding(s), "
-            f"{len(split.baselined)} baselined, {analyzer.suppressed} suppressed, "
-            f"{len(split.stale)} stale baseline entr(ies)"
-        )
-    return 1 if split.new or analyzer.parse_errors else 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -595,48 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Clan-based DAG BFT SMR reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="determinism & protocol-invariant static analysis (docs/ANALYSIS.md)",
-    )
-    analyze.add_argument(
-        "paths",
-        nargs="*",
-        help=f"files/directories to analyze (default: {' '.join(ANALYZE_DEFAULT_PATHS)})",
-    )
-    analyze.add_argument(
-        "--json", action="store_true", help="emit a machine-readable report"
-    )
-    analyze.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {ANALYZE_DEFAULT_BASELINE} when present)"
-        ),
-    )
-    analyze.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    analyze.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "report only on files differing from the git merge-base with "
-            "main (fast pre-commit lane; interprocedural rules still see "
-            "the whole program)"
-        ),
-    )
-    analyze.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also write new findings as SARIF 2.1.0 (GitHub code scanning)",
-    )
-    analyze.set_defaults(fn=_cmd_analyze)
 
     stats = sub.add_parser("stats", help="committee statistics for a tribe size")
     stats.add_argument("n", type=int)

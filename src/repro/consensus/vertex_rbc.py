@@ -344,16 +344,20 @@ class VertexRbc(RbcCore):
         cert: QuorumCertificate | None,
     ) -> None:
         """The RBC quorum certified ``digest_``: deliver vertex, then block."""
+        signers = cert.signers if cert is not None else 0
         if state.vertex is None or state.vertex.vertex_digest() != digest_:
             # VAL still in flight (or equivocation shadow): pull the vertex
-            # from any echoing party, off the critical path.
+            # from any echoing party, off the critical path.  The pull keeps
+            # the certificate's signers for the block pull that follows.
             holders = [p for p in echoers(state, digest_) if p != self.node_id]
             if self._signed and not holders:
                 holders = [origin]
             if holders:
-                self._vertex_retriever.fetch((origin, round_), holders, digest_)
+                self._vertex_retriever.fetch(
+                    (origin, round_), holders, digest_, signers
+                )
             return
-        self._settle(origin, round_, state, cert)
+        self._settle(origin, round_, state, signers)
 
     def _head_certified(self, state: VertexInstance) -> bool:
         vertex = state.vertex
@@ -377,7 +381,9 @@ class VertexRbc(RbcCore):
             self._phase_span("rbc.block_e2e", start, origin, round_, state)
         self.on_block(state.payload)
 
-    def _on_pulled_vertex(self, origin: NodeId, round_: Round, vertex: Vertex) -> None:
+    def _on_pulled_vertex(
+        self, origin: NodeId, round_: Round, vertex: Vertex, signers: int
+    ) -> None:
         state = self.instance(origin, round_)
         vdigest = vertex.vertex_digest()
         if state.vertex is None:
@@ -394,7 +400,7 @@ class VertexRbc(RbcCore):
             if self.on_equivocation is not None:
                 self.on_equivocation(origin, round_, len(state.conflicting))
             state.vertex = vertex
-        self._settle(origin, round_, state)
+        self._settle(origin, round_, state, signers)
 
     def _lookup_vertex(self, origin: NodeId, round_: Round) -> Vertex | None:
         state = self._live(origin, round_)

@@ -331,7 +331,7 @@ class Network:
                         stats.messages_dropped += 1
                         if traced:
                             # `traced` implies tracer.enabled.
-                            tracer.counter(  # repro: allow[OBS001]
+                            tracer.counter(
                                 "net.drop", node=src, dst=dst, kind=msg.kind(), size=size,
                             )
             count += 1

@@ -283,7 +283,7 @@ class RbcCore:
         cert: QuorumCertificate | None,
     ) -> None:
         """The completion rule certified ``digest_``."""
-        self._settle(origin, round_, state, cert)
+        self._settle(origin, round_, state, cert.signers if cert is not None else 0)
 
     def _head_certified(self, state: Instance) -> bool:
         """Does this node hold the certified tribe-wide part?"""
@@ -438,11 +438,12 @@ class RbcCore:
     def _pull_plane(
         self,
         channel: str,
-        on_payload: Callable[[NodeId, Round, Any], None],
+        on_payload: Callable[[NodeId, Round, Any, int], None],
         lookup: Callable[[NodeId, Round], Any | None],
     ) -> Retriever:
         """Open a payload plane (§3: download a missing value from its
-        holders); its fetches ``want`` the payload digest."""
+        holders); its fetches ``want`` the payload digest, and ``on_payload``
+        gets the signer mask the fetch carried."""
         node_id, send = self.node_id, self.network.send
 
         def request(key: InstanceKey, target: NodeId, digest_: bytes) -> bool:
@@ -468,8 +469,7 @@ class RbcCore:
         want = loop.wanted(key)
         if want is None or payload_digest(msg.payload) != want:
             return  # unsolicited, or corrupted/adversarial: keep retrying
-        loop.done(key)
-        on_payload(msg.origin, msg.round, msg.payload)
+        on_payload(msg.origin, msg.round, msg.payload, loop.done(key))
 
     def send_val_parts(self, parts: ValParts) -> None:
         """Transmit an honest sender's VALs (and chunks) in protocol order."""
@@ -788,7 +788,9 @@ class RbcCore:
         self._maybe_echo(origin, round_, state)
         self._settle(origin, round_, state)
 
-    def _on_pulled_payload(self, origin: NodeId, round_: Round, payload: Any) -> None:
+    def _on_pulled_payload(
+        self, origin: NodeId, round_: Round, payload: Any, _signers: int
+    ) -> None:
         """A pulled payload matches the digest it was asked for: it replaces
         what the node held, and it counts as the VAL's (ECHO after pull)."""
         state = self.instance(origin, round_)
@@ -796,8 +798,7 @@ class RbcCore:
         self._take_payload(origin, round_, state, None)
 
     def _settle(
-        self, origin: NodeId, round_: Round, state: Instance,
-        cert: QuorumCertificate | None = None,
+        self, origin: NodeId, round_: Round, state: Instance, signers: int = 0,
     ) -> None:
         """Deliver what the certified instance owes this node: the tribe-wide
         part, then — on a member of its clan — the payload, pulled while the
@@ -812,7 +813,7 @@ class RbcCore:
         if want is not None:
             payload = state.payload
             if payload is None or payload_digest(payload) != want:
-                self._pull(origin, round_, state, state.quorum_digest, want, cert)
+                self._pull(origin, round_, state, state.quorum_digest, want, signers)
                 return
         state.payload_done = True
         if want is not None:
@@ -831,14 +832,14 @@ class RbcCore:
 
     def _pull(
         self, origin: NodeId, round_: Round, state: Instance, digest_: bytes,
-        want: bytes, cert: QuorumCertificate | None = None,
+        want: bytes, signers: int = 0,
     ) -> None:
         """Pull payload ``want`` from the clan members that vouched for
-        ``digest_``: the certificate's clan signers, else the clan echoers.
-        With no holder known yet, a later ECHO names one."""
+        ``digest_``: the clan part of the certificate's ``signers``, else the
+        clan echoers.  With no holder known yet, a later ECHO names one."""
         clan = state.clan
-        if cert is not None:
-            vouchers = parties_of(cert.signers & clan.mask)
+        if signers:
+            vouchers = parties_of(signers & clan.mask)
         else:
             vouchers = [p for p in echoers(state, digest_) if p in clan.members]
         holders = [p for p in vouchers if p != self.node_id]

@@ -42,17 +42,23 @@ class Retriever:
         self.request = request
         self._pending: dict[InstanceKey, dict] = {}
 
-    def fetch(self, key: InstanceKey, holders: list[NodeId], want: Any = None) -> None:
+    def fetch(
+        self, key: InstanceKey, holders: list[NodeId], want: Any = None,
+        signers: int = 0,
+    ) -> None:
         """Start pulling ``want`` for instance ``key`` from ``holders``.
 
+        ``signers`` is the signer mask of the certificate that made the node
+        pull, if one did: :meth:`done` hands it back with the data.
         Idempotent: a second call for the same instance refreshes the holder
-        list but does not restart an in-flight request.
+        list and the mask but does not restart an in-flight request.
         """
         state = self._pending.get(key)
         if state is not None:
             for holder in holders:
                 if holder not in state["holders"]:
                     state["holders"].append(holder)
+            state["signers"] |= signers
             return
         if not holders:
             raise BroadcastError(f"no holders known for instance {key}")
@@ -62,6 +68,7 @@ class Retriever:
             "next": 0,
             "timer": None,
             "timeout": RETRY_TIMEOUT,
+            "signers": signers,
         }
         self._request(key)
 
@@ -70,11 +77,15 @@ class Retriever:
         state = self._pending.get(key)
         return state["want"] if state is not None else None
 
-    def done(self, key: InstanceKey) -> None:
-        """The data for ``key`` is in: stop retrying."""
+    def done(self, key: InstanceKey) -> int:
+        """The data for ``key`` is in: stop retrying.  Returns the signer
+        mask the fetch carried (0: none)."""
         state = self._pending.pop(key, None)
-        if state is not None and state["timer"] is not None:
+        if state is None:
+            return 0
+        if state["timer"] is not None:
             state["timer"].cancel()
+        return state["signers"]
 
     @property
     def pending(self) -> set[InstanceKey]:

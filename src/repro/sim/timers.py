@@ -22,7 +22,7 @@ def times_close(a: float, b: float, tol: float = TIME_TOLERANCE) -> bool:
 
     Two paths to "the same" time differ in the last ulp (float addition is
     not associative), so ``==``/``!=`` on event times encodes a coincidence
-    of rounding.  This is the comparison SIM001 points at.
+    of rounding.  Compare simulated times through this, not with ``==``.
     """
     return abs(a - b) <= tol
 

@@ -121,16 +121,23 @@ class ClanEchoesLate(DelayAdversary):
         return self.extra if late else 0.0
 
 
+@pytest.mark.parametrize("late_vertex", [False, True], ids=["bare-val", "no-val"])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_a_member_denied_the_payload_pulls_from_the_certificate(policy):
+def test_a_member_denied_the_payload_pulls_from_the_certificate(policy, late_vertex):
     """Two-round: clan member 0 is denied the payload and certifies from a
     received CERT before any clan ECHO reaches it, so it knows no clan
-    echoer; the certificate's clan signers hold the payload."""
+    echoer; the certificate's clan signers hold the payload.  With no VAL at
+    all (and a sender gone silent), the clan-only block policy first pulls
+    the vertex, and the block pull that follows still asks those signers."""
     world = World(
         policy, "two-round", N, CLAN, latency(False), seed=11,
         adversary=ClanEchoesLate(0, extra=5.0),
     )
-    world.withhold(SENDER, lucky=(1, 2, 3, 4))
+    world.withhold(SENDER, lucky=(1, 2, 3, 4), unsent=(0,) if late_vertex else ())
+    if late_vertex:
+        world.silence(SENDER)
     world.run()
-    # CERT at 0.15 s, request to a clan signer, its answer at 0.25 s.
-    assert [t for t, _ in world.payloads[0]] == [pytest.approx(0.25)]
+    # CERT at 0.15 s, request to a clan signer, its answer at 0.25 s; a
+    # pulled vertex first costs the clan-only block policy one more round trip.
+    late = late_vertex and policy == "clan-only block"
+    assert [t for t, _ in world.payloads[0]] == [pytest.approx(0.35 if late else 0.25)]

@@ -147,7 +147,7 @@ class Puller(RbcCore):
         self.planes = {
             channel: self._pull_plane(
                 channel,
-                lambda o, r, p, c=channel: self.got.append((c, o, r, p)),
+                lambda o, r, p, _signers, c=channel: self.got.append((c, o, r, p)),
                 lambda o, r: store.get((o, r)),
             )
             for channel in channels

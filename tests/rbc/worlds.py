@@ -23,9 +23,9 @@ from repro.dag.transaction import Transaction
 from repro.dag.vertex import Vertex, genesis_vertex
 from repro.net.network import Network
 from repro.rbc.base import Membership
-from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
+from repro.rbc.byzantine import send_equivocating_vals
 from repro.rbc.core import COMPLETIONS
-from repro.rbc.plain import PlainRbc
+from repro.rbc.plain import PlainRbc, val_parts
 from repro.sim import Simulator
 
 POLICIES = ("plain", "clan-only block")
@@ -102,18 +102,18 @@ class World:
         else:
             self.modules[sender].broadcast(*self._proposal(sender))
 
-    def withhold(self, sender, lucky):
-        """The full value reaches only the ``lucky`` clan members."""
+    def withhold(self, sender, lucky, unsent=()):
+        """The full value reaches only the ``lucky`` clan members, and no
+        VAL at all reaches the ``unsent`` parties."""
         if self.policy == "plain":
-            pki = self.pki if self.completion == "two-round" else None
-            send_withholding_vals(
-                self.net, sender, 1, b"payload", self.membership, lucky, pki=pki
-            )
-            return
-        parts = self.modules[sender].val_parts(*self._proposal(sender))
+            key = self.pki.key(sender) if self.completion == "two-round" else None
+            parts = val_parts(sender, 1, b"payload", self.membership, key)
+        else:
+            parts = self.modules[sender].val_parts(*self._proposal(sender))
         for party in range(self.n):
-            val = parts.full if party in lucky else parts.bare
-            self.net.send(sender, party, val)
+            if party not in unsent:
+                val = parts.full if party in lucky else parts.bare
+                self.net.send(sender, party, val)
 
     def equivocate(self, sender):
         """Even parties are shown one value, odd parties another."""

@@ -1,5 +1,7 @@
 """Package-level API surface tests."""
 
+import os
+
 import repro
 
 
@@ -34,3 +36,11 @@ def test_every_public_module_has_docstrings():
 
     for obj in (Deployment, SailfishNode, PlainRbc, Client, Executor, SmrRuntime):
         assert obj.__doc__, obj
+
+
+def test_gitignore_covers_pycache():
+    # scripts/ and benchmarks/ byte-compiled caches must never be committed.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".gitignore"), encoding="utf-8") as fh:
+        patterns = [line.strip() for line in fh]
+    assert "__pycache__/" in patterns
