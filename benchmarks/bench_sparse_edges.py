@@ -22,7 +22,8 @@ from repro.bench.runner import ExperimentConfig, _simulate
 from repro.committees import ClanConfig
 from repro.consensus import Deployment, ProtocolParams
 from repro.forensics.monitors import MonitorSuite
-from repro.forensics.provenance import attribution_rows, build_provenance
+from repro.forensics.provenance import attribution_rows
+from repro.forensics.report import read_trace
 from repro.net.latency import gcp_latency_model
 from repro.obs.tracer import Tracer
 from repro.smr.mempool import SyntheticWorkload
@@ -148,7 +149,7 @@ def test_sparse_monitored_safety(benchmark):
     assert row["refs_per_vertex"] < 15
 
 
-#: Record names build_provenance actually consumes.  An n=150 run emits tens
+#: Record names the provenance index actually consumes.  An n=150 run emits tens
 #: of millions of per-hop records; unfiltered they cycle the tracer's ring
 #: buffer and evict the early proposal counters, leaving every commit with
 #: ``proposed_at=None`` — i.e. an empty attribution.
@@ -185,8 +186,7 @@ def _attribution() -> list[dict]:
             _config("sailfish", edge_mode, duration=0.8, warmup=0.2, track_kinds=False),
             tracer=tracer,
         )
-        index = build_provenance(tracer.to_dicts())
-        for row in attribution_rows(index):
+        for row in attribution_rows(read_trace(tracer).index):
             rows.append(
                 {
                     "variant": variant,

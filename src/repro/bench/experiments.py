@@ -280,7 +280,8 @@ def sweep_attribution(
     commit latency across the forensics segments.  This is where a fig5/fig6
     throughput gap turns into an explanation: which pipeline stage moved.
     """
-    from ..forensics.provenance import attribution_rows, build_provenance
+    from ..forensics.provenance import attribution_rows
+    from ..forensics.report import read_trace
     from ..obs.tracer import Tracer
 
     base = "fig5c" if figure == "fig6" else figure
@@ -294,8 +295,7 @@ def sweep_attribution(
         )
         tracer = Tracer()
         run_experiment(config, tracer=tracer)
-        index = build_provenance(tracer.to_dicts())
-        for row in attribution_rows(index):
+        for row in attribution_rows(read_trace(tracer).index):
             rows.append(
                 {
                     "figure": figure,

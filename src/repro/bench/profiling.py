@@ -19,10 +19,11 @@ be run — a full n=150 round is ~5M events.
 
 With ``--trace`` the run also carries a :class:`~repro.obs.Tracer`, so the
 report correlates the wall-clock hot spots with the *simulated-time* per-hop
-decomposition (NIC wait → tx → propagation → CPU wait → CPU) of
-:mod:`repro.bench.trace_report`: the first table says where the *simulator*
-burns host CPU, the second where the *modelled network* spends simulated
-seconds.  Optimizations driven from here must leave the second table (and all
+decomposition (NIC wait → tx → propagation → CPU wait → CPU), the table
+``repro trace`` prints, read from the tracer in the one pass of
+:func:`repro.forensics.report.read_trace`: the first table says where the
+*simulator* burns host CPU, the second where the *modelled network* spends
+simulated seconds.  Optimizations driven from here must leave the second table (and all
 simulated metrics) bit-identical — only the first is allowed to change.
 
 The hot-path inventory and before/after numbers live in docs/PERFORMANCE.md.
@@ -236,9 +237,9 @@ def profile_experiment(
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     )
     if tracer is not None:
-        from .trace_report import hop_stage_table
+        from ..forensics.report import hop_stage_table, read_trace
 
-        report.hop_stages = hop_stage_table(tracer)
+        report.hop_stages = hop_stage_table(read_trace(tracer))
     return report, profiler
 
 

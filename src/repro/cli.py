@@ -14,6 +14,8 @@ Commands:
   report next to the tracer's per-hop decomposition (``docs/PERFORMANCE.md``).
 * ``trace`` — run an instrumented experiment, export a JSONL trace, and print
   the per-stage latency report (see ``docs/OBSERVABILITY.md``).
+* ``forensics`` — re-read a recorded trace: the same stage tables, then
+  per-commit critical-path attribution and anomalies (``docs/FORENSICS.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .bench.experiments import (
 from .bench.model import AnalyticalModel, PAPER_LOADS
 from .bench.reporting import format_table, results_path, write_csv
 from .bench.runner import ExperimentConfig, run_experiment
-from .bench.trace_report import format_trace_report
+from .forensics.report import format_trace_report, read_trace
 from .obs import Tracer
 from .committees.hypergeometric import dishonest_majority_prob, min_clan_size
 from .committees.multiclan import equal_partition_prob, max_equal_clans
@@ -227,7 +229,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_fig5_smoke(tracer: Tracer) -> str:
+def _trace_fig5_smoke(tracer: Tracer) -> tuple[str, bool]:
     """A scaled-down Fig. 5 point (single-clan) under full instrumentation."""
     config = ExperimentConfig(
         protocol="single-clan",
@@ -242,11 +244,15 @@ def _trace_fig5_smoke(tracer: Tracer) -> str:
     return (
         f"single-clan n=12/6 load=250: {metrics.throughput_tps / 1000.0:.2f} kTPS, "
         f"avg latency {metrics.avg_latency_s:.3f} s"
-    )
+    ), True
 
 
-def _trace_smr_smoke(tracer: Tracer) -> str:
-    """An end-to-end SMR run with clients, capturing client-observed latency."""
+def _trace_smr_smoke(tracer: Tracer) -> tuple[str, bool]:
+    """An end-to-end SMR run with clients, capturing client-observed latency.
+
+    It fails unless the client accepts all 20 transactions: CI gates the
+    metrics summary and the forensics report on this run.
+    """
     from .committees.config import ClanConfig
     from .smr.runtime import SmrRuntime
 
@@ -256,13 +262,15 @@ def _trace_smr_smoke(tracer: Tracer) -> str:
     for _ in range(20):
         runtime.submit(client, ("incr", "ctr", 1))
     runtime.run(until=6.0, max_events=10_000_000)
+    accepted = client.accepted_count()
     return (
-        f"smr single-clan n=10/5: {client.accepted_count()}/20 transactions "
+        f"smr single-clan n=10/5: {accepted}/20 transactions "
         "accepted by the client"
-    )
+    ), accepted == 20
 
 
-#: Instrumented experiments runnable via ``python -m repro trace <name>``.
+#: Instrumented experiments runnable via ``python -m repro trace <name>``;
+#: each returns its one-line summary and whether the run passed.
 TRACE_EXPERIMENTS = {
     "fig5_smoke": _trace_fig5_smoke,
     "smr_smoke": _trace_smr_smoke,
@@ -286,10 +294,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
     tracer = Tracer(capacity=args.capacity, sample=_parse_sample(args.sample))
-    summary = producer(tracer)
+    summary, ok = producer(tracer)
     if args.out:
         tracer.export_jsonl(args.out)
-    print(format_trace_report(tracer))
+    print(format_trace_report(read_trace(tracer)))
     print()
     print(f"{summary}")
     print(f"trace records: {len(tracer)} kept, {tracer.dropped} dropped")
@@ -308,6 +316,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"perfetto trace written to {args.perfetto} ({events} events; "
             "open at https://ui.perfetto.dev)"
         )
+    if not ok:
+        print(f"FAIL: {summary}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -437,18 +448,37 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
-    from .forensics.report import main as forensics_main
+    import json
 
-    argv = [args.trace]
+    from .forensics.report import format_report, report_json, waterfall_report
+
+    report = read_trace(args.trace)
     if args.commit:
-        argv += ["--commit", args.commit]
-    if args.attribution:
-        argv.append("--attribution")
-    if args.anomalies:
-        argv.append("--anomalies")
+        text = waterfall_report(report, args.commit)
+        if text is None:
+            print(f"forensics: no commit or txn matches {args.commit!r}")
+            return 2
+        print(text)
+        return 0
     if args.json:
-        argv.append("--json")
-    return forensics_main(argv)
+        print(json.dumps(report_json(report), indent=2))
+    else:
+        print(
+            format_report(
+                report,
+                show_stages=not (args.attribution or args.anomalies),
+                show_attribution=args.attribution or not args.anomalies,
+                show_anomalies=args.anomalies or not args.attribution,
+            )
+        )
+    if report.dropped:
+        print(
+            f"forensics: {report.dropped} records were evicted from the "
+            "tracer ring; aggregates are unreliable — raise --capacity and "
+            "re-record.",
+            file=sys.stderr,
+        )
+    return 1 if report.failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,8 +689,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     forensics = sub.add_parser(
         "forensics",
-        help="per-commit critical-path attribution and anomaly report "
-        "from a JSONL trace (docs/FORENSICS.md)",
+        help="re-read a JSONL trace: the per-stage latency tables, then "
+        "per-commit critical-path attribution and anomalies "
+        "(docs/FORENSICS.md); exits 1 on a reconcile failure, a safety "
+        "anomaly or evicted records",
     )
     forensics.add_argument("trace", help="path to a trace.jsonl file")
     forensics.add_argument(
@@ -670,13 +702,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     forensics.add_argument(
         "--attribution", action="store_true",
-        help="only the attribution sections",
+        help="only the attribution sections (no stage tables)",
     )
     forensics.add_argument(
-        "--anomalies", action="store_true", help="only the anomaly sections"
+        "--anomalies", action="store_true",
+        help="only the anomaly sections (no stage tables)",
     )
     forensics.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
+        "--json", action="store_true",
+        help="emit the stage tables and the report as JSON",
     )
     forensics.set_defaults(fn=_cmd_forensics)
     return parser

@@ -18,20 +18,18 @@ questions every DAG-BFT performance claim hangs on:
   protocol events and dumps a post-mortem bundle when a monitor fires or a
   node crashes.
 
-``python -m repro forensics <trace.jsonl>`` is the CLI entry point
-(:mod:`~repro.forensics.report`); ``python -m repro chaos --monitors`` runs
-the scenario library with the monitor suite attached.
+:mod:`~repro.forensics.report` is the repo's one trace reader:
+:func:`~repro.forensics.report.read_trace` makes a single pass that feeds
+the stage tables, the provenance index and the metrics summary.
+``python -m repro forensics <trace.jsonl>`` prints its report;
+``python -m repro chaos --monitors`` runs the scenario library with the
+monitor suite attached.
 """
 
 from .monitors import MonitorConfig, MonitorSuite
-from .provenance import (
-    Commit,
-    ProvenanceIndex,
-    attribution_rows,
-    build_provenance,
-)
+from .provenance import Commit, ProvenanceIndex, attribution_rows
 from .recorder import FlightRecorder
-from .report import build_forensics, format_report, main
+from .report import TraceReport, format_report, read_trace
 
 __all__ = [
     "Commit",
@@ -39,9 +37,8 @@ __all__ = [
     "MonitorConfig",
     "MonitorSuite",
     "ProvenanceIndex",
+    "TraceReport",
     "attribution_rows",
-    "build_forensics",
-    "build_provenance",
     "format_report",
-    "main",
+    "read_trace",
 ]

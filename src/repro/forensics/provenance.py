@@ -1,6 +1,8 @@
 """Commit provenance: rebuild the critical path of every committed block.
 
-One streaming pass over a trace collects, per ``(round, proposer)`` commit:
+:meth:`ProvenanceIndex.add`, fed record by record from the one pass of
+:func:`repro.forensics.report.read_trace`, collects, per
+``(round, proposer)`` commit:
 
 * ``proposed_at`` — block creation / vertex broadcast (``smr.block`` or
   ``consensus.propose``),
@@ -26,7 +28,7 @@ consensus-level segments (dissemination / ordering, commit-by-all-honest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 #: Absolute tolerance for waterfall-vs-client-latency reconciliation: sums of
 #: a handful of float subtractions that telescope algebraically.
@@ -143,6 +145,67 @@ class ProvenanceIndex:
         #: digest hex → commit key (filled as ordering records arrive).
         self._by_digest: dict[str, tuple[int, int]] = {}
 
+    # -- construction: one record at a time ---------------------------------
+
+    def add(self, row: dict[str, Any]) -> None:
+        """Fold one raw record dict into the index (other records pass)."""
+        rtype = row.get("type")
+        name = row.get("name")
+        attrs = row.get("attrs") or {}
+        if rtype == "counter":
+            if name == "smr.block":
+                commit = self._commit(attrs["round"], row["node"])
+                commit.proposed_at = row["time"]
+                commit.digest = attrs.get("digest")
+                commit.txns = tuple(attrs.get("txns") or ())
+                if commit.digest:
+                    self._link_digest(commit.digest, commit.key)
+                for txn_id in commit.txns:
+                    self._txn(txn_id).commit_key = commit.key
+            elif name == "consensus.propose" and attrs.get("has_block"):
+                commit = self._commit(attrs["round"], row["node"])
+                if commit.proposed_at is None:
+                    commit.proposed_at = row["time"]
+            elif name == "consensus.ordered":
+                commit = self._commit(attrs["round"], attrs["source"])
+                commit.ordered.setdefault(row["node"], row["time"])
+                digest = attrs.get("digest")
+                if digest:
+                    commit.digest = commit.digest or digest
+                    self._link_digest(digest, commit.key)
+            elif name == "smr.execute":
+                key = self._by_digest.get(attrs.get("digest"))
+                if key is not None:
+                    self.commits[key].executed.setdefault(
+                        row["node"], row["time"]
+                    )
+            elif name == "smr.submit":
+                self._txn(attrs["txn"]).submitted_at = row["time"]
+            elif name == "smr.client_latency":
+                txn = self._txn(attrs.get("txn", ""))
+                txn.accepted_at = row["time"]
+                txn.client_latency = row.get("value")
+                txn.quorum = attrs.get("quorum")
+        elif rtype == "span":
+            if name == "rbc.e2e":
+                commit = self._commit(attrs["round"], attrs["origin"])
+                commit.delivered.setdefault(row["node"], row["end"])
+            elif name == "rbc.block_e2e":
+                commit = self._commit(attrs["round"], attrs["origin"])
+                commit.block_at.setdefault(row["node"], row["end"])
+
+    def prune(self) -> None:
+        """Drop vertices that never carried a block or were never ordered.
+
+        Called once after the last :meth:`add`: they are bookkeeping for
+        pure-DAG rounds and for heads evicted from the tracer's ring.
+        """
+        self.commits = {
+            key: c
+            for key, c in self.commits.items()
+            if c.ordered and (c.digest or c.proposed_at is not None)
+        }
+
     # -- construction helpers (one per record kind) -------------------------
 
     def _commit(self, round_: int, proposer: int) -> Commit:
@@ -167,6 +230,19 @@ class ProvenanceIndex:
     def has_clients(self) -> bool:
         return any(t.client_latency is not None for t in self.txns.values())
 
+    @property
+    def quorum(self) -> int | None:
+        """The client reply quorum (``f_c + 1``), or None without clients.
+
+        Read from the first transaction that names one; it sets which
+        executor is a commit's critical replica.
+        """
+        if not self.has_clients:
+            return None
+        return next(
+            (t.quorum for t in self.txns.values() if t.quorum is not None), None
+        )
+
     def ordered_commits(self) -> list[Commit]:
         """Commits that at least one node placed in its total order."""
         return [
@@ -180,64 +256,6 @@ class ProvenanceIndex:
             if self.commits[key].matches(ident):
                 return self.commits[key]
         return None
-
-
-def build_provenance(rows: Iterable[dict[str, Any]]) -> ProvenanceIndex:
-    """One streaming pass over raw record dicts → a provenance index."""
-    index = ProvenanceIndex()
-    for row in rows:
-        rtype = row.get("type")
-        name = row.get("name")
-        attrs = row.get("attrs") or {}
-        if rtype == "counter":
-            if name == "smr.block":
-                commit = index._commit(attrs["round"], row["node"])
-                commit.proposed_at = row["time"]
-                commit.digest = attrs.get("digest")
-                commit.txns = tuple(attrs.get("txns") or ())
-                if commit.digest:
-                    index._link_digest(commit.digest, commit.key)
-                for txn_id in commit.txns:
-                    index._txn(txn_id).commit_key = commit.key
-            elif name == "consensus.propose" and attrs.get("has_block"):
-                commit = index._commit(attrs["round"], row["node"])
-                if commit.proposed_at is None:
-                    commit.proposed_at = row["time"]
-            elif name == "consensus.ordered":
-                commit = index._commit(attrs["round"], attrs["source"])
-                commit.ordered.setdefault(row["node"], row["time"])
-                digest = attrs.get("digest")
-                if digest:
-                    commit.digest = commit.digest or digest
-                    index._link_digest(digest, commit.key)
-            elif name == "smr.execute":
-                key = index._by_digest.get(attrs.get("digest"))
-                if key is not None:
-                    index.commits[key].executed.setdefault(
-                        row["node"], row["time"]
-                    )
-            elif name == "smr.submit":
-                index._txn(attrs["txn"]).submitted_at = row["time"]
-            elif name == "smr.client_latency":
-                txn = index._txn(attrs.get("txn", ""))
-                txn.accepted_at = row["time"]
-                txn.client_latency = row.get("value")
-                txn.quorum = attrs.get("quorum")
-        elif rtype == "span":
-            if name == "rbc.e2e":
-                commit = index._commit(attrs["round"], attrs["origin"])
-                commit.delivered.setdefault(row["node"], row["end"])
-            elif name == "rbc.block_e2e":
-                commit = index._commit(attrs["round"], attrs["origin"])
-                commit.block_at.setdefault(row["node"], row["end"])
-    # Drop bookkeeping entries for vertices that never carried a block or
-    # were never ordered (pure-DAG rounds, evicted heads of the ring).
-    index.commits = {
-        key: c
-        for key, c in index.commits.items()
-        if c.ordered and (c.digest or c.proposed_at is not None)
-    }
-    return index
 
 
 # -- per-transaction waterfalls ----------------------------------------------
@@ -359,12 +377,7 @@ def attribution_rows(index: ProvenanceIndex) -> list[dict[str, Any]]:
 
 def slowest_replicas(index: ProvenanceIndex) -> list[tuple[int, int]]:
     """``(node, commits-paced)`` — how often each replica set a commit's pace."""
-    quorum = None
-    if index.has_clients:
-        quorums = [
-            t.quorum for t in index.txns.values() if t.quorum is not None
-        ]
-        quorum = quorums[0] if quorums else None
+    quorum = index.quorum
     counts: dict[int, int] = {}
     for commit in index.ordered_commits():
         node = commit.slowest_node(quorum)

@@ -1,66 +1,279 @@
-"""Forensics reports: waterfalls, attribution, anomalies — terminal and JSON.
+"""The one trace reader, and every report drawn from it — terminal and JSON.
 
-``python -m repro forensics <trace.jsonl>`` drives everything here.  The
-report is built from one streaming pass over the trace
-(:class:`~repro.obs.tracer.TraceFile`), so it scales to traces that do not
-fit in memory.  Exit status is part of the contract: non-zero when any
-waterfall fails to reconcile with its measured client latency or when the
-trace contains ``safety`` anomalies — CI can gate on the command alone.
+:func:`read_trace` makes exactly one pass over a trace (a path, a
+:class:`~repro.obs.tracer.Tracer`, a streaming
+:class:`~repro.obs.tracer.TraceFile`, or record dicts) and fills one
+:class:`TraceReport`: the metrics registry (folded by the same per-record
+rule as ``repro obs summary``), the provenance index, the per-stage and
+per-kind ``net.hop`` tallies, the ``sim.run`` rows and the anomaly list.
+Every table below is a function of that object, so a multi-GB trace is read
+once, in memory that grows with commits and transactions, not with records.
+
+The stage tables decompose every network hop the way the paper's NIC
+argument does (and exactly as ``repro/net/network.py`` models it):
+
+    NIC-queue wait → serialization (tx) → propagation → CPU-queue wait → CPU
+
+so a clan run visibly spends less time in ``nic_wait`` than the baseline at
+the same load.  Further tables summarize RBC phases, consensus rounds and
+commits, client-observed latency, and simulator throughput; the forensics
+sections attribute each commit's latency along its critical path.
+
+``python -m repro trace <experiment>`` prints the stage tables for a fresh
+run; ``python -m repro forensics <trace.jsonl>`` prints them ahead of the
+forensics sections for a recorded one.  Its exit status is part of the
+contract: non-zero when any waterfall fails to reconcile with its measured
+client latency, when the trace contains ``safety`` anomalies, or when the
+tracer's ring evicted records — CI can gate on the command alone.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable
+from collections import defaultdict
+from functools import cached_property
+from typing import Any
 
 from ..bench.reporting import format_table, ms
-from ..obs.tracer import TraceFile
+from ..obs.metrics import VALUE_HISTOGRAM_COUNTERS, Histogram, MetricsRegistry
+from ..obs.tracer import TraceFile, Tracer, record_dicts
 from .provenance import (
     ProvenanceIndex,
     attribution_rows,
-    build_provenance,
     reconcile,
     slowest_replicas,
     txn_waterfall,
 )
 
+#: The per-hop stages, in pipeline order (attr names on net.hop spans).
+HOP_STAGES = ("nic_wait", "tx", "prop", "cpu_wait", "cpu")
 
-class Forensics:
-    """A trace's provenance index plus its anomaly stream."""
 
-    def __init__(
-        self,
-        index: ProvenanceIndex,
-        anomalies: list[dict[str, Any]],
-        meta: dict[str, Any] | None = None,
-    ) -> None:
-        self.index = index
-        self.anomalies = anomalies
+class TraceReport:
+    """Everything one pass over a trace learns, for every table to read."""
+
+    def __init__(self, meta: dict[str, Any] | None) -> None:
+        #: The JSONL meta header (ring-buffer accounting); None without one.
         self.meta = meta
+        self.metrics = MetricsRegistry()
+        self.index = ProvenanceIndex()
+        #: Fixed-size histograms, so hop memory stays constant however many
+        #: hops the trace holds.
+        self.hop_stages = {stage: Histogram() for stage in HOP_STAGES}
+        self.hop_kinds: dict[str, dict[str, float]] = defaultdict(
+            lambda: {"hops": 0, "bytes": 0, "nic_wait": 0.0, "tx": 0.0}
+        )
+        self.sim_runs: list[dict[str, Any]] = []
+        self.anomalies: list[dict[str, Any]] = []
+
+    def add(self, row: dict[str, Any]) -> None:
+        """Fold one raw record dict into every part of the report."""
+        self.metrics.add(row)
+        self.index.add(row)
+        rtype = row.get("type")
+        if rtype == "anomaly":
+            self.anomalies.append(row)
+        elif rtype == "span" and row.get("name") == "net.hop":
+            attrs = row.get("attrs") or {}
+            for stage, hist in self.hop_stages.items():
+                hist.record(float(attrs.get(stage, 0.0)))
+            bucket = self.hop_kinds[attrs.get("kind", "?")]
+            bucket["hops"] += 1
+            bucket["bytes"] += attrs.get("size", 0)
+            bucket["nic_wait"] += attrs.get("nic_wait", 0.0)
+            bucket["tx"] += attrs.get("tx", 0.0)
+        elif rtype == "span" and row.get("name") == "sim.run":
+            self.sim_runs.append(row)
+
+    @property
+    def dropped(self) -> int:
+        """Records the tracer's ring evicted before the trace was written."""
+        return int(self.meta.get("dropped", 0)) if self.meta else 0
 
     @property
     def safety_anomalies(self) -> list[dict[str, Any]]:
         return [a for a in self.anomalies if a.get("kind") == "safety"]
 
+    @cached_property
+    def reconciliation(self) -> dict[str, Any]:
+        return reconcile(self.index)
 
-def build_forensics(source: str | Iterable[dict[str, Any]]) -> Forensics:
-    """Build the report model from a trace path or an iterable of dicts."""
-    meta = None
+    @property
+    def failed(self) -> bool:
+        """A waterfall failed to reconcile, safety broke, or records are lost."""
+        return bool(
+            not self.reconciliation["ok"] or self.safety_anomalies or self.dropped
+        )
+
+
+def read_trace(source: Any) -> TraceReport:
+    """One pass over a trace path, Tracer, TraceFile or record dicts."""
     if isinstance(source, str):
         source = TraceFile(source)
-    if isinstance(source, TraceFile):
+    if isinstance(source, Tracer):
+        meta = source.meta()
+    elif isinstance(source, TraceFile):
         meta = source.meta
-    elif not isinstance(source, (list, tuple)):
-        source = list(source)  # two passes below: must be re-iterable
-    index = build_provenance(source)
-    anomalies = [row for row in source if row.get("type") == "anomaly"]
-    return Forensics(index, anomalies, meta)
+    else:
+        meta = None
+    report = TraceReport(meta)
+    for row in record_dicts(source):
+        report.add(row)
+    report.index.prune()
+    return report
 
 
-# -- section builders ---------------------------------------------------------
+# -- stage tables -------------------------------------------------------------
 
 
-def attribution_table(forensics: Forensics) -> list[dict[str, Any]]:
+def hop_stage_table(report: TraceReport) -> list[dict[str, Any]]:
+    """Per-stage decomposition of every traced network hop.
+
+    One row per stage: mean / p50 / p95 / max in milliseconds, plus the share
+    of total hop latency the stage accounts for.
+    """
+    hists = report.hop_stages
+    hops = hists[HOP_STAGES[0]].count
+    if not hops:
+        return []
+    grand_total = sum(h.sum for h in hists.values()) or 1.0
+    return [
+        {
+            "stage": stage,
+            "hops": hops,
+            "mean_ms": ms(hist.sum / hops),
+            "p50_ms": ms(hist.quantile(0.50)),
+            "p95_ms": ms(hist.quantile(0.95)),
+            "max_ms": ms(hist.max),
+            "share_%": round(100.0 * hist.sum / grand_total, 1),
+        }
+        for stage, hist in hists.items()
+    ]
+
+
+def hop_kind_table(report: TraceReport) -> list[dict[str, Any]]:
+    """NIC wait and tx time attributed per message kind (top talkers first)."""
+    table = [
+        {
+            "kind": kind,
+            "hops": int(b["hops"]),
+            "MB": round(b["bytes"] / 1e6, 2),
+            "nic_wait_s": round(b["nic_wait"], 3),
+            "tx_s": round(b["tx"], 3),
+        }
+        for kind, b in report.hop_kinds.items()
+    ]
+    table.sort(key=lambda r: r["tx_s"] + r["nic_wait_s"], reverse=True)
+    return table
+
+
+def span_summary_table(report: TraceReport) -> list[dict[str, Any]]:
+    """Duration statistics for every span name except raw network hops."""
+    return [
+        {
+            "span": name,
+            "count": hist.count,
+            "mean_ms": ms(hist.sum / hist.count),
+            "p50_ms": ms(hist.quantile(0.50)),
+            "p95_ms": ms(hist.quantile(0.95)),
+            "max_ms": ms(hist.max),
+        }
+        for name, hist in report.metrics.histograms.items()
+        if name != "net.hop" and name not in VALUE_HISTOGRAM_COUNTERS
+    ]
+
+
+def counter_table(report: TraceReport) -> list[dict[str, Any]]:
+    """Event counts and value sums per counter name (anomalies excluded)."""
+    return [
+        {
+            "counter": name,
+            "events": slot["events"],
+            "value_sum": round(float(slot["total"]), 4),
+        }
+        for name, slot in report.metrics.counters.items()
+        if not name.startswith("anomaly.")
+    ]
+
+
+def client_latency_table(report: TraceReport) -> list[dict[str, Any]]:
+    """Client-observed latency percentiles from ``smr.client_latency``."""
+    hist = report.metrics.histogram("smr.client_latency")
+    if hist is None:
+        return []
+    return [
+        {
+            "accepted_txns": hist.count,
+            "mean_s": round(hist.sum / hist.count, 4),
+            "p50_s": round(hist.quantile(0.50), 4),
+            "p95_s": round(hist.quantile(0.95), 4),
+            "p99_s": round(hist.quantile(0.99), 4),
+            "max_s": round(hist.max, 4),
+        }
+    ]
+
+
+def sim_table(report: TraceReport) -> list[dict[str, Any]]:
+    """Simulator wall-clock attribution from ``sim.run`` spans."""
+    table = []
+    for row in report.sim_runs:
+        attrs = row.get("attrs") or {}
+        table.append(
+            {
+                "sim_window_s": round(float(row["end"]) - float(row["start"]), 3),
+                "events": attrs.get("events"),
+                "epochs": attrs.get("epochs"),
+                "wall_s": attrs.get("wall_s"),
+                "wall_per_sim_s": attrs.get("wall_per_sim_s"),
+                "events/wall_s": attrs.get("events_per_wall_s"),
+            }
+        )
+    return table
+
+
+#: The stage tables in print order: JSON key, text title, table function.
+STAGE_TABLES = (
+    ("hop_stages", "Per-hop latency decomposition (all traced hops)",
+     hop_stage_table),
+    ("hop_kinds", "NIC time by message kind", hop_kind_table),
+    ("spans", "Span summary (RBC phases, rounds)", span_summary_table),
+    ("counters", "Counters", counter_table),
+    ("client_latency", "Client-observed latency", client_latency_table),
+    ("sim", "Simulator", sim_table),
+)
+
+
+def stage_sections(report: TraceReport) -> list[str]:
+    """The ring-buffer accounting line, then every non-empty stage table."""
+    sections = []
+    if report.meta is not None:
+        line = (
+            f"Trace: {report.meta.get('emitted')} records emitted, "
+            f"{report.dropped} dropped "
+            f"(ring capacity {report.meta.get('capacity')})"
+        )
+        if report.dropped:
+            line += (
+                "\nWARNING: the ring buffer evicted records — every aggregate "
+                "below is skewed toward the end of the run; re-run with a "
+                "higher --capacity."
+            )
+        sections.append(line)
+    for _key, title, table_fn in STAGE_TABLES:
+        table = table_fn(report)
+        if table:
+            sections.append(format_table(table, title))
+    return sections
+
+
+def format_trace_report(report: TraceReport) -> str:
+    """Render the per-stage report for a trace."""
+    return "\n\n".join(stage_sections(report)) or "(empty trace: no records)"
+
+
+# -- forensics tables ---------------------------------------------------------
+
+
+def attribution_table(report: TraceReport) -> list[dict[str, Any]]:
     return [
         {
             "segment": row["segment"],
@@ -71,27 +284,23 @@ def attribution_table(forensics: Forensics) -> list[dict[str, Any]]:
             "max_ms": ms(row["max"]),
             "share_%": round(100.0 * row["share"], 1),
         }
-        for row in attribution_rows(forensics.index)
+        for row in attribution_rows(report.index)
     ]
 
 
-def replica_table(forensics: Forensics) -> list[dict[str, Any]]:
+def replica_table(report: TraceReport) -> list[dict[str, Any]]:
     return [
         {"node": node, "commits_paced": count}
-        for node, count in slowest_replicas(forensics.index)
+        for node, count in slowest_replicas(report.index)
     ]
 
 
-def commit_table(forensics: Forensics, limit: int = 10) -> list[dict[str, Any]]:
+def commit_table(report: TraceReport, limit: int = 10) -> list[dict[str, Any]]:
     """The slowest commits, by critical-path total."""
-    index = forensics.index
-    quorum = None
-    if index.has_clients:
-        quorums = [t.quorum for t in index.txns.values() if t.quorum is not None]
-        quorum = quorums[0] if quorums else None
+    index = report.index
     rows = []
     for commit in index.ordered_commits():
-        segments = commit.segments(quorum)
+        segments = commit.segments(index.quorum)
         if segments is None:
             continue
         rows.append(
@@ -108,9 +317,9 @@ def commit_table(forensics: Forensics, limit: int = 10) -> list[dict[str, Any]]:
     return rows[:limit]
 
 
-def anomaly_table(forensics: Forensics) -> list[dict[str, Any]]:
+def anomaly_table(report: TraceReport) -> list[dict[str, Any]]:
     counts: dict[tuple[str, str], int] = {}
-    for anomaly in forensics.anomalies:
+    for anomaly in report.anomalies:
         key = (anomaly.get("kind", "info"), anomaly.get("name", "?"))
         counts[key] = counts.get(key, 0) + 1
     return [
@@ -119,9 +328,9 @@ def anomaly_table(forensics: Forensics) -> list[dict[str, Any]]:
     ]
 
 
-def waterfall_report(forensics: Forensics, ident: str) -> str | None:
+def waterfall_report(report: TraceReport, ident: str) -> str | None:
     """Terminal waterfall drill-down for one commit (or transaction id)."""
-    index = forensics.index
+    index = report.index
     commit = index.find(ident)
     txn_ids: list[str] = []
     if commit is None:
@@ -184,16 +393,17 @@ def waterfall_report(forensics: Forensics, ident: str) -> str | None:
 # -- whole-report rendering ---------------------------------------------------
 
 
-def report_json(forensics: Forensics) -> dict[str, Any]:
-    reconciliation = reconcile(forensics.index)
+def report_json(report: TraceReport) -> dict[str, Any]:
+    reconciliation = report.reconciliation
     return {
-        "meta": forensics.meta,
-        "commits": len(forensics.index.ordered_commits()),
-        "attribution": attribution_table(forensics),
-        "slowest_replicas": replica_table(forensics),
-        "slowest_commits": commit_table(forensics),
-        "anomalies": anomaly_table(forensics),
-        "anomaly_records": forensics.anomalies,
+        "meta": report.meta,
+        **{key: table_fn(report) for key, _title, table_fn in STAGE_TABLES},
+        "commits": len(report.index.ordered_commits()),
+        "attribution": attribution_table(report),
+        "slowest_replicas": replica_table(report),
+        "slowest_commits": commit_table(report),
+        "anomalies": anomaly_table(report),
+        "anomaly_records": report.anomalies,
         "reconciliation": {
             "checked": reconciliation["checked"],
             "skipped": reconciliation["skipped"],
@@ -204,12 +414,13 @@ def report_json(forensics: Forensics) -> dict[str, Any]:
 
 
 def format_report(
-    forensics: Forensics,
+    report: TraceReport,
+    show_stages: bool = True,
     show_attribution: bool = True,
     show_anomalies: bool = True,
 ) -> str:
-    sections: list[str] = []
-    index = forensics.index
+    sections = stage_sections(report) if show_stages else []
+    index = report.index
     commits = index.ordered_commits()
     head = f"Forensics: {len(commits)} committed blocks"
     if index.has_clients:
@@ -217,29 +428,29 @@ def format_report(
             1 for t in index.txns.values() if t.client_latency is not None
         )
         head += f", {accepted} accepted txns"
-    if forensics.meta and forensics.meta.get("dropped"):
+    if report.dropped:
         head += (
-            f"\nWARNING: {forensics.meta['dropped']} trace records were "
+            f"\nWARNING: {report.dropped} trace records were "
             "evicted — provenance below is partial; raise --capacity."
         )
     sections.append(head)
     if show_attribution:
-        attribution = attribution_table(forensics)
+        attribution = attribution_table(report)
         if attribution:
             sections.append(
                 format_table(
                     attribution, "Critical-path attribution (per segment)"
                 )
             )
-        replicas = replica_table(forensics)
+        replicas = replica_table(report)
         if replicas:
             sections.append(
                 format_table(replicas, "Slowest replicas (commits paced)")
             )
-        slowest = commit_table(forensics)
+        slowest = commit_table(report)
         if slowest:
             sections.append(format_table(slowest, "Slowest commits"))
-        reconciliation = reconcile(index)
+        reconciliation = report.reconciliation
         if reconciliation["checked"] or reconciliation["skipped"]:
             status = "OK" if reconciliation["ok"] else "FAILED"
             sections.append(
@@ -249,69 +460,9 @@ def format_report(
                 f"(incomplete records); {len(reconciliation['failures'])} failed"
             )
     if show_anomalies:
-        anomalies = anomaly_table(forensics)
+        anomalies = anomaly_table(report)
         if anomalies:
             sections.append(format_table(anomalies, "Anomalies"))
         else:
             sections.append("Anomalies: none recorded")
     return "\n\n".join(sections)
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="forensics",
-        description="Per-commit critical-path attribution and anomaly "
-        "report for a repro JSONL trace",
-    )
-    parser.add_argument("trace", help="path to a trace.jsonl file")
-    parser.add_argument(
-        "--commit",
-        metavar="ID",
-        help="waterfall drill-down for one commit (digest prefix, "
-        "round:proposer, or txn id)",
-    )
-    parser.add_argument(
-        "--attribution",
-        action="store_true",
-        help="only the attribution sections",
-    )
-    parser.add_argument(
-        "--anomalies", action="store_true", help="only the anomaly sections"
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    args = parser.parse_args(argv)
-    forensics = build_forensics(args.trace)
-    if args.commit:
-        report = waterfall_report(forensics, args.commit)
-        if report is None:
-            print(f"forensics: no commit or txn matches {args.commit!r}")
-            return 2
-        print(report)
-        return 0
-    if args.json:
-        print(json.dumps(report_json(forensics), indent=2))
-    else:
-        show_attribution = args.attribution or not args.anomalies
-        show_anomalies = args.anomalies or not args.attribution
-        print(
-            format_report(
-                forensics,
-                show_attribution=show_attribution,
-                show_anomalies=show_anomalies,
-            )
-        )
-    reconciliation = reconcile(forensics.index)
-    if not reconciliation["ok"] or forensics.safety_anomalies:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via tests of main()
-    raise SystemExit(main())

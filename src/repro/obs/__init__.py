@@ -9,7 +9,10 @@ The layer has two halves:
 
 Every layer of the stack (simulator, network, RBC, consensus, SMR) accepts an
 optional tracer; ``python -m repro trace <experiment>`` runs one experiment
-with tracing on and :mod:`repro.bench.trace_report` summarizes the result.
+with tracing on, and ``python -m repro forensics trace.jsonl`` re-reads a
+recorded trace.  Both read it through one pass of
+:func:`repro.forensics.report.read_trace`, whose metrics registry folds each
+record by the same rule as :func:`~repro.obs.regression.summarize_trace`.
 """
 
 from .ctx import (
@@ -20,12 +23,7 @@ from .ctx import (
     txn_trace_key,
 )
 from .export import export_perfetto, perfetto_trace, prometheus_text
-from .metrics import (
-    NULL_METRICS,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-)
+from .metrics import Histogram, MetricsRegistry
 from .records import (
     ANOMALY_CLASSES,
     AnomalyRecord,
@@ -59,8 +57,6 @@ __all__ = [
     "block_trace_key",
     "Histogram",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "export_perfetto",
     "perfetto_trace",
     "prometheus_text",

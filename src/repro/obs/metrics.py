@@ -10,15 +10,14 @@ means are exact and quantile estimates are clamped into the observed range.
 :class:`MetricsRegistry` is the aggregation container used by the trace
 report, the regression observatory, and the Prometheus exporter: named
 counters (monotonic totals), named histograms, and named time-series gauges.
-It follows the tracer's zero-cost-when-disabled idiom — :class:`NullMetrics`
-exposes the same API with ``enabled = False`` as a class attribute, so
-instrumented sites pay one attribute check when metrics are off.
+It is filled only from trace records, one record at a time through
+:meth:`MetricsRegistry.add`; no emission site writes to it directly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any
 
 #: Fixed bucket count per histogram (the memory budget of the design).
 BUCKET_COUNT = 64
@@ -31,6 +30,9 @@ DEFAULT_HI = 1e3
 
 #: The quantiles every summary reports.
 SUMMARY_QUANTILES = (0.50, 0.90, 0.99, 0.999)
+
+#: Counters whose per-event values are latency samples worth a histogram.
+VALUE_HISTOGRAM_COUNTERS = frozenset({"smr.client_latency"})
 
 
 class Histogram:
@@ -76,10 +78,6 @@ class Histogram:
                 idx = BUCKET_COUNT - 1
         self.counts[idx] += 1
 
-    def record_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.record(v)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -106,18 +104,6 @@ class Histogram:
             seen += c
         return self.max
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical bounds into this one."""
-        if (other.lo, other.hi) != (self.lo, self.hi):
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-
     def summary(self) -> dict[str, float]:
         """Fixed-shape summary dict (the regression observatory's unit)."""
         if self.count == 0:
@@ -134,51 +120,6 @@ class Histogram:
             out[label] = self.quantile(q)
         return out
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready encoding; buckets stored sparsely as {index: count}."""
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "buckets": {str(i): c for i, c in enumerate(self.counts) if c},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Histogram":
-        h = cls(lo=data["lo"], hi=data["hi"])
-        h.count = data["count"]
-        h.sum = data["sum"]
-        if h.count:
-            h.min = data["min"]
-            h.max = data["max"]
-        for idx, c in (data.get("buckets") or {}).items():
-            h.counts[int(idx)] = c
-        return h
-
-
-class NullMetrics:
-    """Disabled registry: one ``enabled`` attribute check per call site."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def observe(self, name: str, value: float,
-                lo: float = DEFAULT_LO, hi: float = DEFAULT_HI) -> None:
-        pass
-
-    def gauge(self, name: str, time: float, value: float) -> None:
-        pass
-
-
-#: Shared disabled registry, mirroring ``NULL_TRACER``.
-NULL_METRICS = NullMetrics()
-
 
 class MetricsRegistry:
     """Named counters, histograms, and time-series gauges.
@@ -188,14 +129,33 @@ class MetricsRegistry:
     :func:`prometheus_text` renders it for scrape-style consumption.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         #: name -> [events, total]
         self._counters: dict[str, list[float]] = {}
         self._hists: dict[str, Histogram] = {}
         #: name -> [(time, value), ...] in emission order
         self._gauges: dict[str, list[tuple[float, float]]] = {}
+
+    def add(self, rec: dict[str, Any]) -> None:
+        """Fold one trace record dict in: the one rule set for every reader.
+
+        Span durations go to one histogram per span name; counters
+        accumulate (events, total); client-latency counter values also feed
+        a latency histogram; each anomaly counts under ``anomaly.<kind>``.
+        """
+        rtype = rec.get("type")
+        if rtype == "span":
+            self.observe(rec["name"], rec["end"] - rec["start"])
+        elif rtype == "counter":
+            name = rec["name"]
+            value = rec.get("value", 1.0)
+            self.counter(name, value)
+            if name in VALUE_HISTOGRAM_COUNTERS:
+                self.observe(name, value)
+        elif rtype == "gauge":
+            self.gauge(rec["name"], rec.get("time", 0.0), rec["value"])
+        elif rtype == "anomaly":
+            self.counter("anomaly." + rec.get("kind", "info"))
 
     def counter(self, name: str, value: float = 1.0) -> None:
         slot = self._counters.get(name)
@@ -226,6 +186,10 @@ class MetricsRegistry:
         }
 
     @property
+    def histograms(self) -> dict[str, Histogram]:
+        return dict(sorted(self._hists.items()))
+
+    @property
     def gauges(self) -> dict[str, list[tuple[float, float]]]:
         return dict(self._gauges)
 
@@ -233,7 +197,7 @@ class MetricsRegistry:
         return {
             "counters": self.counters,
             "histograms": {
-                name: hist.summary() for name, hist in sorted(self._hists.items())
+                name: hist.summary() for name, hist in self.histograms.items()
             },
             "gauges": {
                 name: {"points": len(series),

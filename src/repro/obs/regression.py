@@ -2,9 +2,13 @@
 
 Pipeline: a traced run's JSONL is folded into a constant-size summary
 (counter totals + 64-bucket histogram summaries per span name) by
-:func:`summarize_trace`; :func:`diff_summaries` compares two summaries with
-noise-aware thresholds; ``repro obs diff`` and ``scripts/obs_regress.py``
-wrap both for interactive and CI use.
+:func:`summarize_trace`, record by record through
+:meth:`~repro.obs.metrics.MetricsRegistry.add` — the same rule the one
+trace reader (:func:`repro.forensics.report.read_trace`) feeds its
+registry with; :func:`diff_summaries` compares two summaries with
+noise-aware thresholds.  ``repro obs summary`` and ``repro obs diff`` wrap
+both; CI diffs the traced SMR smoke (``repro trace smr_smoke``, under
+``PYTHONHASHSEED=0``) against the committed ``OBS_baseline.json``.
 
 Threshold design, tuned to what the simulator guarantees:
 
@@ -27,33 +31,16 @@ from typing import Any
 from .metrics import MetricsRegistry
 from .tracer import TraceFile, record_dicts
 
-#: Counters whose per-event values are latency samples worth a histogram.
-_VALUE_HISTOGRAM_COUNTERS = frozenset({"smr.client_latency"})
-
 
 def summarize_trace(source: Any) -> dict[str, Any]:
     """Fold a trace (Tracer / TraceFile / record dicts) into a summary.
 
-    Span durations go to one histogram per span name; counters accumulate
-    (events, total); client-latency counter values additionally feed a
-    latency histogram.  Output shape is :meth:`MetricsRegistry.to_dict` —
-    the archival unit the observatory diffs.
+    Output shape is :meth:`MetricsRegistry.to_dict` — the archival unit the
+    observatory diffs.
     """
     reg = MetricsRegistry()
     for rec in record_dicts(source):
-        rtype = rec.get("type")
-        if rtype == "span":
-            reg.observe(rec["name"], rec["end"] - rec["start"])
-        elif rtype == "counter":
-            name = rec["name"]
-            value = rec.get("value", 1.0)
-            reg.counter(name, value)
-            if name in _VALUE_HISTOGRAM_COUNTERS:
-                reg.observe(name, value)
-        elif rtype == "gauge":
-            reg.gauge(rec["name"], rec.get("time", 0.0), rec["value"])
-        elif rtype == "anomaly":
-            reg.counter("anomaly." + rec.get("kind", "info"))
+        reg.add(rec)
     return reg.to_dict()
 
 

@@ -13,11 +13,11 @@ from repro.forensics.provenance import (
     CLIENT_SEGMENTS,
     RECONCILE_TOL,
     attribution_rows,
-    build_provenance,
     reconcile,
     slowest_replicas,
     txn_waterfall,
 )
+from repro.forensics.report import read_trace
 from repro.obs import Tracer
 from repro.smr.runtime import SmrRuntime
 
@@ -32,7 +32,7 @@ def smoke_index():
         runtime.submit(client, ("set", f"k{i}", i))
     runtime.run(until=6.0)
     assert client.accepted_count() == 20
-    return build_provenance(tracer.to_dicts()), client
+    return read_trace(tracer).index, client
 
 
 def test_every_waterfall_reconciles_with_client_latency(smoke_index):
@@ -124,7 +124,7 @@ def test_consensus_only_trace_still_attributes():
          "time": 1.7, "value": 1.0,
          "attrs": {"round": 5, "source": 3, "digest": "ab" * 16}},
     ]
-    index = build_provenance(rows)
+    index = read_trace(rows).index
     assert not index.has_clients
     (commit,) = index.ordered_commits()
     segments = commit.segments()
@@ -139,5 +139,5 @@ def test_unordered_vertices_are_pruned():
         {"type": "span", "name": "rbc.e2e", "node": 0, "start": 1.0,
          "end": 1.2, "attrs": {"origin": 3, "round": 5}},
     ]
-    index = build_provenance(rows)
+    index = read_trace(rows).index
     assert index.ordered_commits() == []

@@ -4,14 +4,10 @@ import json
 
 import pytest
 
+from repro.cli import TRACE_EXPERIMENTS, main
 from repro.committees.config import ClanConfig
-from repro.forensics.report import (
-    build_forensics,
-    format_report,
-    main,
-    waterfall_report,
-)
-from repro.obs import Tracer
+from repro.forensics.report import format_report, read_trace, waterfall_report
+from repro.obs import Tracer, summarize_trace
 from repro.smr.runtime import SmrRuntime
 
 
@@ -36,8 +32,8 @@ def trace_path(smoke_tracer, tmp_path_factory):
 
 
 def test_format_report_sections(trace_path):
-    forensics = build_forensics(trace_path)
-    report = format_report(forensics)
+    report = read_trace(trace_path)
+    report = format_report(report)
     assert "Forensics: " in report
     assert "Critical-path attribution" in report
     assert "Slowest commits" in report
@@ -46,22 +42,22 @@ def test_format_report_sections(trace_path):
 
 
 def test_waterfall_report_by_commit_and_txn(trace_path):
-    forensics = build_forensics(trace_path)
-    commit = forensics.index.ordered_commits()[0]
-    by_digest = waterfall_report(forensics, commit.digest[:10])
+    report = read_trace(trace_path)
+    commit = report.index.ordered_commits()[0]
+    by_digest = waterfall_report(report, commit.digest[:10])
     assert by_digest is not None
     assert "per-txn critical path" in by_digest
     assert "residual" in by_digest
-    txn_id = next(t for t in commit.txns if t in forensics.index.txns)
-    by_txn = waterfall_report(forensics, txn_id)
+    txn_id = next(t for t in commit.txns if t in report.index.txns)
+    by_txn = waterfall_report(report, txn_id)
     assert txn_id in by_txn
-    assert waterfall_report(forensics, "zz-nothing") is None
+    assert waterfall_report(report, "zz-nothing") is None
 
 
 def test_main_text_and_json(trace_path, capsys):
-    assert main([trace_path]) == 0
+    assert main(["forensics", trace_path]) == 0
     assert "Reconciliation: OK" in capsys.readouterr().out
-    assert main([trace_path, "--json"]) == 0
+    assert main(["forensics", trace_path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reconciliation"]["ok"] is True
     assert payload["reconciliation"]["checked"] == 20
@@ -75,19 +71,19 @@ def test_main_text_and_json(trace_path, capsys):
 
 
 def test_main_commit_drilldown_and_unknown_id(trace_path, capsys):
-    forensics = build_forensics(trace_path)
-    commit = forensics.index.ordered_commits()[0]
-    assert main([trace_path, "--commit", commit.digest[:10]]) == 0
+    report = read_trace(trace_path)
+    commit = report.index.ordered_commits()[0]
+    assert main(["forensics", trace_path, "--commit", commit.digest[:10]]) == 0
     assert "critical replica" in capsys.readouterr().out
-    assert main([trace_path, "--commit", "zz-nothing"]) == 2
+    assert main(["forensics", trace_path, "--commit", "zz-nothing"]) == 2
 
 
 def test_main_section_filters(trace_path, capsys):
-    assert main([trace_path, "--anomalies"]) == 0
+    assert main(["forensics", trace_path, "--anomalies"]) == 0
     out = capsys.readouterr().out
     assert "Anomalies" in out
     assert "Critical-path attribution" not in out
-    assert main([trace_path, "--attribution"]) == 0
+    assert main(["forensics", trace_path, "--attribution"]) == 0
     out = capsys.readouterr().out
     assert "Critical-path attribution" in out
     assert "Anomalies" not in out
@@ -109,7 +105,7 @@ def test_safety_anomaly_fails_the_command(smoke_tracer, tmp_path, capsys):
     path.write_text(
         "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
     )
-    assert main([str(path)]) == 1
+    assert main(["forensics", str(path)]) == 1
     assert "commit.prefix_divergence" in capsys.readouterr().out
 
 
@@ -126,7 +122,7 @@ def test_reconciliation_failure_fails_the_command(
     path.write_text(
         "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
     )
-    assert main([str(path)]) == 1
+    assert main(["forensics", str(path)]) == 1
     assert "Reconciliation: FAILED" in capsys.readouterr().out
 
 
@@ -136,6 +132,14 @@ def test_dropped_records_warn_in_report(smoke_tracer, tmp_path):
         capped._emit(row)
     path = tmp_path / "capped.jsonl"
     capped.export_jsonl(str(path))
-    forensics = build_forensics(str(path))
-    assert forensics.meta["dropped"] > 0
-    assert "WARNING" in format_report(forensics)
+    report = read_trace(str(path))
+    assert report.meta["dropped"] > 0
+    assert "WARNING" in format_report(report)
+
+
+def test_one_pass_feeds_the_metrics_summary_unchanged():
+    # The report's registry and `repro obs summary` share one rule set.
+    tracer = Tracer()
+    _summary, ok = TRACE_EXPERIMENTS["smr_smoke"](tracer)
+    assert ok
+    assert read_trace(tracer).metrics.to_dict() == summarize_trace(tracer)

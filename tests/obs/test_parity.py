@@ -12,7 +12,6 @@ nothing.
 import inspect
 
 from repro.obs import NULL_TRACER, NullTracer, Tracer
-from repro.obs.metrics import MetricsRegistry, NullMetrics
 
 #: Tracer-only collection/persistence API: reading back records, ring-buffer
 #: accounting, and JSONL files.  Call sites only touch these behind an
@@ -84,14 +83,3 @@ def test_null_methods_return_the_disabled_values():
     assert NULL_TRACER.records() == []
     assert len(NULL_TRACER) == 0
 
-
-def test_metrics_registry_parity():
-    # Same contract for the metrics twin: NullMetrics mirrors the emission
-    # API (counter/observe/gauge); registry-only read-back may diverge.
-    reg_api = set(_public_methods(MetricsRegistry))
-    null_api = set(_public_methods(NullMetrics))
-    assert null_api <= reg_api
-    assert {"counter", "observe", "gauge"} <= null_api
-    reg = _public_methods(MetricsRegistry)
-    for name, null_fn in _public_methods(NullMetrics).items():
-        assert inspect.signature(null_fn) == inspect.signature(reg[name])

@@ -88,6 +88,21 @@ def test_trace_smr_experiment_reports_client_latency(capsys, tmp_path):
     assert "accepted by the client" in out
 
 
+def test_trace_smr_smoke_fails_below_full_acceptance(capsys, monkeypatch):
+    from repro.smr.runtime import SmrRuntime
+
+    real_run = SmrRuntime.run
+    # Stop the run long before the client can accept all 20 transactions.
+    monkeypatch.setattr(
+        SmrRuntime, "run",
+        lambda self, until, max_events=None: real_run(self, 0.2, max_events),
+    )
+    assert main(["trace", "smr_smoke"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: smr single-clan n=10/5: 0/20" in captured.err
+    assert "Client-observed latency" not in captured.out
+
+
 def test_trace_capacity_bounds_records(capsys):
     code, out = run_cli(capsys, "trace", "fig5_smoke", "--capacity", "1000")
     assert code == 0
